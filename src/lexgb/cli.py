@@ -85,6 +85,8 @@ def cmd_gen_ideal(args) -> int:
 
 def _basis_from_input(data: dict) -> GroebnerBasis:
     """Dispatch an input file by its keys: point set, generators, recipe, or basis."""
+    if not isinstance(data, dict):
+        raise ValueError("input must be a JSON object")
     if "points" in data:
         return vanishing_basis(pointset_from_dict(data))
     if "generators" in data:

@@ -147,7 +147,7 @@ class PrimeField:
         return self.p
 
     def elements(self):
-        """All residues in canonical order; used for exhaustive root scans."""
+        """All residues in canonical order (root finding does not enumerate them)."""
         return (Fp(i, self.p) for i in range(self.p))
 
     def __eq__(self, other):
@@ -161,7 +161,7 @@ class PrimeField:
 
 
 class RationalField:
-    """Exact rational coefficients (a cross-checking mode; no residue scans)."""
+    """Exact rational coefficients (a cross-checking mode; no root finding)."""
 
     __slots__ = ()
 

@@ -57,8 +57,8 @@ def basis_from_dict(field, data: dict) -> GroebnerBasis:
     """Load a basis file; element order is kept exactly as stored."""
     from .poly import poly_from_dict
 
-    if "basis" not in data:
-        raise ValueError("basis object must have a 'basis' list")
+    if not isinstance(data.get("basis"), list) or not data["basis"]:
+        raise ValueError("basis object must have a nonempty 'basis' list")
     elems = tuple(poly_from_dict(field, d) for d in data["basis"])
     return GroebnerBasis(
         elems,

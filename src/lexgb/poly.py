@@ -374,15 +374,20 @@ def _coeff_json(c):
 
 def poly_from_dict(field, data: dict) -> Polynomial:
     """Inverse of Polynomial.to_dict."""
-    if not isinstance(data, dict) or "terms" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("terms"), list):
         raise ValueError("polynomial object must have a 'terms' list")
     terms = []
     for entry in data["terms"]:
+        if not isinstance(entry, dict) or "c" not in entry or "e" not in entry:
+            raise ValueError(f"term must be an object with 'c' and 'e', got {entry!r}")
         e = entry["e"]
-        if len(e) != 3:
-            raise ValueError(f"exponent triple expected, got {e!r}")
-        c = entry["c"]
-        terms.append((Monomial(e[0], e[1], e[2]), field(c)))
+        if not isinstance(e, list) or len(e) != 3 or not all(type(v) is int for v in e):
+            raise ValueError(f"exponent triple of integers expected, got {e!r}")
+        try:
+            c = field(entry["c"])
+        except TypeError as exc:
+            raise ValueError(str(exc)) from exc
+        terms.append((Monomial(e[0], e[1], e[2]), c))
     return Polynomial(field, terms)
 
 

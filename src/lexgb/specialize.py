@@ -1,15 +1,19 @@
 """Specialization of x (and y): image bases, degree preservation, solving.
 
-All root finding is an exhaustive scan over a prime field; the rational
-mode has no residue enumeration, so these operations require prime-field
+Roots in F_p come from gcd(f, x^p - x), split by equal-degree
+factorization (Cantor-Zassenhaus), so finding them costs a polynomial in
+log p and deg f rather than a pass over every residue.  The rational mode
+has no such root finder, so these operations require prime-field
 coefficients.
 """
 
 from __future__ import annotations
 
+from itertools import count
+
 from .field import PrimeField
 from .groebner import GroebnerBasis, buchberger, is_groebner_basis, normal_form, structure_facts
-from .poly import MONOMIAL_ONE, Monomial, Polynomial, divides_univariate
+from .poly import MONOMIAL_ONE, Monomial, Polynomial
 from .report import CheckReport, SKIPPED, gated_report
 
 
@@ -26,7 +30,136 @@ class NonSplitError(RuntimeError):
 
 def _require_prime_field(p: Polynomial):
     if not isinstance(p.field, PrimeField):
-        raise ValueError("root scans need prime-field coefficients")
+        raise ValueError("root finding needs prime-field coefficients")
+
+
+# -- dense univariate arithmetic over F_p -------------------------------------
+# Coefficient lists of plain ints in [0, p), lowest degree first, with no
+# trailing zeros; [] is the zero polynomial.
+
+
+def _trim(f: list) -> list:
+    while f and not f[-1]:
+        f.pop()
+    return f
+
+
+def _rem(f: list, g: list, p: int) -> list:
+    """f mod g for a nonzero g; the entries of f need not be reduced mod p."""
+    f = list(f)
+    dg = len(g) - 1
+    inv = pow(g[-1], p - 2, p)
+    for i in range(len(f) - 1, dg - 1, -1):
+        c = f[i] % p * inv % p
+        if c:
+            shift = i - dg
+            for j in range(dg):
+                f[shift + j] -= c * g[j]
+    return _trim([c % p for c in f[:dg]])
+
+
+def _quo(f: list, g: list, p: int) -> list:
+    """The exact quotient f / g for a monic g that divides f."""
+    f = list(f)
+    dg = len(g) - 1
+    q = [0] * (len(f) - dg)
+    for i in range(len(q) - 1, -1, -1):
+        c = q[i] = f[i + dg]
+        if c:
+            for j in range(dg + 1):
+                f[i + j] = (f[i + j] - c * g[j]) % p
+    return q
+
+
+def _mulmod(a: list, b: list, m: list, p: int) -> list:
+    if not a or not b:
+        return []
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                prod[i + j] += ca * cb
+    return _rem(prod, m, p)
+
+
+def _powmod(base: list, e: int, m: list, p: int) -> list:
+    """base^e mod m, by repeated squaring."""
+    out = [1]
+    base = _rem(base, m, p)
+    while e:
+        if e & 1:
+            out = _mulmod(out, base, m, p)
+        e >>= 1
+        if e:
+            base = _mulmod(base, base, m, p)
+    return out
+
+
+def _sub_xpow(f: list, e: int, p: int) -> list:
+    """f - x^e."""
+    f = f + [0] * (e + 1 - len(f))
+    f[e] = (f[e] - 1) % p
+    return _trim(f)
+
+
+def _monic_gcd(a: list, b: list, p: int) -> list:
+    while b:
+        a, b = b, _rem(a, b, p)
+    inv = pow(a[-1], p - 2, p)
+    return [c * inv % p for c in a]
+
+
+def _split(g: list, p: int, out: list, first_shift: int = 1) -> None:
+    """Append the roots of g, a monic product of distinct linear factors.
+
+    gcd(g, (x + a)^((p-1)/2) - 1) keeps the roots r with r + a a nonzero
+    square.  For two distinct roots about half of all shifts a separate
+    them, so few shifts are tried.  A shift that fails on g fails on its
+    factors too, so they go on from the shift after the one that split g.
+    """
+    if len(g) == 2:
+        out.append(-g[0] % p)
+    elif len(g) > 2:
+        if p == 2:
+            # g divides x^2 - x, so here g = x(x + 1); (p - 1)/2 = 0 leaves
+            # nothing to split with below
+            out.extend((0, 1))
+            return
+        for a in count(first_shift):
+            h = _monic_gcd(g, _sub_xpow(_powmod([a % p, 1], (p - 1) // 2, g, p), 0, p), p)
+            if 1 < len(h) < len(g):
+                _split(h, p, out, a + 1)
+                _split(_quo(g, h, p), p, out, a + 1)
+                return
+
+
+def _roots(f: list, p: int) -> list:
+    """The distinct roots of a nonzero f in F_p, ascending."""
+    if len(f) < 2:
+        return []
+    if len(f) == 2:
+        return [-f[0] * pow(f[1], p - 2, p) % p]
+    # gcd(f, x^p - x) is the product of the distinct linear factors of f;
+    # when f divides x^p - x the remainder x^p mod f - x is zero
+    g = _monic_gcd(f, _sub_xpow(_powmod([0, 1], p, f, p), 1, p), p)
+    out: list = []
+    _split(g, p, out)
+    return sorted(out)
+
+
+def _horner(f: list, v: int, p: int) -> int:
+    acc = 0
+    for c in reversed(f):
+        acc = (acc * v + c) % p
+    return acc
+
+
+def _coefficients(f: Polynomial) -> list:
+    """The coefficient list of f in k[x] over F_p."""
+    out = [0] * (f.max_degrees()[0] + 1)
+    for m, c in f.terms:
+        out[m.a] = int(c)
+    return _trim(out)
 
 
 def roots_univariate(f: Polynomial) -> list:
@@ -36,8 +169,8 @@ def roots_univariate(f: Polynomial) -> list:
         raise ValueError("the zero polynomial has every point as a root")
     if not f.in_kx():
         raise ValueError(f"{f.text()} is not univariate in x")
-    zero = f.field.zero
-    return [v for v in f.field.elements() if f.evaluate((v, zero, zero)) == zero]
+    field = f.field
+    return [field(r) for r in _roots(_coefficients(f), field.p)]
 
 
 def _as_kx(h: Polynomial, axis: int) -> Polynomial:
@@ -60,16 +193,38 @@ def split_roots(f: Polynomial, axis: int = 0):
     """
     g = _as_kx(f, axis)
     roots = roots_univariate(g)
-    field = g.field
-    cofactor = g
+    p = g.field.p
+    cofactor = _coefficients(g)
     for r in roots:
-        linear = Polynomial(field, [(Monomial(1, 0, 0), field.one), (MONOMIAL_ONE, -r)])
-        while True:
-            ok, q = divides_univariate(linear, cofactor)
-            if not ok:
-                break
-            cofactor = q
-    return roots, cofactor.max_degrees()[0]
+        linear = [-int(r) % p, 1]
+        while _horner(cofactor, int(r), p) == 0:
+            cofactor = _quo(cofactor, linear, p)
+    return roots, len(cofactor) - 1
+
+
+def _alpha_fibers(G: GroebnerBasis, alphas):
+    """Each root alpha of g_1 with the images of all elements at x = alpha."""
+    for alpha in alphas:
+        yield alpha, [g.substitute_x(alpha) for g in G.elements]
+
+
+def _fiber_betas(prefix_images):
+    """The betas at which every image of the elimination prefix vanishes.
+
+    The prefix images are those of g_1..g_ell2 at one root alpha, and are
+    evaluated at (y, z) = (beta, 0).  The betas are the roots of the
+    nonzero image with the smallest head, filtered by the others.  The head
+    of g_ell2 is a pure power of y, so its image is never zero and the
+    smallest head has no z.  Returns (betas, eliminant, cofactor degree
+    of the eliminant).
+    """
+    images = [h for h in prefix_images if not h.is_zero()]
+    eliminant = min(images, key=lambda h: h.lm().lex_key())
+    roots, stuck = split_roots(eliminant, axis=1)
+    zero = eliminant.field.zero
+    others = [h for h in images if h is not eliminant]
+    betas = [b for b in roots if all(h.evaluate((zero, b, zero)) == zero for h in others)]
+    return betas, eliminant, stuck
 
 
 def check_specialization_image(G: GroebnerBasis) -> CheckReport:
@@ -83,14 +238,13 @@ def check_specialization_image(G: GroebnerBasis) -> CheckReport:
     facts = structure_facts(G)
     if not facts.zero_dim:
         return CheckReport(name, SKIPPED, [], f"not zero-dimensional: {facts.missing}")
-    field = G.field
-    zero = field.zero
+    zero = G.field.zero
     witnesses = []
-    for alpha in roots_univariate(G.elements[0]):
+    for alpha, all_images in _alpha_fibers(G, roots_univariate(G.elements[0])):
         images = []
         for idx in range(1, len(G.elements)):
             g = G.elements[idx]
-            img = g.substitute_x(alpha)
+            img = all_images[idx]
             if img.is_zero():
                 continue
             lc_at = g.lc_x().evaluate((alpha, zero, zero))
@@ -131,18 +285,14 @@ def check_gianni_kalkbrener(G: GroebnerBasis) -> CheckReport:
     facts = structure_facts(G)
     if not facts.zero_dim:
         return CheckReport(name, SKIPPED, [], f"not zero-dimensional: {facts.missing}")
-    field = G.field
-    zero = field.zero
-    prefix = G.elements[: facts.ell2]
     witnesses = []
-    for alpha in roots_univariate(G.elements[0]):
-        for beta in field.elements():
-            if any(h.evaluate((alpha, beta, zero)) != zero for h in prefix):
-                continue
+    for alpha, images in _alpha_fibers(G, roots_univariate(G.elements[0])):
+        betas, _, _ = _fiber_betas(images[: facts.ell2])
+        for beta in betas:
             for idx, g in enumerate(G.elements):
                 if g.lm().c == 0:
                     continue
-                img = g.substitute_x(alpha).substitute_y(beta)
+                img = images[idx].substitute_y(beta)
                 if img.is_zero():
                     continue
                 if img.lm().c != g.lm().c:
@@ -212,10 +362,11 @@ def check_fiber_membership(G: GroebnerBasis) -> CheckReport:
 def solve_system(G: GroebnerBasis) -> tuple[tuple[int, int, int], ...]:
     """All F_p solutions of a zero-dimensional system, by back-substitution.
 
-    Roots of g_1 give the x values; each specialization is solved for y,
-    then for z, by exhaustive scans that must satisfy every specialized
-    element.  Raises NonSplitError when an eliminant has an irreducible
-    factor of degree > 1 (solutions would then live in an extension field).
+    Roots of g_1 give the x values.  At each, the betas come from the
+    elimination prefix; each (alpha, beta) slice is solved for z, and a
+    solution must satisfy every specialized element.  Raises NonSplitError
+    when an eliminant has an irreducible factor of degree > 1 (solutions
+    would then live in an extension field).
     """
     if G.unit_ideal:
         return ()
@@ -224,28 +375,22 @@ def solve_system(G: GroebnerBasis) -> tuple[tuple[int, int, int], ...]:
     facts = structure_facts(G)
     if not facts.zero_dim:
         raise ValueError(f"not zero-dimensional: {facts.missing}")
-    field = G.field
-    zero = field.zero
+    zero = G.field.zero
 
     roots, stuck = split_roots(G.elements[0], axis=0)
     if stuck:
         raise NonSplitError(G.elements[0], stuck)
 
     solutions = []
-    for alpha in roots:
-        slice_yz = [h for h in (g.substitute_x(alpha) for g in G.elements) if not h.is_zero()]
-        y_only = [h for h in slice_yz if h.max_degrees()[2] == 0]
-        if y_only:
-            eliminant = min(y_only, key=lambda h: h.lm().lex_key())
-            betas, stuck = split_roots(eliminant, axis=1)
-            if stuck:
-                raise NonSplitError(eliminant, stuck)
-            betas = [b for b in betas if all(h.evaluate((zero, b, zero)) == zero for h in y_only)]
-        else:
-            betas = list(field.elements())
+    for alpha, images in _alpha_fibers(G, roots):
+        betas, eliminant, stuck = _fiber_betas(images[: facts.ell2])
+        if stuck:
+            raise NonSplitError(eliminant, stuck)
+        slice_yz = [h for h in images if not h.is_zero()]
         for beta in betas:
             slice_z = [h for h in (g.substitute_y(beta) for g in slice_yz) if not h.is_zero()]
-            # the monic pure z power always survives, so the slice is nonempty
+            # the monic pure z power always survives, so the slice is nonempty;
+            # a nonzero constant means beta misses some element at alpha
             if any(h.is_constant() for h in slice_z):
                 continue
             eliminant = min(slice_z, key=lambda h: h.lm().lex_key())

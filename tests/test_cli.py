@@ -239,6 +239,22 @@ def test_malformed_json(tmp_path, capsys):
     capsys.readouterr()
 
 
+MALFORMED = {
+    "empty-basis": {"p": 101, "basis": []},
+    "term-without-exponents": {"p": 101, "basis": [{"terms": [{"c": 1}]}]},
+    "float-coefficient": {"p": 101, "generators": [{"terms": [{"c": 1.5, "e": [1, 0, 0]}]}]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_two(tmp_path, capsys, case):
+    src = write_json(tmp_path / "bad.json", MALFORMED[case])
+    for command in ("verify", "gb", "solve"):
+        assert main([command, src]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_undispatchable_input(tmp_path, capsys):
     src = write_json(tmp_path / "odd.json", {"hello": 1})
     assert main(["gb", src]) == 2

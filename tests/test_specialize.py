@@ -1,13 +1,14 @@
-"""Root scans, specialized images, and exhaustive solving."""
+"""Root finding, specialized images, and solving by back-substitution."""
 
 import random
 
 import pytest
 
 from lexgb.field import PrimeField, RationalField
+from lexgb.checks import verify_all
 from lexgb.groebner import GroebnerBasis, buchberger
 from lexgb.instances import PointSet, random_points, squared_vanishing_basis, vanishing_basis
-from lexgb.poly import Polynomial, parse_polynomial
+from lexgb.poly import MONOMIAL_ONE, Monomial, Polynomial, parse_polynomial
 from lexgb.report import FAIL, OBSERVED, PASS, SKIPPED
 from lexgb.specialize import (
     NonSplitError,
@@ -36,6 +37,99 @@ def test_roots_univariate_frozen():
     # 10^2 = 100 = -1, so x^2 + 1 splits at 10 and -10
     assert roots_univariate(P("x^2 + 1")) == [10, 91]
     assert roots_univariate(P("5")) == []
+
+
+def coefficient_list(f):
+    out = [0] * (f.max_degrees()[0] + 1)
+    for m, c in f.terms:
+        out[m.a] = int(c)
+    return out
+
+
+def synthetic_division(coeffs, r, p):
+    """(quotient, remainder) of the division by x - r; lowest degree first."""
+    q, acc = [], 0
+    for c in reversed(coeffs):
+        acc = (acc * r + c) % p
+        q.append(acc)
+    return q[-2::-1], acc
+
+
+def scan_roots(f):
+    """Reference: every residue of F_p at which f vanishes."""
+    p = f.field.p
+    coeffs = coefficient_list(f)
+    return [v for v in range(p) if synthetic_division(coeffs, v, p)[1] == 0]
+
+
+def scan_split(f):
+    """Reference: the roots, and the degree left after dividing out every
+    linear factor with its multiplicity."""
+    p = f.field.p
+    cofactor = coefficient_list(f)
+    roots = scan_roots(f)
+    for r in roots:
+        while True:
+            q, rem = synthetic_division(cofactor, r, p)
+            if rem:
+                break
+            cofactor = q
+    return roots, len(cofactor) - 1
+
+
+def kx(field, coeffs):
+    return Polynomial(field, [(Monomial(i, 0, 0), c) for i, c in enumerate(coeffs)])
+
+
+def linear(field, r):
+    return Polynomial(field, [(Monomial(1, 0, 0), 1), (MONOMIAL_ONE, -r)])
+
+
+def random_product(rng, field):
+    """A product of random linear factors (some repeated), random quadratics
+    (irreducible or not) and a random constant."""
+    p = field.p
+    f = kx(field, [rng.randrange(1, p)])
+    for _ in range(rng.randrange(0, 5)):
+        f = f * linear(field, rng.randrange(p)) ** rng.randrange(1, 3)
+    for _ in range(rng.randrange(0, 3)):
+        f = f * kx(field, [rng.randrange(p), rng.randrange(p), 1])
+    return f
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 101, 1009])
+def test_roots_match_a_residue_scan(p):
+    field = PrimeField(p)
+    rng = random.Random(p)
+    cases = [random_product(rng, field) for _ in range(40)]
+    for _ in range(20):
+        cases.append(kx(field, [rng.randrange(p) for _ in range(rng.randrange(1, 9))] + [1]))
+    cases.append(kx(field, [rng.randrange(1, p)]))  # a nonzero constant
+    # a product of distinct linear factors divides x^p - x, so x^p mod f
+    # is x and the gcd step meets a zero remainder; so does x^p - x itself,
+    # whose degree p makes it too slow to include at p = 1009
+    if p <= 101:
+        cases.append(kx(field, [0, p - 1] + [0] * (p - 2) + [1]))
+    distinct = rng.sample(range(p), min(p, 6))
+    product = kx(field, [1])
+    for r in distinct:
+        product = product * linear(field, r)
+    cases.append(product)
+    for f in cases:
+        assert roots_univariate(f) == scan_roots(f), f.text()
+        roots, cofactor_degree = split_roots(f)
+        assert (roots, cofactor_degree) == scan_split(f), f.text()
+    assert roots_univariate(product) == sorted(distinct)
+
+
+def test_split_roots_y_and_z_match_a_residue_scan():
+    rng = random.Random(31)
+    for _ in range(20):
+        f = random_product(rng, F101)
+        expected = scan_split(f)
+        for axis, var in ((1, "y"), (2, "z")):
+            g = P(f.text().replace("x", var))
+            assert split_roots(g, axis=axis) == expected
 
 
 def test_roots_univariate_errors():
@@ -124,6 +218,18 @@ def test_gianni_kalkbrener_detects_degree_drop():
     ]
 
 
+def test_gianni_kalkbrener_betas_solve_the_whole_prefix():
+    # at x = 1 the image y + 99 of x*y + 99*x has the smallest head, but its
+    # root 2 is not a root of the image y^2 + 100*y of g_3; (1, 2) is no
+    # solution of the prefix, so the z-degree drop of g_4 there is no witness
+    G = GroebnerBasis(
+        (P("x^2 + 100*x"), P("x*y + 99*x"), P("y^2 + 100*y"), P("y*z^2 + 99*z^2 + z"), P("z^3")),
+        radical=True,
+    )
+    r = check_gianni_kalkbrener(G)
+    assert r.verdict == PASS
+
+
 def test_fiber_membership_pass():
     r = check_fiber_membership(worked_basis())
     assert r.verdict == PASS
@@ -192,3 +298,22 @@ def test_solve_requires_zero_dimensional_prime_field():
     Q = RationalField()
     with pytest.raises(ValueError):
         solve_system(GroebnerBasis((parse_polynomial(Q, "x"),)))
+
+
+def test_solve_and_verify_at_a_large_prime():
+    # p = 32003: any pass over the residues would take minutes here
+    pts = random_points(40, seed=11, prime=32003)
+    G = vanishing_basis(pts)
+    assert solve_system(G) == tuple(sorted(pts.points))
+    assert all(r.verdict == PASS for r in verify_all(G))
+
+
+def test_fibered_points():
+    # several betas over one alpha and several gammas over one (alpha, beta)
+    pts = (
+        (19, 6, 8), (19, 83, 72), (41, 83, 11), (41, 83, 70),
+        (41, 83, 80), (50, 9, 7), (50, 83, 46), (50, 83, 64),
+    )
+    G = vanishing_basis(PointSet(101, pts))
+    assert solve_system(G) == tuple(sorted(pts))
+    assert check_gianni_kalkbrener(G).verdict == PASS
