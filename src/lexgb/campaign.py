@@ -143,7 +143,12 @@ def _summarize(results: list[dict], kinds: set[str]) -> dict:
 
 def _audit_implication(results: list[dict]) -> list[dict]:
     """The componentwise chain subsumes the equal-z-degree chain; record any
-    instance where the stronger check holds but the weaker one fails."""
+    instance where the stronger check holds but the weaker one fails.
+
+    This cannot fire once basis_integrity passes: the heads then ascend
+    strictly, and for j < i with equal z exponent lex order forces
+    y_j <= y_i, so every equal-z pair is also a componentwise pair.
+    """
     violations = []
     for res in results:
         verdicts = {c["name"]: c["verdict"] for c in res["checks"]}

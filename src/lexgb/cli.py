@@ -90,6 +90,8 @@ def _basis_from_input(data: dict) -> GroebnerBasis:
     if "points" in data:
         return vanishing_basis(pointset_from_dict(data))
     if "generators" in data:
+        if not isinstance(data["generators"], list):
+            raise ValueError("'generators' must be a list")
         field = PrimeField(data.get("p", 101))
         gens = [poly_from_dict(field, d) for d in data["generators"]]
         return buchberger(gens)

@@ -74,21 +74,15 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     return f.term_mul(lcm // f.lm(), one / f.lc()) - g.term_mul(lcm // g.lm(), one / g.lc())
 
 
-def _elements(basis) -> list[Polynomial]:
-    if isinstance(basis, GroebnerBasis):
-        return list(basis.elements)
-    return list(basis)
-
-
 def normal_form(p: Polynomial, basis) -> Polynomial:
     """Remainder of p on division by the basis; zero iff p is in the ideal."""
-    _, r = p.divide(_elements(basis))
+    _, r = p.divide(basis)
     return r
 
 
 def is_groebner_basis(basis) -> bool:
     """Buchberger criterion: every S-polynomial reduces to zero."""
-    elems = _elements(basis)
+    elems = list(basis)
     for g in elems:
         if g.is_zero():
             raise ValueError("zero polynomial in candidate basis")

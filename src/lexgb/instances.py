@@ -36,11 +36,14 @@ def pointset_from_dict(data: dict) -> PointSet:
     if "points" not in data or "p" not in data:
         raise ValueError("point set object must have 'p' and 'points'")
     p = data["p"]
+    PrimeField(p)  # validates the modulus
+    if not isinstance(data["points"], list):
+        raise ValueError("'points' must be a list")
     pts = []
     for pt in data["points"]:
-        if len(pt) != 3:
-            raise ValueError(f"point must have three coordinates, got {pt!r}")
-        pts.append(tuple(int(v) % p for v in pt))
+        if not isinstance(pt, list) or len(pt) != 3 or not all(type(v) is int for v in pt):
+            raise ValueError(f"point must be three integer coordinates, got {pt!r}")
+        pts.append(tuple(v % p for v in pt))
     if len(set(pts)) != len(pts):
         raise ValueError("points must be distinct")
     return PointSet(p, tuple(pts), data.get("seed"))
@@ -155,12 +158,22 @@ class InstanceRecipe:
 def recipe_from_dict(data: dict) -> InstanceRecipe:
     if "kind" not in data:
         raise ValueError("recipe object must have a 'kind'")
-    degrees = data.get("degrees")
+    prime, seed = data.get("p", 101), data.get("seed", 0)
+    n_points, degrees = data.get("n_points"), data.get("degrees")
+    for key, value in (("p", prime), ("seed", seed)):
+        if type(value) is not int:
+            raise ValueError(f"recipe field {key!r} must be an integer, got {value!r}")
+    if n_points is not None and type(n_points) is not int:
+        raise ValueError(f"recipe field 'n_points' must be an integer, got {n_points!r}")
+    if degrees is not None and (
+        not isinstance(degrees, list) or not all(type(d) is int for d in degrees)
+    ):
+        raise ValueError(f"recipe field 'degrees' must be a list of integers, got {degrees!r}")
     return InstanceRecipe(
         kind=data["kind"],
-        prime=data.get("p", 101),
-        seed=data.get("seed", 0),
-        n_points=data.get("n_points"),
+        prime=prime,
+        seed=seed,
+        n_points=n_points,
         degrees=tuple(degrees) if degrees else None,
     )
 

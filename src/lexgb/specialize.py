@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import count
 
 from .field import PrimeField
-from .groebner import GroebnerBasis, buchberger, is_groebner_basis, normal_form, structure_facts
+from .groebner import GroebnerBasis, is_groebner_basis, normal_form, structure_facts
 from .poly import MONOMIAL_ONE, Monomial, Polynomial
 from .report import CheckReport, SKIPPED, gated_report
 
@@ -26,11 +26,6 @@ class NonSplitError(RuntimeError):
         super().__init__(
             f"{poly.text()} does not split: a degree-{cofactor_degree} factor has no roots"
         )
-
-
-def _require_prime_field(p: Polynomial):
-    if not isinstance(p.field, PrimeField):
-        raise ValueError("root finding needs prime-field coefficients")
 
 
 # -- dense univariate arithmetic over F_p -------------------------------------
@@ -164,7 +159,8 @@ def _coefficients(f: Polynomial) -> list:
 
 def roots_univariate(f: Polynomial) -> list:
     """All roots of f in F_p, ascending; f must be a nonzero element of k[x]."""
-    _require_prime_field(f)
+    if not isinstance(f.field, PrimeField):
+        raise ValueError("root finding needs prime-field coefficients")
     if f.is_zero():
         raise ValueError("the zero polynomial has every point as a root")
     if not f.in_kx():
@@ -202,12 +198,6 @@ def split_roots(f: Polynomial, axis: int = 0):
     return roots, len(cofactor) - 1
 
 
-def _alpha_fibers(G: GroebnerBasis, alphas):
-    """Each root alpha of g_1 with the images of all elements at x = alpha."""
-    for alpha in alphas:
-        yield alpha, [g.substitute_x(alpha) for g in G.elements]
-
-
 def _fiber_betas(prefix_images):
     """The betas at which every image of the elimination prefix vanishes.
 
@@ -227,24 +217,32 @@ def _fiber_betas(prefix_images):
     return betas, eliminant, stuck
 
 
+def _fiber_facts(name: str, G: GroebnerBasis):
+    """(structure facts, None) when the fiber check `name` can run on G, else
+    (None, the skipped report): it needs a zero-dimensional basis over F_p."""
+    if not isinstance(G.field, PrimeField):
+        return None, CheckReport(name, SKIPPED, [], "requires prime-field coefficients")
+    facts = structure_facts(G)
+    if not facts.zero_dim:
+        return None, CheckReport(name, SKIPPED, [], f"not zero-dimensional: {facts.missing}")
+    return facts, None
+
+
 def check_specialization_image(G: GroebnerBasis) -> CheckReport:
     """At every root alpha of g_1, each remaining element either vanishes or
     keeps a nonvanishing leading x-coefficient; nonzero images have leading
     term lc_x(alpha) * lm_yz, and together they still satisfy the S-pair
     criterion in k[y, z]."""
     name = "specialization_image"
-    if not isinstance(G.field, PrimeField):
-        return CheckReport(name, SKIPPED, [], "requires prime-field coefficients")
-    facts = structure_facts(G)
-    if not facts.zero_dim:
-        return CheckReport(name, SKIPPED, [], f"not zero-dimensional: {facts.missing}")
+    _, skipped = _fiber_facts(name, G)
+    if skipped:
+        return skipped
     zero = G.field.zero
     witnesses = []
-    for alpha, all_images in _alpha_fibers(G, roots_univariate(G.elements[0])):
+    for alpha in roots_univariate(G.elements[0]):
         images = []
-        for idx in range(1, len(G.elements)):
-            g = G.elements[idx]
-            img = all_images[idx]
+        for idx, g in enumerate(G.elements[1:], start=1):
+            img = g.substitute_x(alpha)
             if img.is_zero():
                 continue
             lc_at = g.lc_x().evaluate((alpha, zero, zero))
@@ -280,13 +278,12 @@ def check_gianni_kalkbrener(G: GroebnerBasis) -> CheckReport:
     """At every solution (alpha, beta) of the elimination prefix, each element
     with z in its head keeps its z degree after specialization (or vanishes)."""
     name = "gianni_kalkbrener"
-    if not isinstance(G.field, PrimeField):
-        return CheckReport(name, SKIPPED, [], "requires prime-field coefficients")
-    facts = structure_facts(G)
-    if not facts.zero_dim:
-        return CheckReport(name, SKIPPED, [], f"not zero-dimensional: {facts.missing}")
+    facts, skipped = _fiber_facts(name, G)
+    if skipped:
+        return skipped
     witnesses = []
-    for alpha, images in _alpha_fibers(G, roots_univariate(G.elements[0])):
+    for alpha in roots_univariate(G.elements[0]):
+        images = [g.substitute_x(alpha) for g in G.elements]
         betas, _, _ = _fiber_betas(images[: facts.ell2])
         for beta in betas:
             for idx, g in enumerate(G.elements):
@@ -313,11 +310,9 @@ def check_fiber_membership(G: GroebnerBasis) -> CheckReport:
     lc_x(g_{i+1}): g_i vanishes at x = alpha and g_{i+1} lies in the ideal
     generated by x - alpha and lc_xy(g_{i+1}) at x = alpha."""
     name = "fiber_membership"
-    if not isinstance(G.field, PrimeField):
-        return CheckReport(name, SKIPPED, [], "requires prime-field coefficients")
-    facts = structure_facts(G)
-    if not facts.zero_dim:
-        return CheckReport(name, SKIPPED, [], f"not zero-dimensional: {facts.missing}")
+    _, skipped = _fiber_facts(name, G)
+    if skipped:
+        return skipped
     field = G.field
     zero = field.zero
     elems = G.elements
@@ -341,8 +336,9 @@ def check_fiber_membership(G: GroebnerBasis) -> CheckReport:
                 )
             linear = Polynomial(field, [(Monomial(1, 0, 0), field.one), (MONOMIAL_ONE, -alpha)])
             fiber_gen = elems[i + 1].lc_xy().substitute_x(alpha)
-            H = buchberger([linear, fiber_gen])
-            r = normal_form(elems[i + 1], H)
+            # the heads x and y^k are coprime, so the pair is already a
+            # Groebner basis and the remainder is the normal form
+            r = normal_form(elems[i + 1], [linear, fiber_gen])
             if not r.is_zero():
                 witnesses.append(
                     {
@@ -382,7 +378,8 @@ def solve_system(G: GroebnerBasis) -> tuple[tuple[int, int, int], ...]:
         raise NonSplitError(G.elements[0], stuck)
 
     solutions = []
-    for alpha, images in _alpha_fibers(G, roots):
+    for alpha in roots:
+        images = [g.substitute_x(alpha) for g in G.elements]
         betas, eliminant, stuck = _fiber_betas(images[: facts.ell2])
         if stuck:
             raise NonSplitError(eliminant, stuck)

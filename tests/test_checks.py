@@ -5,10 +5,15 @@ containers; the checks inspect heads and coefficients directly, so the
 containers need not hold genuine Groebner bases.
 """
 
+import random
+
 import pytest
 
+from lexgb import checks, specialize
 from lexgb.checks import (
     CHECK_ORDER,
+    _componentwise,
+    _same_z,
     all_ok,
     check_basis_integrity,
     check_lazard_2d,
@@ -23,7 +28,7 @@ from lexgb.checks import (
 from lexgb.field import PrimeField
 from lexgb.groebner import GroebnerBasis, buchberger
 from lexgb.instances import PointSet, squared_vanishing_basis, vanishing_basis
-from lexgb.poly import Polynomial, parse_polynomial
+from lexgb.poly import Monomial, Polynomial, parse_polynomial
 from lexgb.report import FAIL, OBSERVED, PASS, SKIPPED, CheckReport, gated_report
 
 F101 = PrimeField(101)
@@ -178,6 +183,24 @@ def test_componentwise_check_subsumes_same_zdeg_pairs():
         assert w in comp
 
 
+def test_same_zdeg_pairs_are_componentwise_pairs():
+    # for j < i with equal z exponent, lex order forces y_j <= y_i, so in a
+    # basis with strictly ascending heads every pair the same-z-degree chain
+    # compares is also compared by the componentwise chain; this is why the
+    # campaign's implication audit cannot fire once basis_integrity passes
+    rng = random.Random(41)
+    for _ in range(300):
+        heads = {
+            Monomial(rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 2))
+            for _ in range(rng.randint(2, 12))
+        }
+        heads = sorted(heads, key=Monomial.lex_key)
+        for i in range(len(heads)):
+            for j in range(i):
+                if _same_z(heads[i], heads[j]):
+                    assert _componentwise(heads[i], heads[j]), (heads[j], heads[i])
+
+
 def test_lc_x_divides_lc_xy():
     assert check_lc_x_divides_lc_xy(worked_basis()).verdict == PASS
     bad = GroebnerBasis((P("x^3"), P("x^2*y*z + x*z")))
@@ -214,6 +237,29 @@ def test_verify_all_worked_basis():
     assert [r.name for r in reports] == list(CHECK_ORDER)
     assert all(r.verdict == PASS for r in reports)
     assert all_ok(reports)
+
+
+def test_verify_all_looks_checks_up_at_call_time(monkeypatch):
+    # a wrapper set on the module attribute, as the benchmark tracer sets
+    # one, must see the call; a table holding the function objects would not
+    calls = {"same_zdeg": 0, "fiber": 0}
+
+    def counting(key, fn):
+        def wrapper(G):
+            calls[key] += 1
+            return fn(G)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        checks, "check_lc_chain_same_zdeg", counting("same_zdeg", check_lc_chain_same_zdeg)
+    )
+    monkeypatch.setattr(
+        specialize, "check_fiber_membership", counting("fiber", specialize.check_fiber_membership)
+    )
+    reports = verify_all(worked_basis())
+    assert calls == {"same_zdeg": 1, "fiber": 1}
+    assert all(r.verdict == PASS for r in reports)
 
 
 def test_verify_all_observed_on_non_radical():

@@ -243,6 +243,19 @@ MALFORMED = {
     "empty-basis": {"p": 101, "basis": []},
     "term-without-exponents": {"p": 101, "basis": [{"terms": [{"c": 1}]}]},
     "float-coefficient": {"p": 101, "generators": [{"terms": [{"c": 1.5, "e": [1, 0, 0]}]}]},
+    "points-string-prime": {"p": "x", "points": [[1, 2, 3]]},
+    "points-zero-prime": {"p": 0, "points": [[1, 2, 3]]},
+    "points-not-a-list": {"p": 101, "points": 5},
+    "point-not-a-list": {"p": 101, "points": [5]},
+    "point-null": {"p": 101, "points": [None]},
+    "point-float-coordinate": {"p": 101, "points": [[1.5, 2, 3]]},
+    "recipe-string-count": {"kind": "vanishing-points", "p": 101, "seed": 0, "n_points": "3"},
+    "recipe-float-count": {"kind": "vanishing-points", "p": 101, "seed": 0, "n_points": 2.5},
+    "recipe-float-seed": {"kind": "vanishing-points", "p": 101, "seed": 1.5, "n_points": 3},
+    "recipe-string-seed": {"kind": "vanishing-points", "p": 101, "seed": "s", "n_points": 3},
+    "recipe-scalar-degrees": {"kind": "random-triangular", "p": 101, "seed": 0, "degrees": 5},
+    "recipe-string-degree": {"kind": "random-triangular", "p": 101, "seed": 0, "degrees": ["a", 1, 1]},
+    "generators-not-a-list": {"generators": 5},
 }
 
 

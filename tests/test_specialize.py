@@ -248,6 +248,24 @@ def test_fiber_membership_detects_outsider():
         {"i": 4, "alpha": 0, "normal_form": "1", "modulo": ["x", "y"]}
     ]
 
+    # a non-monic fiber generator of degree 2 in y: the remainder of
+    # y^3 + y + 3 modulo 2*y^2 + 3*y + 5 is the non-constant 26*y + 32
+    G = GroebnerBasis(
+        (
+            P("x^2 + 100*x"),
+            P("y^2"),
+            P("x*z"),
+            P("2*y^2*z + x*y*z + 3*y*z + 5*z + y^3 + y + 3"),
+            P("z^2"),
+        ),
+        radical=True,
+    )
+    r = check_fiber_membership(G)
+    assert r.verdict == FAIL
+    assert r.witnesses == [
+        {"i": 4, "alpha": 0, "normal_form": "26*y + 32", "modulo": ["x", "2*y^2 + 3*y + 5"]}
+    ]
+
 
 def test_fiber_membership_skips_when_hypothesis_empty():
     # x^2 + 2 has no roots (-2 is not a square mod 101) and every other
