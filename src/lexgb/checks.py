@@ -46,7 +46,7 @@ def check_basis_integrity(G: GroebnerBasis) -> CheckReport:
         if not heads[i - 1] < heads[i]:
             witnesses.append({"i": i + 1, "reason": "leading monomials not strictly ascending"})
     for i, g in enumerate(elems):
-        if g.lc() != G.field.one:
+        if g.lc() != 1:
             witnesses.append({"i": i + 1, "reason": "not monic"})
         for j, h in enumerate(heads):
             if j != i and h.divides(heads[i]):
@@ -152,6 +152,8 @@ def check_membership_lc_xy(G: GroebnerBasis) -> CheckReport:
     ideal generated by its k[x, y] leading coefficient together with g_1."""
     name = "membership_lc_xy"
     facts = structure_facts(G)
+    if not facts.zero_dim:
+        return CheckReport(name, SKIPPED, [], f"not zero-dimensional: {facts.missing}")
     elems = G.elements
     witnesses = []
     for i in range(facts.ell2, len(elems)):

@@ -19,8 +19,19 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _inverse(v: int, p: int) -> int:
+    if not v % p:
+        raise ZeroDivisionError(f"0 has no inverse in F_{p}")
+    # p prime, so a^(p-2) is the inverse by Fermat
+    return pow(v, p - 2, p)
+
+
 class Fp:
-    """Element of F_p, stored as the canonical residue in [0, p)."""
+    """Element of F_p, stored as the canonical residue in [0, p).
+
+    Polynomials hold plain ints; Fp is the boxed value that a PrimeField
+    hands out, for callers that want field arithmetic on single values.
+    """
 
     __slots__ = ("v", "p")
 
@@ -28,63 +39,36 @@ class Fp:
         self.v = v % p
         self.p = p
 
-    def _coerce(self, other):
+    def _residue(self, other):
+        """The residue of an int or of an element of the same field, else None."""
         if isinstance(other, Fp):
             if other.p != self.p:
                 raise ValueError(f"mixed moduli {self.p} and {other.p}")
-            return other
-        if isinstance(other, int):
-            return Fp(other, self.p)
-        return None
+            return other.v
+        return other if isinstance(other, int) else None
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return Fp(self.v + other.v, self.p)
+    def _lift(op):
+        """The operator (self, other) -> Fp(op(self.v, other's residue, p))."""
 
-    __radd__ = __add__
+        def method(self, other):
+            w = self._residue(other)
+            return NotImplemented if w is None else Fp(op(self.v, w, self.p), self.p)
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return Fp(self.v - other.v, self.p)
+        return method
 
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return Fp(other.v - self.v, self.p)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return Fp(self.v * other.v, self.p)
-
-    __rmul__ = __mul__
+    __add__ = __radd__ = _lift(lambda v, w, p: v + w)
+    __sub__ = _lift(lambda v, w, p: v - w)
+    __rsub__ = _lift(lambda v, w, p: w - v)
+    __mul__ = __rmul__ = _lift(lambda v, w, p: v * w)
+    __truediv__ = _lift(lambda v, w, p: v * _inverse(w, p))
+    __rtruediv__ = _lift(lambda v, w, p: w * _inverse(v, p))
+    del _lift
 
     def __neg__(self):
         return Fp(-self.v, self.p)
 
     def inv(self):
-        if self.v == 0:
-            raise ZeroDivisionError(f"0 has no inverse in F_{self.p}")
-        # p prime, so a^(p-2) is the inverse by Fermat
-        return Fp(pow(self.v, self.p - 2, self.p), self.p)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inv()
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self.inv()
+        return Fp(_inverse(self.v, self.p), self.p)
 
     def __pow__(self, e: int):
         if e < 0:
@@ -116,23 +100,34 @@ class Fp:
 
 
 class PrimeField:
-    """Coefficient context for F_p; the modulus is validated at construction."""
+    """Coefficient context for F_p; the modulus is validated at construction.
 
-    __slots__ = ("p",)
+    Polynomials hold its coefficients as plain ints in [0, p): `coerce`
+    makes one, `inv` inverts one, and `mod` (which is p) reduces them.
+    """
+
+    __slots__ = ("p", "mod")
 
     def __init__(self, p: int = 101):
         if not isinstance(p, int) or not is_prime(p):
             raise ValueError(f"modulus must be prime, got {p!r}")
-        self.p = p
+        self.p = self.mod = p
 
     def __call__(self, n) -> Fp:
+        return n if isinstance(n, Fp) and n.p == self.p else Fp(self.coerce(n), self.p)
+
+    def coerce(self, n) -> int:
+        """n as a kernel coefficient: its canonical residue."""
         if isinstance(n, Fp):
             if n.p != self.p:
                 raise ValueError(f"element of F_{n.p} given to F_{self.p}")
-            return n
+            return n.v
         if isinstance(n, int):
-            return Fp(n, self.p)
+            return n % self.p
         raise TypeError(f"cannot coerce {n!r} into F_{self.p}")
+
+    def inv(self, c: int) -> int:
+        return _inverse(c, self.p)
 
     @property
     def zero(self) -> Fp:
@@ -160,10 +155,23 @@ class PrimeField:
         return f"PrimeField({self.p})"
 
 
-class RationalField:
-    """Exact rational coefficients (a cross-checking mode; no root finding)."""
+class _Exact:
+    """The `mod` of the rationals: `c % _Exact()` is c, so kernel loops
+    written for F_p leave rational coefficients unreduced."""
 
     __slots__ = ()
+
+    def __rmod__(self, c):
+        return c
+
+
+class RationalField:
+    """Exact rational coefficients (a cross-checking mode; no root finding).
+    Polynomials hold them as Fractions, with `mod`, `coerce` and `inv` as in
+    PrimeField."""
+
+    __slots__ = ()
+    mod = _Exact()
 
     def __call__(self, n) -> Fraction:
         if isinstance(n, Fraction):
@@ -171,6 +179,11 @@ class RationalField:
         if isinstance(n, (int, str)):
             return Fraction(n)
         raise TypeError(f"cannot coerce {n!r} into the rationals")
+
+    coerce = __call__
+
+    def inv(self, c: Fraction) -> Fraction:
+        return 1 / c
 
     @property
     def zero(self) -> Fraction:

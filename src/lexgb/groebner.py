@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
-from .poly import Monomial, Polynomial, constant
+from .poly import Monomial, Polynomial, constant, poly_from_dict
 
 
 @dataclass(frozen=True)
@@ -37,12 +38,7 @@ class GroebnerBasis:
         facts = None
         if not self.unit_ideal:
             facts = structure_facts(self)
-        polys = []
-        for g in self.elements:
-            d = g.to_dict()
-            if text:
-                d["text"] = g.text()
-            polys.append(d)
+        polys = [dict(g.to_dict(), text=g.text()) if text else g.to_dict() for g in self.elements]
         return {
             "p": self.field.size,
             "basis": polys,
@@ -55,8 +51,6 @@ class GroebnerBasis:
 
 def basis_from_dict(field, data: dict) -> GroebnerBasis:
     """Load a basis file; element order is kept exactly as stored."""
-    from .poly import poly_from_dict
-
     if not isinstance(data.get("basis"), list) or not data["basis"]:
         raise ValueError("basis object must have a nonempty 'basis' list")
     elems = tuple(poly_from_dict(field, d) for d in data["basis"])
@@ -70,8 +64,8 @@ def basis_from_dict(field, data: dict) -> GroebnerBasis:
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     """lcm(lm f, lm g)/lt(f) * f - lcm(lm f, lm g)/lt(g) * g."""
     lcm = f.lm().lcm(g.lm())
-    one = f.field.one
-    return f.term_mul(lcm // f.lm(), one / f.lc()) - g.term_mul(lcm // g.lm(), one / g.lc())
+    inv = f.field.inv
+    return f.term_mul(lcm // f.lm(), inv(f.lc())) - g.term_mul(lcm // g.lm(), inv(g.lc()))
 
 
 def normal_form(p: Polynomial, basis) -> Polynomial:
@@ -100,7 +94,8 @@ def buchberger(generators, radical: bool = False) -> GroebnerBasis:
     """Reduced lex Groebner basis of the ideal the generators span.
 
     Completion uses the normal selection strategy (smallest head lcm
-    first) and skips pairs with coprime heads.  The result is ordered
+    first, ties to the smallest (i, j)) from a heap keyed once per pair,
+    and never queues pairs with coprime heads.  The result is ordered
     ascending by leading monomial, minimal, monic and tail-reduced, so
     it is the unique reduced basis of the ideal.
     """
@@ -111,13 +106,14 @@ def buchberger(generators, radical: bool = False) -> GroebnerBasis:
     unit = GroebnerBasis((constant(field, 1),), radical=radical, unit_ideal=True)
 
     basis: list[Polynomial] = []
-    pairs: list[tuple[int, int]] = []
+    pairs: list[tuple] = []  # heap of (lcm of the heads, i, j)
 
     def admit(p: Polynomial):
+        head = p.lm()
+        for k, g in enumerate(basis):
+            if not head.is_coprime(g.lm()):
+                heappush(pairs, (head.lcm(g.lm()), k, len(basis)))
         basis.append(p.monic())
-        n = len(basis) - 1
-        for k in range(n):
-            pairs.append((k, n))
 
     for g in gens:
         if g.is_constant():
@@ -125,14 +121,7 @@ def buchberger(generators, radical: bool = False) -> GroebnerBasis:
         admit(g)
 
     while pairs:
-        best = min(
-            pairs,
-            key=lambda ij: (basis[ij[0]].lm().lcm(basis[ij[1]].lm()).lex_key(), ij),
-        )
-        pairs.remove(best)
-        i, j = best
-        if basis[i].lm().is_coprime(basis[j].lm()):
-            continue
+        _, i, j = heappop(pairs)
         _, r = s_polynomial(basis[i], basis[j]).divide(basis)
         if r.is_zero():
             continue
@@ -141,7 +130,7 @@ def buchberger(generators, radical: bool = False) -> GroebnerBasis:
         admit(r)
 
     # minimal generators: drop heads divisible by an earlier kept head
-    order = sorted(range(len(basis)), key=lambda i: (basis[i].lm().lex_key(), i))
+    order = sorted(range(len(basis)), key=lambda i: (basis[i].lm(), i))
     kept: list[Polynomial] = []
     for i in order:
         if not any(h.lm().divides(basis[i].lm()) for h in kept):
@@ -232,13 +221,12 @@ def standard_monomials(G: GroebnerBasis) -> list[Monomial]:
     dy = G.elements[facts.ell2 - 1].lm().b
     dz = facts.pure_z_degree
     out = []
-    for c in range(dz):
+    for c in range(dz):  # z outermost, so the monomials come out ascending
         for b in range(dy):
             for a in range(dx):
                 m = Monomial(a, b, c)
                 if not any(h.divides(m) for h in heads):
                     out.append(m)
-    out.sort(key=Monomial.lex_key)
     return out
 
 

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .field import PrimeField
 from .groebner import GroebnerBasis, buchberger
-from .poly import MONOMIAL_ONE, Monomial, Polynomial
+from .poly import Monomial, Polynomial
 
 
 @dataclass(frozen=True)
@@ -81,42 +82,54 @@ def vanishing_basis(points: PointSet, field=None) -> GroebnerBasis:
         raise ValueError("empty point set")
     if len(set(points.points)) != len(points.points):
         raise ValueError("points must be distinct")
-    pts = [tuple(field(v) for v in pt) for pt in points.points]
-    npts = len(pts)
-    zero = field.zero
+    coerce, mod, inv = field.coerce, field.mod, field.inv
+    # the point coordinates in the order of the stored exponents (c, b, a)
+    columns = [[coerce(pt[axis]) for pt in points.points] for axis in (2, 1, 0)]
 
-    # rows: (pivot index, reduced evaluation vector, combination over standard monomials)
+    # rows: (pivot index, reduced evaluation vector scaled to 1 at the pivot,
+    # combination over standard monomials as {exponent tuple: coefficient})
     rows: list[tuple[int, list, dict]] = []
     basis: list[Polynomial] = []
-    heads: list[Monomial] = []
-    candidates: list[Monomial] = [MONOMIAL_ONE]
+    heads: list[tuple] = []
+
+    def covered(t) -> bool:
+        return any(Monomial.divides(h, t) for h in heads)
+
+    # a heap of exponent tuples (c, b, a), so the smallest in lex pops
+    # first, and the evaluation vector of each
+    one = coerce(1)
+    candidates = [(0, 0, 0)]
+    evals = {(0, 0, 0): [one] * len(points.points)}
 
     while candidates:
-        candidates.sort(key=Monomial.lex_key)
-        m = candidates.pop(0)
-        if any(h.divides(m) for h in heads):
+        m = heappop(candidates)
+        values = evals.pop(m)
+        if covered(m):
             continue
-        vec = [px**m.a * py**m.b * pz**m.c for px, py, pz in pts]
-        comb = {m: field.one}
+        vec, comb = values, {m: one}
         for pivot, rvec, rcomb in rows:
-            if vec[pivot] == zero:
+            factor = vec[pivot]
+            if not factor:
                 continue
-            factor = vec[pivot] / rvec[pivot]
-            vec = [v - factor * r for v, r in zip(vec, rvec)]
+            vec = [(v - factor * r) % mod for v, r in zip(vec, rvec)]
             for mon, coeff in rcomb.items():
-                comb[mon] = comb.get(mon, zero) - factor * coeff
-        if all(v == zero for v in vec):
-            basis.append(Polynomial(field, comb.items()))
+                comb[mon] = comb.get(mon, 0) - factor * coeff
+        pivot = next((i for i, v in enumerate(vec) if v), None)
+        if pivot is None:
+            # visited in ascending order, so the basis comes out sorted
+            basis.append(Polynomial._collect(field, comb))
             heads.append(m)
-        else:
-            pivot = next(i for i in range(npts) if vec[i] != zero)
-            rows.append((pivot, vec, comb))
-            for step in (Monomial(1, 0, 0), Monomial(0, 1, 0), Monomial(0, 0, 1)):
-                child = m * step
-                if child not in candidates and not any(h.divides(child) for h in heads):
-                    candidates.append(child)
+            continue
+        scale = inv(vec[pivot])
+        rows.append((pivot, [v * scale % mod for v in vec], {k: c * scale % mod for k, c in comb.items()}))
+        for axis, column in enumerate(columns):
+            child = m[:axis] + (m[axis] + 1,) + m[axis + 1 :]
+            # every monomial popped so far is below m < child, so a child
+            # not waiting in the heap has never been visited
+            if child not in evals and not covered(child):
+                evals[child] = [v * x % mod for v, x in zip(values, column)]
+                heappush(candidates, child)
 
-    basis.sort(key=lambda g: g.lm().lex_key())
     return GroebnerBasis(tuple(basis), radical=True)
 
 
@@ -186,7 +199,7 @@ class Instance:
 
 
 def _random_kx(field, rng, max_deg: int) -> list[tuple[Monomial, object]]:
-    return [(Monomial(i, 0, 0), field(rng.randrange(field.p))) for i in range(max_deg)]
+    return [(Monomial(i, 0, 0), rng.randrange(field.p)) for i in range(max_deg)]
 
 
 def random_triangular_basis(degrees, seed: int, prime: int = 101) -> GroebnerBasis:
@@ -201,17 +214,17 @@ def random_triangular_basis(degrees, seed: int, prime: int = 101) -> GroebnerBas
     field = PrimeField(prime)
     for attempt in range(10):
         rng = random.Random(seed + attempt)
-        f1 = Polynomial(field, [(Monomial(d1, 0, 0), field.one)] + _random_kx(field, rng, d1))
-        t2 = [(Monomial(0, d2, 0), field.one)]
+        f1 = Polynomial(field, [(Monomial(d1, 0, 0), 1)] + _random_kx(field, rng, d1))
+        t2 = [(Monomial(0, d2, 0), 1)]
         for j in range(d2):
             for i in range(d1):
-                t2.append((Monomial(i, j, 0), field(rng.randrange(prime))))
+                t2.append((Monomial(i, j, 0), rng.randrange(prime)))
         f2 = Polynomial(field, t2)
-        t3 = [(Monomial(0, 0, d3), field.one)]
+        t3 = [(Monomial(0, 0, d3), 1)]
         for k in range(d3):
             for j in range(d2):
                 for i in range(d1):
-                    t3.append((Monomial(i, j, k), field(rng.randrange(prime))))
+                    t3.append((Monomial(i, j, k), rng.randrange(prime)))
         f3 = Polynomial(field, t3)
         G = buchberger([f1, f2, f3], radical=False)
         if not G.unit_ideal:

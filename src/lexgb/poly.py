@@ -1,83 +1,84 @@
 """Sparse polynomials in x, y, z under lex order with x < y < z.
 
-The order compares the z exponent first, then y, then x.  Polynomials are
-stored as strictly descending, duplicate-free term tuples with no zero
-coefficients, so equal polynomials have identical representations.
+The order compares the z exponent first, then y, then x.  A monomial is
+stored as its exponent tuple (c, b, a), so native tuple order is the term
+order.  Polynomials are stored as strictly descending, duplicate-free term
+tuples with no zero coefficients, so equal polynomials have identical
+representations.  Coefficients are plain values, canonical ints in [0, p)
+over F_p and Fractions over the rationals: the kernel reduces with
+`% field.mod` (a no-op for the rationals) and inverts with `field.inv`, so
+one code path serves both fields.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-
-from .field import Fp
+from functools import partial
+from heapq import heappop, heappush
+from operator import itemgetter
 
 
 class ZeroPolynomialError(ValueError):
     """Leading data of the zero polynomial was requested."""
 
 
-@dataclass(frozen=True)
-class Monomial:
-    """Exponent triple x^a y^b z^c with nonnegative exponents."""
+class Monomial(tuple):
+    """Exponent triple x^a y^b z^c with nonnegative exponents, stored as the
+    tuple (c, b, a); it compares and hashes like that tuple."""
 
-    a: int
-    b: int
-    c: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.a < 0 or self.b < 0 or self.c < 0:
-            raise ValueError(f"negative exponent in {(self.a, self.b, self.c)}")
+    def __new__(cls, a: int, b: int, c: int):
+        if a < 0 or b < 0 or c < 0:
+            raise ValueError(f"negative exponent in {(a, b, c)}")
+        return tuple.__new__(cls, (c, b, a))
+
+    a = property(itemgetter(2))
+    b = property(itemgetter(1))
+    c = property(itemgetter(0))
+
+    def __getnewargs__(self):
+        return self[::-1]
+
+    def __repr__(self):
+        return f"Monomial(a={self[2]}, b={self[1]}, c={self[0]})"
 
     def lex_key(self):
-        """Sort key for lex with z most significant."""
-        return (self.c, self.b, self.a)
+        """Sort key for lex with z most significant: the stored (c, b, a)."""
+        return tuple(self)
 
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        return Monomial(self.a + other.a, self.b + other.b, self.c + other.c)
+    def __mul__(self, other) -> "Monomial":
+        return _mono((self[0] + other[0], self[1] + other[1], self[2] + other[2]))
 
-    def divides(self, other: "Monomial") -> bool:
-        return self.a <= other.a and self.b <= other.b and self.c <= other.c
+    def divides(self, other) -> bool:
+        return self[0] <= other[0] and self[1] <= other[1] and self[2] <= other[2]
 
-    def __floordiv__(self, other: "Monomial") -> "Monomial":
+    def __floordiv__(self, other) -> "Monomial":
         if not other.divides(self):
             raise ValueError(f"{other.text()} does not divide {self.text()}")
-        return Monomial(self.a - other.a, self.b - other.b, self.c - other.c)
+        return _mono((self[0] - other[0], self[1] - other[1], self[2] - other[2]))
 
-    def lcm(self, other: "Monomial") -> "Monomial":
-        return Monomial(max(self.a, other.a), max(self.b, other.b), max(self.c, other.c))
+    def lcm(self, other) -> "Monomial":
+        return _mono(tuple(map(max, self, other)))
 
-    def is_coprime(self, other: "Monomial") -> bool:
-        return (
-            min(self.a, other.a) == 0
-            and min(self.b, other.b) == 0
-            and min(self.c, other.c) == 0
-        )
-
-    def __lt__(self, other):
-        return self.lex_key() < other.lex_key()
-
-    def __le__(self, other):
-        return self.lex_key() <= other.lex_key()
-
-    def __gt__(self, other):
-        return self.lex_key() > other.lex_key()
-
-    def __ge__(self, other):
-        return self.lex_key() >= other.lex_key()
+    def is_coprime(self, other) -> bool:
+        return not any(e and f for e, f in zip(self, other))
 
     def text(self) -> str:
         parts = []
-        for name, e in (("x", self.a), ("y", self.b), ("z", self.c)):
+        for name, e in (("x", self[2]), ("y", self[1]), ("z", self[0])):
             if e == 1:
                 parts.append(name)
             elif e > 1:
                 parts.append(f"{name}^{e}")
         return "*".join(parts) if parts else "1"
 
-    def __str__(self):
-        return self.text()
+    __str__ = text
+
+
+# the Monomial of an exponent tuple (c, b, a) known to be nonnegative
+_mono = partial(tuple.__new__, Monomial)
 
 
 MONOMIAL_ONE = Monomial(0, 0, 0)
@@ -85,12 +86,7 @@ MONOMIAL_ONE = Monomial(0, 0, 0)
 
 def lex_compare(m1: Monomial, m2: Monomial) -> int:
     """-1, 0 or 1 as m1 is below, equal to, or above m2 in the term order."""
-    k1, k2 = m1.lex_key(), m2.lex_key()
-    if k1 < k2:
-        return -1
-    if k1 > k2:
-        return 1
-    return 0
+    return (m1 > m2) - (m1 < m2)
 
 
 class Polynomial:
@@ -99,18 +95,26 @@ class Polynomial:
     __slots__ = ("field", "terms")
 
     def __init__(self, field, terms=()):
+        coerce = field.coerce
         acc = {}
         for m, c in terms:
-            if isinstance(c, int):
-                c = field(c)
-            if m in acc:
-                acc[m] = acc[m] + c
-            else:
-                acc[m] = c
-        items = [(m, c) for m, c in acc.items() if c != field.zero]
-        items.sort(key=lambda mc: mc[0].lex_key(), reverse=True)
+            acc[m] = acc.get(m, 0) + coerce(c)
         self.field = field
-        self.terms = tuple(items)
+        self.terms = _canonical(field.mod, acc)
+
+    @classmethod
+    def _make(cls, field, terms: tuple) -> "Polynomial":
+        """A polynomial on terms that are already canonical: Monomials in
+        descending order with reduced nonzero coefficients."""
+        p = object.__new__(cls)
+        p.field = field
+        p.terms = terms
+        return p
+
+    @classmethod
+    def _collect(cls, field, acc: dict) -> "Polynomial":
+        """The polynomial of {exponent tuple (c, b, a): unreduced coefficient}."""
+        return cls._make(field, _canonical(field.mod, acc))
 
     # -- basic structure ---------------------------------------------------
 
@@ -131,11 +135,8 @@ class Polynomial:
     def __repr__(self):
         return f"Polynomial({self.text()!r})"
 
-    def __str__(self):
-        return self.text()
-
     def _same_field(self, other: "Polynomial"):
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise ValueError("polynomials over different coefficient fields")
 
     # -- leading data --------------------------------------------------------
@@ -153,48 +154,39 @@ class Polynomial:
     def lt(self) -> "Polynomial":
         if not self.terms:
             raise ZeroPolynomialError("zero polynomial has no leading term")
-        return Polynomial(self.field, [self.terms[0]])
+        return self._make(self.field, self.terms[:1])
 
     def lc_x(self) -> "Polynomial":
         """Leading coefficient in k[x]: the k[x] block attached to lm_yz."""
-        m = self.lm()
-        block = [
-            (Monomial(t.a, 0, 0), c)
-            for t, c in self.terms
-            if t.b == m.b and t.c == m.c
-        ]
-        return Polynomial(self.field, block)
+        zc, yb, _ = self.lm()
+        block = [(_mono((0, 0, m[2])), k) for m, k in self.terms if m[0] == zc and m[1] == yb]
+        return self._make(self.field, tuple(block))
 
     def lm_yz(self) -> Monomial:
         """Leading monomial of self viewed in k[x][y, z]."""
-        m = self.lm()
-        return Monomial(0, m.b, m.c)
+        return _mono(self.lm()[:2] + (0,))
 
     def lc_xy(self) -> "Polynomial":
         """Leading coefficient in k[x, y]: the block attached to the top z power."""
-        m = self.lm()
-        block = [(Monomial(t.a, t.b, 0), c) for t, c in self.terms if t.c == m.c]
-        return Polynomial(self.field, block)
+        zc = self.lm()[0]
+        block = [(_mono((0, m[1], m[2])), k) for m, k in self.terms if m[0] == zc]
+        return self._make(self.field, tuple(block))
 
     def lm_z(self) -> Monomial:
         """Leading monomial of self viewed in k[x, y][z]: the top z power."""
-        return Monomial(0, 0, self.lm().c)
+        return _mono((self.lm()[0], 0, 0))
 
     # -- degree / support predicates ----------------------------------------
 
     def max_degrees(self) -> tuple[int, int, int]:
-        dx = dy = dz = 0
-        for m, _ in self.terms:
-            dx = max(dx, m.a)
-            dy = max(dy, m.b)
-            dz = max(dz, m.c)
+        dz, dy, dx = map(max, zip((0, 0, 0), *(m for m, _ in self.terms)))
         return dx, dy, dz
 
     def in_kx(self) -> bool:
-        return all(m.b == 0 and m.c == 0 for m, _ in self.terms)
+        return all(m[0] == 0 and m[1] == 0 for m, _ in self.terms)
 
     def in_kxy(self) -> bool:
-        return all(m.c == 0 for m, _ in self.terms)
+        return all(m[0] == 0 for m, _ in self.terms)
 
     def is_constant(self) -> bool:
         return all(m == MONOMIAL_ONE for m, _ in self.terms)
@@ -202,86 +194,85 @@ class Polynomial:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        self._same_field(other)
-        acc = dict(self.terms)
-        for m, c in other.terms:
-            acc[m] = acc.get(m, self.field.zero) + c
-        return Polynomial(self.field, acc.items())
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
+        return self._combine(other, -1)
+
+    def _combine(self, other: "Polynomial", sign: int) -> "Polynomial":
         self._same_field(other)
         acc = dict(self.terms)
         for m, c in other.terms:
-            acc[m] = acc.get(m, self.field.zero) - c
-        return Polynomial(self.field, acc.items())
+            acc[m] = acc.get(m, 0) + sign * c
+        return self._collect(self.field, acc)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.field, [(m, -c) for m, c in self.terms])
+        return self.scale(-1)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._same_field(other)
         acc = {}
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                m = m1 * m2
-                acc[m] = acc.get(m, self.field.zero) + c1 * c2
-        return Polynomial(self.field, acc.items())
+        get = acc.get
+        for (c1, b1, a1), k1 in self.terms:
+            for (c2, b2, a2), k2 in other.terms:
+                m = (c1 + c2, b1 + b2, a1 + a2)
+                acc[m] = get(m, 0) + k1 * k2
+        return self._collect(self.field, acc)
 
     def __pow__(self, e: int) -> "Polynomial":
         if e < 0:
             raise ValueError("negative polynomial power")
-        out = Polynomial(self.field, [(MONOMIAL_ONE, self.field.one)])
+        out = constant(self.field, 1)
         for _ in range(e):
             out = out * self
         return out
 
     def term_mul(self, m: Monomial, c) -> "Polynomial":
         """Multiply by the single term c*m."""
-        if isinstance(c, int):
-            c = self.field(c)
-        return Polynomial(self.field, [(t * m, tc * c) for t, tc in self.terms])
+        c = self.field.coerce(c)
+        if not c:
+            return self._make(self.field, ())
+        mod = self.field.mod
+        mz, my, mx = m
+        terms = tuple((_mono((z + mz, y + my, x + mx)), k * c % mod) for (z, y, x), k in self.terms)
+        return self._make(self.field, terms)
 
     def scale(self, c) -> "Polynomial":
-        if isinstance(c, int):
-            c = self.field(c)
-        return Polynomial(self.field, [(t, tc * c) for t, tc in self.terms])
+        return self.term_mul(MONOMIAL_ONE, c)
 
     def monic(self) -> "Polynomial":
         """Scale so the leading coefficient is 1."""
         lc = self.lc()
-        if lc == self.field.one:
+        if lc == 1:
             return self
-        return self.scale(self.field.one / lc)
+        return self.scale(self.field.inv(lc))
 
     # -- evaluation and substitution ------------------------------------------
 
     def evaluate(self, point):
-        """Value at (x, y, z); coordinates may be ints or field elements."""
-        px, py, pz = (self.field(v) if isinstance(v, int) else v for v in point)
-        total = self.field.zero
-        for m, c in self.terms:
-            total = total + c * px**m.a * py**m.b * pz**m.c
-        return total
+        """Value at (x, y, z); coordinates may be ints or field elements.  The
+        value is a plain coefficient (an int in [0, p) over F_p)."""
+        px, py, pz = map(self.field.coerce, point)
+        total = self.field.coerce(0)
+        for (c, b, a), k in self.terms:
+            total += k * px**a * py**b * pz**c
+        return total % self.field.mod
 
     def substitute_x(self, value) -> "Polynomial":
         """Set x to a field value, collecting the result in k[y, z]."""
-        if isinstance(value, int):
-            value = self.field(value)
-        acc = {}
-        for m, c in self.terms:
-            key = Monomial(0, m.b, m.c)
-            acc[key] = acc.get(key, self.field.zero) + c * value**m.a
-        return Polynomial(self.field, acc.items())
+        return self._substitute(2, value)
 
     def substitute_y(self, value) -> "Polynomial":
         """Set y to a field value, collecting the result in k[x, z]."""
-        if isinstance(value, int):
-            value = self.field(value)
+        return self._substitute(1, value)
+
+    def _substitute(self, axis: int, value) -> "Polynomial":
+        v = self.field.coerce(value)
         acc = {}
-        for m, c in self.terms:
-            key = Monomial(m.a, 0, m.c)
-            acc[key] = acc.get(key, self.field.zero) + c * value**m.b
-        return Polynomial(self.field, acc.items())
+        for m, k in self.terms:
+            key = m[:axis] + (0,) + m[axis + 1 :]
+            acc[key] = acc.get(key, 0) + k * v ** m[axis]
+        return self._collect(self.field, acc)
 
     # -- division --------------------------------------------------------------
 
@@ -294,40 +285,57 @@ class Polynomial:
         and lm(q_i * d_i) <= lm(self) for every nonzero quotient.  When
         several leading monomials divide the current term the lowest-index
         divisor wins.
+
+        The working terms sit in a dict and a heap keyed by negated exponent
+        tuples, so the heap pops the leading term; a cancelled term's key is
+        skipped when popped.  Terms leave in descending order.
         """
         divisors = list(divisors)
         for d in divisors:
             self._same_field(d)
             if d.is_zero():
                 raise ZeroDivisionError("zero polynomial used as a divisor")
-        heads = [(d.lm(), d.lc()) for d in divisors]
-        work = dict(self.terms)
-        quots: list[dict] = [{} for _ in divisors]
-        rem: dict = {}
-        zero = self.field.zero
-        while work:
-            m = max(work, key=Monomial.lex_key)
-            c = work.pop(m)
-            for i, (hm, hc) in enumerate(heads):
-                if hm.divides(m):
-                    qm = m // hm
-                    qc = c / hc
-                    quots[i][qm] = quots[i].get(qm, zero) + qc
-                    # the head term cancels exactly; push down the tail
-                    for dm, dc in divisors[i].terms[1:]:
-                        mm = qm * dm
-                        nc = work.get(mm, zero) - qc * dc
-                        if nc == zero:
-                            work.pop(mm, None)
+        field = self.field
+        mod = field.mod
+        inv = field.inv
+        # negated head exponents: h divides m when -h >= -m componentwise
+        heads = [((-z, -y, -x), hc) for (z, y, x), hc in (d.terms[0] for d in divisors)]
+        work = {(-c, -b, -a): k for (c, b, a), k in self.terms}
+        heap = list(work)  # ascending, so already a heap
+        quots: list[list] = [[] for _ in divisors]
+        rem = []
+        while heap:
+            n = heappop(heap)
+            c = work.pop(n, None)
+            if c is None:
+                continue
+            n0, n1, n2 = n
+            for i, ((h0, h1, h2), hc) in enumerate(heads):
+                if h0 >= n0 and h1 >= n1 and h2 >= n2:
+                    qc = c if hc == 1 else c * inv(hc) % mod
+                    quots[i].append((_mono((h0 - n0, h1 - n1, h2 - n2)), qc))
+                    # subtract q * d_i: its head term cancels c exactly, and
+                    # (q0, q1, q2) is q's exponent triple, negated
+                    q0, q1, q2 = n0 - h0, n1 - h1, n2 - h2
+                    qc = -qc
+                    tail = iter(divisors[i].terms)
+                    next(tail)
+                    for (t0, t1, t2), tc in tail:
+                        mm = (q0 - t0, q1 - t1, q2 - t2)
+                        old = work.get(mm)
+                        if old is None:
+                            work[mm] = qc * tc % mod
+                            heappush(heap, mm)
                         else:
-                            work[mm] = nc
+                            nc = (old + qc * tc) % mod
+                            if nc:
+                                work[mm] = nc
+                            else:
+                                del work[mm]
                     break
             else:
-                rem[m] = c
-        return (
-            [Polynomial(self.field, q.items()) for q in quots],
-            Polynomial(self.field, rem.items()),
-        )
+                rem.append((_mono((-n0, -n1, -n2)), c))
+        return [self._make(field, tuple(q)) for q in quots], self._make(field, tuple(rem))
 
     # -- serialization ----------------------------------------------------------
 
@@ -339,7 +347,7 @@ class Polynomial:
             return "0"
         parts = []
         for m, c in self.terms:
-            cs = _coeff_text(c)
+            cs = str(c)
             ms = m.text()
             if ms == "1":
                 parts.append(cs)
@@ -357,19 +365,24 @@ class Polynomial:
                 out += " + " + part
         return out
 
+    __str__ = text
 
-def _coeff_text(c) -> str:
-    if isinstance(c, Fp):
-        return str(c.v)
-    return str(c)
+
+def _canonical(mod, acc: dict) -> tuple:
+    """Canonical terms of {exponent tuple: unreduced coefficient}: reduced,
+    zeros dropped, descending."""
+    out = []
+    for m in sorted(acc, reverse=True):
+        c = acc[m] % mod
+        if c:
+            out.append((_mono(m), c))
+    return tuple(out)
 
 
 def _coeff_json(c):
-    if isinstance(c, Fp):
-        return c.v
     if isinstance(c, Fraction):
         return int(c) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-    return int(c)
+    return c
 
 
 def poly_from_dict(field, data: dict) -> Polynomial:
@@ -384,7 +397,7 @@ def poly_from_dict(field, data: dict) -> Polynomial:
         if not isinstance(e, list) or len(e) != 3 or not all(type(v) is int for v in e):
             raise ValueError(f"exponent triple of integers expected, got {e!r}")
         try:
-            c = field(entry["c"])
+            c = field.coerce(entry["c"])
         except TypeError as exc:
             raise ValueError(str(exc)) from exc
         terms.append((Monomial(e[0], e[1], e[2]), c))
@@ -392,15 +405,15 @@ def poly_from_dict(field, data: dict) -> Polynomial:
 
 
 def constant(field, value) -> Polynomial:
-    return Polynomial(field, [(MONOMIAL_ONE, field(value))])
+    return Polynomial(field, [(MONOMIAL_ONE, value)])
 
 
 def generators(field) -> tuple[Polynomial, Polynomial, Polynomial]:
     """The variable polynomials (x, y, z)."""
     return (
-        Polynomial(field, [(Monomial(1, 0, 0), field.one)]),
-        Polynomial(field, [(Monomial(0, 1, 0), field.one)]),
-        Polynomial(field, [(Monomial(0, 0, 1), field.one)]),
+        Polynomial(field, [(Monomial(1, 0, 0), 1)]),
+        Polynomial(field, [(Monomial(0, 1, 0), 1)]),
+        Polynomial(field, [(Monomial(0, 0, 1), 1)]),
     )
 
 
@@ -414,48 +427,28 @@ def parse_polynomial(field, text: str) -> Polynomial:
     s = text.replace(" ", "")
     if not s:
         raise ValueError("empty polynomial text")
-    chunks = []
-    sign = 1
-    i = 0
-    if s[0] in "+-":
-        sign = -1 if s[0] == "-" else 1
-        i = 1
-    start = i
-    while i <= len(s):
-        if i == len(s) or s[i] in "+-":
-            if i == start:
-                raise ValueError(f"dangling sign in {text!r}")
-            chunks.append((sign, s[start:i]))
-            if i < len(s):
-                sign = -1 if s[i] == "-" else 1
-            start = i + 1
-        i += 1
+    # "-x+2" splits into ["", "-", "x", "+", "2"]: signs and terms alternate
+    parts = re.split(r"([+-])", s)
+    parts = parts[1:] if parts[0] == "" else ["+"] + parts
+    if not all(parts[1::2]):
+        raise ValueError(f"dangling sign in {text!r}")
     terms = []
-    for sign, chunk in chunks:
-        coeff = field.one
-        a = b = c = 0
+    for sign, chunk in zip(parts[::2], parts[1::2]):
+        coeff = -1 if sign == "-" else 1
+        exps = [0, 0, 0]
         for factor in chunk.split("*"):
             m = _FACTOR.match(factor)
             if m is None:
                 raise ValueError(f"bad factor {factor!r} in {text!r}")
-            if m.group("num") is not None:
-                num = m.group("num")
-                try:
-                    value = field(num) if "/" in num else field(int(num))
-                except TypeError as exc:
-                    raise ValueError(f"bad coefficient {num!r} in {text!r}") from exc
-                coeff = coeff * value
-            else:
-                e = int(m.group("exp") or 1)
-                if m.group("var") == "x":
-                    a += e
-                elif m.group("var") == "y":
-                    b += e
-                else:
-                    c += e
-        if sign < 0:
-            coeff = -coeff
-        terms.append((Monomial(a, b, c), coeff))
+            num = m.group("num")
+            if num is None:
+                exps["xyz".index(m.group("var"))] += int(m.group("exp") or 1)
+                continue
+            try:
+                coeff = coeff * field.coerce(num if "/" in num else int(num))
+            except TypeError as exc:
+                raise ValueError(f"bad coefficient {num!r} in {text!r}") from exc
+        terms.append((Monomial(*exps), coeff))
     return Polynomial(field, terms)
 
 
@@ -465,10 +458,9 @@ def parse_polynomial(field, text: str) -> Polynomial:
 def x_coefficient_blocks(p: Polynomial) -> list[tuple[Monomial, Polynomial]]:
     """The k[x] coefficients of p grouped by (y, z)-monomial, descending."""
     blocks: dict[tuple[int, int], list] = {}
-    for m, c in p.terms:
-        blocks.setdefault((m.b, m.c), []).append((Monomial(m.a, 0, 0), c))
-    keys = sorted(blocks, key=lambda bc: (bc[1], bc[0]), reverse=True)
-    return [(Monomial(0, b, c), Polynomial(p.field, blocks[(b, c)])) for b, c in keys]
+    for m, c in p.terms:  # descending, so the blocks are met in descending order
+        blocks.setdefault(m[:2], []).append((_mono((0, 0, m[2])), c))
+    return [(_mono(zy + (0,)), Polynomial._make(p.field, tuple(b))) for zy, b in blocks.items()]
 
 
 def content_divide(p: Polynomial, d: Polynomial):
@@ -488,9 +480,8 @@ def content_divide(p: Polynomial, d: Polynomial):
         qs, r = coeff.divide([d])
         if not r.is_zero():
             return None, (yz, coeff)
-        for m, c in qs[0].terms:
-            out.append((m * yz, c))
-    return Polynomial(p.field, out), None
+        out.extend((m * yz, c) for m, c in qs[0].terms)
+    return Polynomial._make(p.field, tuple(out)), None
 
 
 def divides_univariate(d: Polynomial, e: Polynomial):

@@ -153,7 +153,7 @@ def _coefficients(f: Polynomial) -> list:
     """The coefficient list of f in k[x] over F_p."""
     out = [0] * (f.max_degrees()[0] + 1)
     for m, c in f.terms:
-        out[m.a] = int(c)
+        out[m.a] = c
     return _trim(out)
 
 
@@ -165,8 +165,7 @@ def roots_univariate(f: Polynomial) -> list:
         raise ValueError("the zero polynomial has every point as a root")
     if not f.in_kx():
         raise ValueError(f"{f.text()} is not univariate in x")
-    field = f.field
-    return [field(r) for r in _roots(_coefficients(f), field.p)]
+    return _roots(_coefficients(f), f.field.p)
 
 
 def _as_kx(h: Polynomial, axis: int) -> Polynomial:
@@ -192,8 +191,8 @@ def split_roots(f: Polynomial, axis: int = 0):
     p = g.field.p
     cofactor = _coefficients(g)
     for r in roots:
-        linear = [-int(r) % p, 1]
-        while _horner(cofactor, int(r), p) == 0:
+        linear = [-r % p, 1]
+        while _horner(cofactor, r, p) == 0:
             cofactor = _quo(cofactor, linear, p)
     return roots, len(cofactor) - 1
 
@@ -209,11 +208,10 @@ def _fiber_betas(prefix_images):
     of the eliminant).
     """
     images = [h for h in prefix_images if not h.is_zero()]
-    eliminant = min(images, key=lambda h: h.lm().lex_key())
+    eliminant = min(images, key=Polynomial.lm)
     roots, stuck = split_roots(eliminant, axis=1)
-    zero = eliminant.field.zero
     others = [h for h in images if h is not eliminant]
-    betas = [b for b in roots if all(h.evaluate((zero, b, zero)) == zero for h in others)]
+    betas = [b for b in roots if not any(h.evaluate((0, b, 0)) for h in others)]
     return betas, eliminant, stuck
 
 
@@ -237,7 +235,6 @@ def check_specialization_image(G: GroebnerBasis) -> CheckReport:
     _, skipped = _fiber_facts(name, G)
     if skipped:
         return skipped
-    zero = G.field.zero
     witnesses = []
     for alpha in roots_univariate(G.elements[0]):
         images = []
@@ -245,11 +242,11 @@ def check_specialization_image(G: GroebnerBasis) -> CheckReport:
             img = g.substitute_x(alpha)
             if img.is_zero():
                 continue
-            lc_at = g.lc_x().evaluate((alpha, zero, zero))
-            if lc_at == zero:
+            lc_at = g.lc_x().evaluate((alpha, 0, 0))
+            if not lc_at:
                 witnesses.append(
                     {
-                        "alpha": int(alpha),
+                        "alpha": alpha,
                         "i": idx + 1,
                         "image": img.text(),
                         "reason": "nonzero image though the leading x-coefficient vanishes",
@@ -259,17 +256,17 @@ def check_specialization_image(G: GroebnerBasis) -> CheckReport:
             if img.lm() != g.lm_yz() or img.lc() != lc_at:
                 witnesses.append(
                     {
-                        "alpha": int(alpha),
+                        "alpha": alpha,
                         "i": idx + 1,
                         "image_head": img.lt().text(),
-                        "expected_head": f"{int(lc_at)}*{g.lm_yz().text()}",
+                        "expected_head": f"{lc_at}*{g.lm_yz().text()}",
                         "reason": "leading term of the image was not preserved",
                     }
                 )
             images.append(img)
         if images and not is_groebner_basis(images):
             witnesses.append(
-                {"alpha": int(alpha), "reason": "specialized set fails the S-pair criterion"}
+                {"alpha": alpha, "reason": "specialized set fails the S-pair criterion"}
             )
     return gated_report(name, G.radical, witnesses)
 
@@ -295,8 +292,8 @@ def check_gianni_kalkbrener(G: GroebnerBasis) -> CheckReport:
                 if img.lm().c != g.lm().c:
                     witnesses.append(
                         {
-                            "alpha": int(alpha),
-                            "beta": int(beta),
+                            "alpha": alpha,
+                            "beta": beta,
                             "i": idx + 1,
                             "image_z_degree": img.lm().c,
                             "head_z_degree": g.lm().c,
@@ -314,7 +311,6 @@ def check_fiber_membership(G: GroebnerBasis) -> CheckReport:
     if skipped:
         return skipped
     field = G.field
-    zero = field.zero
     elems = G.elements
     witnesses = []
     qualified = False
@@ -323,18 +319,18 @@ def check_fiber_membership(G: GroebnerBasis) -> CheckReport:
         if lcx.is_constant():
             continue
         for alpha in roots_univariate(lcx):
-            if elems[i + 1].lc_x().evaluate((alpha, zero, zero)) == zero:
+            if not elems[i + 1].lc_x().evaluate((alpha, 0, 0)):
                 continue
             qualified = True
             if not elems[i].substitute_x(alpha).is_zero():
                 witnesses.append(
                     {
                         "i": i + 1,
-                        "alpha": int(alpha),
+                        "alpha": alpha,
                         "reason": "element does not vanish on its fiber",
                     }
                 )
-            linear = Polynomial(field, [(Monomial(1, 0, 0), field.one), (MONOMIAL_ONE, -alpha)])
+            linear = Polynomial(field, [(Monomial(1, 0, 0), 1), (MONOMIAL_ONE, -alpha)])
             fiber_gen = elems[i + 1].lc_xy().substitute_x(alpha)
             # the heads x and y^k are coprime, so the pair is already a
             # Groebner basis and the remainder is the normal form
@@ -343,7 +339,7 @@ def check_fiber_membership(G: GroebnerBasis) -> CheckReport:
                 witnesses.append(
                     {
                         "i": i + 2,
-                        "alpha": int(alpha),
+                        "alpha": alpha,
                         "normal_form": r.text(),
                         "modulo": [linear.text(), fiber_gen.text()],
                     }
@@ -371,8 +367,6 @@ def solve_system(G: GroebnerBasis) -> tuple[tuple[int, int, int], ...]:
     facts = structure_facts(G)
     if not facts.zero_dim:
         raise ValueError(f"not zero-dimensional: {facts.missing}")
-    zero = G.field.zero
-
     roots, stuck = split_roots(G.elements[0], axis=0)
     if stuck:
         raise NonSplitError(G.elements[0], stuck)
@@ -390,12 +384,12 @@ def solve_system(G: GroebnerBasis) -> tuple[tuple[int, int, int], ...]:
             # a nonzero constant means beta misses some element at alpha
             if any(h.is_constant() for h in slice_z):
                 continue
-            eliminant = min(slice_z, key=lambda h: h.lm().lex_key())
+            eliminant = min(slice_z, key=Polynomial.lm)
             gammas, stuck = split_roots(eliminant, axis=2)
             if stuck:
                 raise NonSplitError(eliminant, stuck)
             for gamma in gammas:
-                if all(h.evaluate((zero, zero, gamma)) == zero for h in slice_z):
-                    solutions.append((int(alpha), int(beta), int(gamma)))
+                if not any(h.evaluate((0, 0, gamma)) for h in slice_z):
+                    solutions.append((alpha, beta, gamma))
     solutions.sort()
     return tuple(solutions)

@@ -232,6 +232,15 @@ def test_membership_lc_xy():
     assert r.witnesses[0]["normal_form"] == "1"
 
 
+def test_membership_lc_xy_skips_a_basis_that_is_not_zero_dimensional():
+    # no head is a pure power of y, so there is no elimination prefix to pass
+    F7 = PrimeField(7)
+    G = GroebnerBasis(tuple(parse_polynomial(F7, t) for t in ("x^2 + 1", "x*y + 1")), radical=True)
+    r = check_membership_lc_xy(G)
+    assert r.verdict == SKIPPED and not r.witnesses
+    assert r.notes == "not zero-dimensional: no leading monomial is a pure power of y"
+
+
 def test_verify_all_worked_basis():
     reports = verify_all(worked_basis())
     assert [r.name for r in reports] == list(CHECK_ORDER)

@@ -1,6 +1,8 @@
 """Monomials, polynomial arithmetic, staged leading data, division."""
 
+import pickle
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -354,3 +356,65 @@ def test_max_degrees_and_region_predicates():
     assert not P("x*y + 2").in_kx()
     assert P("5").is_constant()
     assert Polynomial(F101).is_constant()
+
+
+# -- the stored representation ---------------------------------------------------
+
+
+def test_prime_field_coefficients_are_canonical_ints():
+    Q = RationalField()
+    rng = random.Random(5)
+    for _ in range(50):
+        a, b = random_poly(F7, rng), random_poly(F7, rng, nonzero=True)
+        quots, rem = a.divide([b])
+        for p in (a, a + b, a - b, -a, a * b, b.monic(), b.lc_x(), a.substitute_x(3), rem, *quots):
+            assert all(type(c) is int and 0 < c < 7 for _, c in p.terms)
+    boxed = Polynomial(F7, [(Monomial(1, 0, 0), F7(10)), (MONOMIAL_ONE, -1)])
+    assert boxed.terms == ((Monomial(1, 0, 0), 3), (MONOMIAL_ONE, 6))
+    assert all(type(c) is int for _, c in boxed.terms)
+    assert type(boxed.evaluate((F7(2), 0, 0))) is int and boxed.evaluate((2, 0, 0)) == 5
+    with pytest.raises(ValueError):
+        Polynomial(F7, [(MONOMIAL_ONE, F101(1))])
+    rational = P("x^2 - 1/3*y + 2", Q)
+    assert all(type(c) is Fraction for p in (rational, rational * rational) for _, c in p.terms)
+
+
+def test_monomials_compare_and_hash_like_their_cba_tuples():
+    m = Monomial(1, 2, 3)
+    assert m == (3, 2, 1) and hash(m) == hash((3, 2, 1))
+    assert (m.a, m.b, m.c) == (1, 2, 3) and m.lex_key() == (3, 2, 1)
+    assert {m: "v"}[(3, 2, 1)] == "v"
+    rng = random.Random(8)
+    ms = [random_monomial(rng) for _ in range(200)]
+    assert sorted(ms) == sorted(ms, key=tuple) == sorted(ms, key=Monomial.lex_key)
+    assert [tuple(t) for t in sorted(ms)] == sorted(tuple(t) for t in ms)
+    assert repr(m) == "Monomial(a=1, b=2, c=3)" and str(m) == "x*y^2*z^3"
+    assert pickle.loads(pickle.dumps(m)) == m and type(pickle.loads(pickle.dumps(m))) is Monomial
+    with pytest.raises(AttributeError):
+        m.a = 5
+
+
+def test_serialization_round_trips_unchanged():
+    Q = RationalField()
+    g = P("3*x^2*y - z + 5", F7)
+    assert g.to_dict() == {
+        "terms": [{"c": 6, "e": [0, 0, 1]}, {"c": 3, "e": [2, 1, 0]}, {"c": 5, "e": [0, 0, 0]}]
+    }
+    assert g.text() == "6*z + 3*x^2*y + 5"
+    h = P("3/2*x^2*y - z + 5 - 1/3*x", Q)
+    assert h.to_dict() == {
+        "terms": [
+            {"c": -1, "e": [0, 0, 1]},
+            {"c": "3/2", "e": [2, 1, 0]},
+            {"c": "-1/3", "e": [1, 0, 0]},
+            {"c": 5, "e": [0, 0, 0]},
+        ]
+    }
+    assert h.text() == "-z + 3/2*x^2*y - 1/3*x + 5"
+    rng = random.Random(13)
+    polys = [random_poly(F101, rng, max_terms=8) for _ in range(30)]
+    polys += [P("x^3 - 7/2*y*z + 1/5", Q), P("-x", Q), Polynomial(Q), g, h]
+    for p in polys:
+        for back in (poly_from_dict(p.field, p.to_dict()), parse_polynomial(p.field, p.text())):
+            assert back == p and back.to_dict() == p.to_dict() and back.text() == p.text()
+        assert pickle.loads(pickle.dumps(p)) == p

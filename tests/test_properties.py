@@ -1,0 +1,122 @@
+"""Property tests for the kernel: ring axioms, the division contract and
+Buchberger idempotence, over F_p and the rationals."""
+
+from fractions import Fraction
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from lexgb.field import PrimeField, RationalField  # noqa: E402
+from lexgb.groebner import buchberger  # noqa: E402
+from lexgb.instances import PointSet, vanishing_basis  # noqa: E402
+from lexgb.poly import Monomial, Polynomial  # noqa: E402
+from lexgb.specialize import solve_system  # noqa: E402
+
+FIELDS = (PrimeField(2), PrimeField(7), PrimeField(101), RationalField())
+FEW = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+
+exponents = st.integers(0, 3)
+monomials = st.builds(Monomial, exponents, exponents, exponents)
+
+
+def coefficients(field):
+    if isinstance(field, RationalField):
+        return st.fractions(min_value=-20, max_value=20, max_denominator=5)
+    return st.integers(-2 * field.p, 2 * field.p)
+
+
+def polys(field, min_terms=0, max_terms=5):
+    terms = st.lists(st.tuples(monomials, coefficients(field)), min_size=min_terms, max_size=max_terms)
+    return terms.map(lambda t: Polynomial(field, t))
+
+
+def nonzero_polys(field, max_terms=4):
+    return polys(field, 1, max_terms).filter(bool)
+
+
+@st.composite
+def field_and_polys(draw, count):
+    field = draw(st.sampled_from(FIELDS))
+    return field, [draw(polys(field)) for _ in range(count)]
+
+
+@FEW
+@given(field_and_polys(3))
+def test_ring_axioms(fp):
+    field, (a, b, c) = fp
+    zero, one = Polynomial(field), Polynomial(field, [(Monomial(0, 0, 0), 1)])
+    assert (a + b) + c == a + (b + c)
+    assert a + b == b + a
+    assert (a * b) * c == a * (b * c)
+    assert a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    assert a + zero == a and a * one == a and (a * zero).is_zero()
+    assert (a - a).is_zero() and a + (-a) == zero
+    assert a - b == a + (-b)
+    if a and b:
+        assert (a * b).lm() == a.lm() * b.lm()
+        assert (a * b).lc() == a.lc() * b.lc() % field.mod
+
+
+@FEW
+@given(field_and_polys(1))
+def test_canonical_coefficients(fp):
+    field, (a,) = fp
+    kind = Fraction if isinstance(field, RationalField) else int
+    for m, c in a.terms:
+        assert type(m) is Monomial and type(c) is kind and c != 0
+        if kind is int:
+            assert 0 <= c < field.p
+    assert [m for m, _ in a.terms] == sorted({m for m, _ in a.terms}, reverse=True)
+
+
+@st.composite
+def division_problems(draw):
+    field = draw(st.sampled_from(FIELDS))
+    dividend = draw(polys(field, 0, 8))
+    divisors = draw(st.lists(nonzero_polys(field), min_size=1, max_size=3))
+    return dividend, divisors
+
+
+@FEW
+@given(division_problems())
+def test_divide_contract(problem):
+    p, divisors = problem
+    quots, rem = p.divide(divisors)
+    total = rem
+    for q, d in zip(quots, divisors):
+        total = total + q * d
+    assert total == p
+    heads = [d.lm() for d in divisors]
+    for m, _ in rem.terms:
+        assert not any(h.divides(m) for h in heads)
+    for i, q in enumerate(quots):
+        for m, _ in q.terms:
+            # each quotient term reduced the term m * lm(d_i) of the dividend
+            # in progress: it is at most lm(p), and no earlier head divides it
+            reduced = m * heads[i]
+            assert reduced <= p.lm()
+            assert not any(h.divides(reduced) for h in heads[:i])
+
+
+@FEW
+@given(st.sampled_from(FIELDS).flatmap(lambda f: st.lists(nonzero_polys(f, 3), min_size=1, max_size=3)))
+def test_buchberger_is_idempotent_on_reduced_bases(gens):
+    G = buchberger(gens)
+    again = buchberger(G.elements)
+    assert again.elements == G.elements and again.unit_ideal == G.unit_ideal
+
+
+points = st.lists(st.tuples(*(st.integers(0, 6),) * 3), min_size=1, max_size=8, unique=True)
+
+
+@FEW
+@given(points)
+def test_solve_system_recovers_the_points(pts):
+    S = PointSet(7, tuple(pts))
+    V = vanishing_basis(S)
+    assert buchberger(V.elements).elements == V.elements
+    assert solve_system(V) == tuple(sorted(pts))
