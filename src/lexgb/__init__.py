@@ -2,7 +2,7 @@
 with generators for test instances and a verifier for the structural
 divisibility and specialization properties of such bases."""
 
-from .field import Fp, PrimeField, RationalField
+from .field import PrimeField, RationalField
 from .poly import (
     Monomial,
     Polynomial,
@@ -44,7 +44,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CampaignConfig",
     "CheckReport",
-    "Fp",
     "GroebnerBasis",
     "Instance",
     "InstanceRecipe",

@@ -9,7 +9,9 @@ coefficients.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import count
+from typing import NamedTuple
 
 from .field import PrimeField
 from .groebner import GroebnerBasis, is_groebner_basis, normal_form, structure_facts
@@ -170,14 +172,10 @@ def roots_univariate(f: Polynomial) -> list:
 
 def _as_kx(h: Polynomial, axis: int) -> Polynomial:
     """Rewrite a polynomial univariate in the given axis (0=x, 1=y, 2=z) into k[x]."""
-    terms = []
-    for m, c in h.terms:
-        e = (m.a, m.b, m.c)
-        for other in range(3):
-            if other != axis and e[other] != 0:
-                raise ValueError(f"{h.text()} is not univariate in axis {axis}")
-        terms.append((Monomial(e[axis], 0, 0), c))
-    return Polynomial(h.field, terms)
+    k = 2 - axis  # a Monomial stores its exponents as (c, b, a)
+    if any(sum(m) != m[k] for m, _ in h.terms):
+        raise ValueError(f"{h.text()} is not univariate in axis {axis}")
+    return Polynomial(h.field, [(Monomial(m[k], 0, 0), c) for m, c in h.terms])
 
 
 def split_roots(f: Polynomial, axis: int = 0):
@@ -211,35 +209,70 @@ def _fiber_betas(prefix_images):
     eliminant = min(images, key=Polynomial.lm)
     roots, stuck = split_roots(eliminant, axis=1)
     others = [h for h in images if h is not eliminant]
-    betas = [b for b in roots if not any(h.evaluate((0, b, 0)) for h in others)]
+    betas = tuple(b for b in roots if not any(h.evaluate((0, b, 0)) for h in others))
     return betas, eliminant, stuck
 
 
-def _fiber_facts(name: str, G: GroebnerBasis):
-    """(structure facts, None) when the fiber check `name` can run on G, else
-    (None, the skipped report): it needs a zero-dimensional basis over F_p."""
+class _Fiber(NamedTuple):
+    alpha: int
+    images: tuple  # g(alpha, y, z) for every element g, in basis order
+    betas: tuple
+    eliminant: Polynomial  # the prefix image whose roots the betas are
+    stuck: int  # cofactor degree of the eliminant
+
+
+class _FiberView(NamedTuple):
+    skipped: str | None  # why the fibers cannot be walked, else None
+    stuck: int  # cofactor degree of g_1
+    fibers: tuple[_Fiber, ...]  # one per root alpha of g_1, ascending
+
+
+@lru_cache(maxsize=1)
+def _fiber_view(G: GroebnerBasis) -> _FiberView:
+    """The fibers of G over the roots of g_1, built once per basis.
+
+    The fiber checks and `solve_system` all read this view, so `verify_all`
+    finds the roots of g_1 and substitutes each alpha into the basis once.
+    It needs a zero-dimensional basis over F_p; on any other, `skipped`
+    says why.
+
+    The roots of any lc_x(g_i) are the alphas at which it vanishes, because
+    on a minimal lex Groebner basis every irreducible factor of
+    u = lc_x(g_i) divides g_1.  Proof: let i > 1 and lm(g_i) = x^a * m with
+    m a monomial in y and z, m != 1, so a < deg g_1.  Write u = h * u',
+    where u' is the product of the factors of u coprime to g_1.  Take v
+    with v * u' = 1 mod g_1 and w with v * u = h + w * g_1.  Then
+    f = v * g_i - w * m * g_1 lies in the ideal and has head
+    x^(deg h) * m, which some lm(g_j) divides.  If u' were not constant,
+    that head would properly divide lm(g_i), against minimality.
+    """
     if not isinstance(G.field, PrimeField):
-        return None, CheckReport(name, SKIPPED, [], "requires prime-field coefficients")
+        return _FiberView("requires prime-field coefficients", 0, ())
     facts = structure_facts(G)
     if not facts.zero_dim:
-        return None, CheckReport(name, SKIPPED, [], f"not zero-dimensional: {facts.missing}")
-    return facts, None
+        return _FiberView(f"not zero-dimensional: {facts.missing}", 0, ())
+    roots, stuck = split_roots(G.elements[0])
+    fibers = []
+    for alpha in roots:
+        images = tuple(g.substitute_x(alpha) for g in G.elements)
+        fibers.append(_Fiber(alpha, images, *_fiber_betas(images[: facts.ell2])))
+    return _FiberView(None, stuck, tuple(fibers))
 
 
 def check_specialization_image(G: GroebnerBasis) -> CheckReport:
     """At every root alpha of g_1, each remaining element either vanishes or
     keeps a nonvanishing leading x-coefficient; nonzero images have leading
     term lc_x(alpha) * lm_yz, and together they still satisfy the S-pair
-    criterion in k[y, z]."""
+    criterion in k[y, z].  Like the other fiber checks, it assumes a basis
+    that passes basis_integrity, as `verify_all` guarantees."""
     name = "specialization_image"
-    _, skipped = _fiber_facts(name, G)
-    if skipped:
-        return skipped
+    view = _fiber_view(G)
+    if view.skipped:
+        return CheckReport(name, SKIPPED, [], view.skipped)
     witnesses = []
-    for alpha in roots_univariate(G.elements[0]):
+    for alpha, all_images, *_ in view.fibers:
         images = []
-        for idx, g in enumerate(G.elements[1:], start=1):
-            img = g.substitute_x(alpha)
+        for idx, (g, img) in enumerate(zip(G.elements[1:], all_images[1:]), start=1):
             if img.is_zero():
                 continue
             lc_at = g.lc_x().evaluate((alpha, 0, 0))
@@ -273,15 +306,14 @@ def check_specialization_image(G: GroebnerBasis) -> CheckReport:
 
 def check_gianni_kalkbrener(G: GroebnerBasis) -> CheckReport:
     """At every solution (alpha, beta) of the elimination prefix, each element
-    with z in its head keeps its z degree after specialization (or vanishes)."""
+    with z in its head keeps its z degree after specialization (or vanishes).
+    Assumes a basis that passes basis_integrity."""
     name = "gianni_kalkbrener"
-    facts, skipped = _fiber_facts(name, G)
-    if skipped:
-        return skipped
+    view = _fiber_view(G)
+    if view.skipped:
+        return CheckReport(name, SKIPPED, [], view.skipped)
     witnesses = []
-    for alpha in roots_univariate(G.elements[0]):
-        images = [g.substitute_x(alpha) for g in G.elements]
-        betas, _, _ = _fiber_betas(images[: facts.ell2])
+    for alpha, images, betas, *_ in view.fibers:
         for beta in betas:
             for idx, g in enumerate(G.elements):
                 if g.lm().c == 0:
@@ -305,12 +337,13 @@ def check_gianni_kalkbrener(G: GroebnerBasis) -> CheckReport:
 def check_fiber_membership(G: GroebnerBasis) -> CheckReport:
     """Where lc_x(g_i) is not a unit and alpha is one of its roots missed by
     lc_x(g_{i+1}): g_i vanishes at x = alpha and g_{i+1} lies in the ideal
-    generated by x - alpha and lc_xy(g_{i+1}) at x = alpha."""
+    generated by x - alpha and lc_xy(g_{i+1}) at x = alpha.  Assumes a basis
+    that passes basis_integrity: the roots of lc_x(g_i) are then read off
+    the roots of g_1 (see `_fiber_view`)."""
     name = "fiber_membership"
-    _, skipped = _fiber_facts(name, G)
-    if skipped:
-        return skipped
-    field = G.field
+    view = _fiber_view(G)
+    if view.skipped:
+        return CheckReport(name, SKIPPED, [], view.skipped)
     elems = G.elements
     witnesses = []
     qualified = False
@@ -318,11 +351,11 @@ def check_fiber_membership(G: GroebnerBasis) -> CheckReport:
         lcx = elems[i].lc_x()
         if lcx.is_constant():
             continue
-        for alpha in roots_univariate(lcx):
-            if not elems[i + 1].lc_x().evaluate((alpha, 0, 0)):
+        for alpha, images, *_ in view.fibers:
+            if lcx.evaluate((alpha, 0, 0)) or not elems[i + 1].lc_x().evaluate((alpha, 0, 0)):
                 continue
             qualified = True
-            if not elems[i].substitute_x(alpha).is_zero():
+            if not images[i].is_zero():
                 witnesses.append(
                     {
                         "i": i + 1,
@@ -330,7 +363,7 @@ def check_fiber_membership(G: GroebnerBasis) -> CheckReport:
                         "reason": "element does not vanish on its fiber",
                     }
                 )
-            linear = Polynomial(field, [(Monomial(1, 0, 0), 1), (MONOMIAL_ONE, -alpha)])
+            linear = Polynomial(G.field, [(Monomial(1, 0, 0), 1), (MONOMIAL_ONE, -alpha)])
             fiber_gen = elems[i + 1].lc_xy().substitute_x(alpha)
             # the heads x and y^k are coprime, so the pair is already a
             # Groebner basis and the remainder is the normal form
@@ -358,23 +391,22 @@ def solve_system(G: GroebnerBasis) -> tuple[tuple[int, int, int], ...]:
     elimination prefix; each (alpha, beta) slice is solved for z, and a
     solution must satisfy every specialized element.  Raises NonSplitError
     when an eliminant has an irreducible factor of degree > 1 (solutions
-    would then live in an extension field).
+    would then live in an extension field), and ValueError when the
+    unit_ideal flag disagrees with the elements.
     """
-    if G.unit_ideal:
+    unit = any(g.is_constant() and not g.is_zero() for g in G.elements)
+    if unit != G.unit_ideal:
+        raise ValueError("the unit_ideal flag disagrees with the elements")
+    if unit:
         return ()
-    if not isinstance(G.field, PrimeField):
-        raise ValueError("solving needs prime-field coefficients")
-    facts = structure_facts(G)
-    if not facts.zero_dim:
-        raise ValueError(f"not zero-dimensional: {facts.missing}")
-    roots, stuck = split_roots(G.elements[0], axis=0)
-    if stuck:
-        raise NonSplitError(G.elements[0], stuck)
+    view = _fiber_view(G)
+    if view.skipped:
+        raise ValueError(view.skipped)
+    if view.stuck:
+        raise NonSplitError(G.elements[0], view.stuck)
 
     solutions = []
-    for alpha in roots:
-        images = [g.substitute_x(alpha) for g in G.elements]
-        betas, eliminant, stuck = _fiber_betas(images[: facts.ell2])
+    for alpha, images, betas, eliminant, stuck in view.fibers:
         if stuck:
             raise NonSplitError(eliminant, stuck)
         slice_yz = [h for h in images if not h.is_zero()]

@@ -1,6 +1,6 @@
-"""Shared random generators for the property tests."""
+"""Shared random generators for the tests: polynomials and fibered point sets."""
 
-from lexgb import Monomial, Polynomial
+from lexgb import Monomial, PointSet, Polynomial
 
 
 def random_monomial(rng, max_deg=3):
@@ -17,3 +17,26 @@ def random_poly(field, rng, max_deg=3, max_terms=6, nonzero=False):
         terms = [(random_monomial(rng, max_deg), field(1 + rng.randrange(field.p - 1)))]
         p = Polynomial(field, terms)
     return p
+
+
+# x-fibers of a point set; each fiber lists how many points share each of
+# its (x, y) pairs, so a 2 is an (x, y) pair carrying two z values
+FIBERED_PATTERNS = (
+    ((1, 1), (1,)),
+    ((1, 1, 1), (1, 1)),
+    ((1, 1), (1, 1), (1,)),
+    ((1, 1, 1, 1), (1,)),
+    ((2,), (1,)),
+    ((2, 1), (1, 1)),
+    ((3,), (1, 1)),
+    ((1, 2, 3), (1,)),
+)
+
+
+def fibered_points(pattern, rng, prime=101) -> PointSet:
+    xs = rng.sample(range(prime), len(pattern))
+    pts = []
+    for x, fiber in zip(xs, pattern):
+        for y, count in zip(rng.sample(range(prime), len(fiber)), fiber):
+            pts.extend((x, y, z) for z in rng.sample(range(prime), count))
+    return PointSet(prime, tuple(pts))

@@ -193,6 +193,25 @@ def test_solve_nonsplit_small_prime(tmp_path, capsys):
     assert "does not split" in capsys.readouterr().err
 
 
+def test_solve_rejects_a_unit_flag_the_elements_contradict(tmp_path, capsys):
+    # (0, 0, 0) solves x^2, x*y, y^2, z, so the unit flag is wrong; verify
+    # fails basis_integrity on the same file and solve must not print no points
+    F7 = PrimeField(7)
+    elems = [parse_polynomial(F7, t).to_dict() for t in ("x^2", "x*y", "y^2", "z")]
+    src = write_json(tmp_path / "flagged.json", {"p": 7, "unit_ideal": True, "basis": elems})
+    assert main(["solve", src]) == 2
+    assert "unit_ideal flag disagrees" in capsys.readouterr().err
+    assert main(["verify", src]) == 1
+    assert "unit flag on a non-unit basis" in json.dumps(read_json(capsys))
+
+    unflagged = {"p": 7, "unit_ideal": False, "basis": [parse_polynomial(F7, "3").to_dict()]}
+    assert main(["solve", write_json(tmp_path / "unflagged.json", unflagged)]) == 2
+    assert "unit_ideal flag disagrees" in capsys.readouterr().err
+    unit = {"p": 7, "unit_ideal": True, "basis": [parse_polynomial(F7, "1").to_dict()]}
+    assert main(["solve", write_json(tmp_path / "unit.json", unit)]) == 0
+    assert read_json(capsys)["points"] == []
+
+
 def test_campaign_small(tmp_path):
     out = tmp_path / "summary.json"
     assert (

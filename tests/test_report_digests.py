@@ -24,20 +24,10 @@ from lexgb.instances import (
     vanishing_basis,
 )
 
+from helpers import FIBERED_PATTERNS, fibered_points
+
 DIGESTS = Path(__file__).parent / "data" / "report_digests.json"
 
-# x-fibers of a point set; each fiber lists how many points share each of
-# its (x, y) pairs, so a 2 is an (x, y) pair carrying two z values
-FIBERED_PATTERNS = (
-    ((1, 1), (1,)),
-    ((1, 1, 1), (1, 1)),
-    ((1, 1), (1, 1), (1,)),
-    ((1, 1, 1, 1), (1,)),
-    ((2,), (1,)),
-    ((2, 1), (1, 1)),
-    ((3,), (1, 1)),
-    ((1, 2, 3), (1,)),
-)
 SQUARED_PATTERNS = (((1, 1),), ((2,),), ((1,), (1,)), ((1, 1), (1,)), ((2,), (1,)))
 
 # points sharing x and (x, y) pairs on which the radical-gated checks fail
@@ -52,15 +42,6 @@ FOUND_POINTS = (
     (50, 83, 46),
     (50, 83, 64),
 )
-
-
-def fibered_points(pattern, rng, prime=101) -> PointSet:
-    xs = rng.sample(range(prime), len(pattern))
-    pts = []
-    for x, fiber in zip(xs, pattern):
-        for y, count in zip(rng.sample(range(prime), len(fiber)), fiber):
-            pts.extend((x, y, z) for z in rng.sample(range(prime), count))
-    return PointSet(prime, tuple(pts))
 
 
 def bases():

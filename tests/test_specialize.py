@@ -4,14 +4,23 @@ import random
 
 import pytest
 
+from lexgb import specialize
+from lexgb.campaign import CampaignConfig, nonradical_recipes, radical_recipes
 from lexgb.field import PrimeField, RationalField
 from lexgb.checks import verify_all
 from lexgb.groebner import GroebnerBasis, buchberger
-from lexgb.instances import PointSet, random_points, squared_vanishing_basis, vanishing_basis
+from lexgb.instances import (
+    PointSet,
+    build_instance,
+    random_points,
+    squared_vanishing_basis,
+    vanishing_basis,
+)
 from lexgb.poly import MONOMIAL_ONE, Monomial, Polynomial, parse_polynomial
 from lexgb.report import FAIL, OBSERVED, PASS, SKIPPED
 from lexgb.specialize import (
     NonSplitError,
+    _fiber_view,
     check_fiber_membership,
     check_gianni_kalkbrener,
     check_specialization_image,
@@ -19,6 +28,8 @@ from lexgb.specialize import (
     solve_system,
     split_roots,
 )
+
+from helpers import FIBERED_PATTERNS, fibered_points
 
 F101 = PrimeField(101)
 
@@ -335,3 +346,44 @@ def test_fibered_points():
     G = vanishing_basis(PointSet(101, pts))
     assert solve_system(G) == tuple(sorted(pts))
     assert check_gianni_kalkbrener(G).verdict == PASS
+
+
+def test_lc_x_roots_are_the_alphas_of_g1_they_vanish_at():
+    # fiber_membership reads the roots of lc_x(g_i) off the view's alphas;
+    # the lemma in the docstring of _fiber_view makes that exact
+    config = CampaignConfig(seed=7, radical_count=40, nonradical_count=20)
+    bases = [build_instance(r).basis for r in radical_recipes(config) + nonradical_recipes(config)]
+    rng = random.Random(23)
+    bases += [vanishing_basis(fibered_points(pattern, rng)) for pattern in FIBERED_PATTERNS]
+    bases += [squared_vanishing_basis(fibered_points(pattern, rng)) for pattern in FIBERED_PATTERNS[:4]]
+    non_unit = 0
+    for G in bases:
+        g1_roots = roots_univariate(G.elements[0])
+        assert [fiber.alpha for fiber in _fiber_view(G).fibers] == g1_roots
+        for g in G.elements[1:]:
+            lcx = g.lc_x()
+            if lcx.is_constant():
+                continue
+            non_unit += 1
+            roots = roots_univariate(lcx)
+            assert set(roots) <= set(g1_roots)
+            assert roots == [a for a in g1_roots if not lcx.evaluate((a, 0, 0))]
+    assert non_unit >= 40
+
+
+def test_verify_all_finds_the_roots_of_g1_once(monkeypatch):
+    calls = []
+
+    def counting(f, axis=0):
+        calls.append((f, axis))
+        return split_roots(f, axis)
+
+    monkeypatch.setattr(specialize, "split_roots", counting)
+    _fiber_view.cache_clear()
+    G = worked_basis()
+    reports = verify_all(G)
+    assert all(r.verdict == PASS for r in reports)
+    assert [f for f, axis in calls if axis == 0] == [G.elements[0]]
+    # solving the same basis next reuses the view
+    assert solve_system(G) == ((0, 0, 0), (1, 0, 0), (1, 0, 1))
+    assert [f for f, axis in calls if axis == 0] == [G.elements[0]]
