@@ -45,40 +45,29 @@ def _load(path: str) -> dict:
         return json.load(fh)
 
 
-def _fail_usage(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
-
-
 def cmd_gen_points(args) -> int:
-    try:
-        pts = random_points(args.n, args.seed, args.prime)
-    except ValueError as exc:
-        return _fail_usage(str(exc))
+    pts = random_points(args.n, args.seed, args.prime)
     _emit(pts.to_dict(), args.output)
     print(f"generated {args.n} points with seed {args.seed}", file=sys.stderr)
     return 0
 
 
 def cmd_gen_ideal(args) -> int:
-    try:
-        degrees = None
-        if args.degrees:
-            parts = [int(v) for v in args.degrees.split(",")]
-            if len(parts) != 3:
-                raise ValueError("--degrees wants three comma-separated integers")
-            degrees = tuple(parts)
-        elif args.kind == RANDOM_TRIANGULAR:
-            degrees = (2, 2, 2)
-        recipe = InstanceRecipe(
-            kind=args.kind,
-            prime=args.prime,
-            seed=args.seed,
-            n_points=args.n,
-            degrees=degrees,
-        )
-    except ValueError as exc:
-        return _fail_usage(str(exc))
+    degrees = None
+    if args.degrees:
+        parts = [int(v) for v in args.degrees.split(",")]
+        if len(parts) != 3:
+            raise ValueError("--degrees wants three comma-separated integers")
+        degrees = tuple(parts)
+    elif args.kind == RANDOM_TRIANGULAR:
+        degrees = (2, 2, 2)
+    recipe = InstanceRecipe(
+        kind=args.kind,
+        prime=args.prime,
+        seed=args.seed,
+        n_points=args.n,
+        degrees=degrees,
+    )
     _emit(recipe.to_dict(), args.output)
     return 0
 
@@ -142,19 +131,16 @@ def cmd_solve(args) -> int:
 
 
 def cmd_campaign(args) -> int:
-    try:
-        config = CampaignConfig(
-            prime=args.prime,
-            radical_count=args.radical,
-            nonradical_count=args.nonradical,
-            points_min=args.points_min,
-            points_max=args.points_max,
-            seed=args.seed,
-            checks=tuple(args.checks.split(",")) if args.checks else None,
-            jobs=args.jobs,
-        )
-    except ValueError as exc:
-        return _fail_usage(str(exc))
+    config = CampaignConfig(
+        prime=args.prime,
+        radical_count=args.radical,
+        nonradical_count=args.nonradical,
+        points_min=args.points_min,
+        points_max=args.points_max,
+        seed=args.seed,
+        checks=tuple(args.checks.split(",")) if args.checks else None,
+        jobs=args.jobs,
+    )
     summary = run_campaign(config)
     _emit(summary, args.output)
     return 0 if summary["all_pass"] else 1

@@ -136,17 +136,12 @@ def buchberger(generators, radical: bool = False) -> GroebnerBasis:
         if not any(h.lm().divides(basis[i].lm()) for h in kept):
             kept.append(basis[i])
 
-    # tail reduction to the unique reduced basis
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(kept)):
-            others = kept[:i] + kept[i + 1 :]
-            _, r = kept[i].divide(others)
-            r = r.monic()
-            if r != kept[i]:
-                kept[i] = r
-                changed = True
+    # tail reduction to the unique reduced basis: no kept head divides
+    # another, so reducing an element keeps its head and its leading
+    # coefficient 1, and a reduced tail stays reduced because the heads it
+    # was reduced against never change; one pass therefore suffices
+    for i in range(len(kept)):
+        kept[i] = kept[i].divide(kept[:i] + kept[i + 1 :])[1]
 
     return GroebnerBasis(tuple(kept), radical=radical)
 

@@ -50,15 +50,13 @@ class CheckReport:
         }
 
 
-def gated_report(name: str, radical: bool, witnesses: list, note: str = "") -> CheckReport:
+def gated_report(name: str, radical: bool, witnesses: list) -> CheckReport:
     """Build the verdict for a radicality-gated check.
 
     Asserted (pass/fail) when the instance is radical by construction,
     recorded as observed otherwise.
     """
     if radical:
-        verdict = FAIL if witnesses else PASS
-        return CheckReport(name, verdict, witnesses, note)
-    extra = "radicality not guaranteed; outcome recorded, not asserted"
-    notes = f"{note}; {extra}" if note else extra
+        return CheckReport(name, FAIL if witnesses else PASS, witnesses)
+    notes = "radicality not guaranteed; outcome recorded, not asserted"
     return CheckReport(name, OBSERVED, witnesses, notes)

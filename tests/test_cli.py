@@ -46,7 +46,7 @@ def test_gen_points_deterministic(tmp_path):
 
 def test_gen_points_rejects_bad_count(capsys):
     assert main(["gen-points", "--n", "0"]) == 2
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: point count 0 outside [1, 1030301]\n"
 
 
 def test_gen_ideal_recipe(capsys):
@@ -62,8 +62,11 @@ def test_gen_ideal_triangular_defaults(capsys):
 
 def test_gen_ideal_usage_errors(capsys):
     assert main(["gen-ideal", "--kind", "vanishing-points"]) == 2
+    assert capsys.readouterr().err == "error: vanishing-points needs a point count\n"
     assert main(["gen-ideal", "--kind", "random-triangular", "--degrees", "2,2"]) == 2
-    capsys.readouterr()
+    assert capsys.readouterr().err == "error: --degrees wants three comma-separated integers\n"
+    assert main(["gen-ideal", "--kind", "random-triangular", "--degrees", "2,a,2"]) == 2
+    assert capsys.readouterr().err == "error: invalid literal for int() with base 10: 'a'\n"
 
 
 def test_gb_from_points(tmp_path, capsys):
@@ -243,7 +246,9 @@ def test_campaign_empty(capsys):
 
 def test_campaign_rejects_bad_config(capsys):
     assert main(["campaign", "--points-min", "9", "--points-max", "4"]) == 2
-    capsys.readouterr()
+    captured = capsys.readouterr()
+    assert captured.err == "error: point-count range must sit inside [1, 12]\n"
+    assert captured.out == ""
 
 
 def test_missing_input_file(capsys):

@@ -178,13 +178,30 @@ def test_evaluate_and_substitute():
 
 
 def test_lex_head_drop_under_specialization():
-    # substituting x can only lower or kill terms, never create new monomials
+    # substituting x can only lower or kill terms, never create new monomials;
+    # the image keeps the head lm_yz(p), with coefficient lc_x(p)(alpha),
+    # exactly when that value is nonzero
     rng = random.Random(47)
-    for _ in range(200):
+    vanishing = 0
+    for trial in range(200):
         p = random_poly(F101, rng, nonzero=True)
-        img = p.substitute_x(F101(rng.randrange(101)))
+        if trial % 2:
+            # a leading block z^4 * u(x), so lc_x(p) = u has several terms
+            # and often several roots
+            u = Polynomial(F101, [(Monomial(a, 0, 0), rng.randrange(101)) for a in range(4)])
+            p = p + u * P("z^4")
+        lcx = p.lc_x()
+        assert lcx.is_constant() == (p.lm().a == 0)
+        roots = [v for v in range(101) if not lcx.evaluate((v, 0, 0))]
+        alpha = rng.choice(roots) if roots and trial % 3 else rng.randrange(101)
+        img = p.substitute_x(alpha)
         if not img.is_zero():
             assert img.lm().lex_key() <= p.lm().lex_key()
+        lc_at = lcx.evaluate((alpha, 0, 0))
+        keeps_head = not img.is_zero() and img.lm() == p.lm_yz() and img.lc() == lc_at
+        assert keeps_head == (lc_at != 0)
+        vanishing += not lc_at
+    assert vanishing > 50
 
 
 def test_parse_round_trip():

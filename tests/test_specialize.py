@@ -8,7 +8,7 @@ from lexgb import specialize
 from lexgb.campaign import CampaignConfig, nonradical_recipes, radical_recipes
 from lexgb.field import PrimeField, RationalField
 from lexgb.checks import verify_all
-from lexgb.groebner import GroebnerBasis, buchberger
+from lexgb.groebner import GroebnerBasis, buchberger, normal_form
 from lexgb.instances import (
     PointSet,
     build_instance,
@@ -29,7 +29,7 @@ from lexgb.specialize import (
     split_roots,
 )
 
-from helpers import FIBERED_PATTERNS, fibered_points
+from helpers import FIBERED_PATTERNS, fibered_points, random_poly
 
 F101 = PrimeField(101)
 
@@ -276,6 +276,21 @@ def test_fiber_membership_detects_outsider():
     assert r.witnesses == [
         {"i": 4, "alpha": 0, "normal_form": "26*y + 32", "modulo": ["x", "2*y^2 + 3*y + 5"]}
     ]
+
+
+def test_normal_form_modulo_x_minus_alpha_is_that_of_the_image():
+    # {x - alpha, h(y)} is a Groebner basis and g = g(alpha, y, z) modulo
+    # x - alpha, which is how check_fiber_membership reduces on the image
+    rng = random.Random(71)
+    for trial in range(300):
+        g = random_poly(F101, rng)
+        alpha = rng.randrange(101)
+        deg = trial % 4  # 0 gives a constant h, so the unit ideal
+        h = Polynomial(
+            F101, [(Monomial(0, b, 0), rng.randrange(1 if b == deg else 0, 101)) for b in range(deg + 1)]
+        )
+        linear = Polynomial(F101, [(Monomial(1, 0, 0), 1), (MONOMIAL_ONE, -alpha)])
+        assert normal_form(g, [linear, h]) == normal_form(g.substitute_x(alpha), [h])
 
 
 def test_fiber_membership_skips_when_hypothesis_empty():
