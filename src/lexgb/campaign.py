@@ -8,6 +8,7 @@ timestamps: the same configuration always produces identical output.
 from __future__ import annotations
 
 import concurrent.futures
+import os
 from dataclasses import dataclass
 
 from .checks import CHECK_ORDER, verify_all
@@ -162,8 +163,11 @@ def _audit_implication(results: list[dict]) -> list[dict]:
 def run_campaign(config: CampaignConfig) -> dict:
     """Generate, verify and summarize all campaign instances."""
     recipes = [r.to_dict() for r in radical_recipes(config) + nonradical_recipes(config)]
-    if config.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=config.jobs) as pool:
+    # a forked pool starts all its workers at the first submit, so more
+    # workers than recipes or CPUs would only cost processes
+    workers = min(config.jobs, len(recipes), os.cpu_count() or 1)
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_worker, [(r, config.checks) for r in recipes]))
     else:
         results = [verify_recipe(r, config.checks) for r in recipes]

@@ -5,17 +5,34 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+# Miller-Rabin on the first twelve primes as bases is exact below the least
+# strong pseudoprime to all of them (Sorenson and Webster, Math. Comp. 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_LIMIT = 318665857834031151167461
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic trial division; moduli here are small by design."""
+    """Deterministic Miller-Rabin; n >= 3.18 * 10^23 raises ValueError."""
+    if n >= _MR_LIMIT:
+        raise ValueError(f"moduli of {_MR_LIMIT} and above are not supported, got {n}")
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

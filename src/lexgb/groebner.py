@@ -54,11 +54,11 @@ def basis_from_dict(field, data: dict) -> GroebnerBasis:
     if not isinstance(data.get("basis"), list) or not data["basis"]:
         raise ValueError("basis object must have a nonempty 'basis' list")
     elems = tuple(poly_from_dict(field, d) for d in data["basis"])
-    return GroebnerBasis(
-        elems,
-        radical=bool(data.get("radical", False)),
-        unit_ideal=bool(data.get("unit_ideal", False)),
-    )
+    flags = {key: data.get(key, False) for key in ("radical", "unit_ideal")}
+    for key, value in flags.items():
+        if not isinstance(value, bool):
+            raise ValueError(f"'{key}' must be true or false, got {value!r}")
+    return GroebnerBasis(elems, **flags)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:

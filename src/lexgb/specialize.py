@@ -151,31 +151,26 @@ def _horner(f: list, v: int, p: int) -> int:
     return acc
 
 
-def _coefficients(f: Polynomial) -> list:
-    """The coefficient list of f in k[x] over F_p."""
-    out = [0] * (f.max_degrees()[0] + 1)
-    for m, c in f.terms:
-        out[m.a] = c
-    return _trim(out)
-
-
-def roots_univariate(f: Polynomial) -> list:
-    """All roots of f in F_p, ascending; f must be a nonzero element of k[x]."""
+def _dense(f: Polynomial, axis: int) -> list:
+    """The coefficient list of f, a nonzero polynomial over F_p in the one
+    variable of the axis (0=x, 1=y, 2=z); raises ValueError otherwise."""
     if not isinstance(f.field, PrimeField):
         raise ValueError("root finding needs prime-field coefficients")
     if f.is_zero():
         raise ValueError("the zero polynomial has every point as a root")
-    if not f.in_kx():
-        raise ValueError(f"{f.text()} is not univariate in x")
-    return _roots(_coefficients(f), f.field.p)
-
-
-def _as_kx(h: Polynomial, axis: int) -> Polynomial:
-    """Rewrite a polynomial univariate in the given axis (0=x, 1=y, 2=z) into k[x]."""
     k = 2 - axis  # a Monomial stores its exponents as (c, b, a)
-    if any(sum(m) != m[k] for m, _ in h.terms):
-        raise ValueError(f"{h.text()} is not univariate in axis {axis}")
-    return Polynomial(h.field, [(Monomial(m[k], 0, 0), c) for m, c in h.terms])
+    if any(sum(m) != m[k] for m, _ in f.terms):
+        raise ValueError(f"{f.text()} is not univariate in {'xyz'[axis]}")
+    out = [0] * (f.lm()[k] + 1)
+    for m, c in f.terms:
+        out[m[k]] = c
+    return out
+
+
+def roots_univariate(f: Polynomial, axis: int = 0) -> list:
+    """All roots of f in F_p, ascending; f must be a nonzero polynomial in
+    the given axis (0=x, 1=y, 2=z) alone."""
+    return _roots(_dense(f, axis), f.field.p)
 
 
 def split_roots(f: Polynomial, axis: int = 0):
@@ -184,10 +179,9 @@ def split_roots(f: Polynomial, axis: int = 0):
     The cofactor degree is 0 exactly when f is a product of linear factors
     over F_p (counted with multiplicity).
     """
-    g = _as_kx(f, axis)
-    roots = roots_univariate(g)
-    p = g.field.p
-    cofactor = _coefficients(g)
+    roots = roots_univariate(f, axis)
+    p = f.field.p
+    cofactor = _dense(f, axis)
     for r in roots:
         linear = [-r % p, 1]
         while _horner(cofactor, r, p) == 0:
@@ -195,46 +189,49 @@ def split_roots(f: Polynomial, axis: int = 0):
     return roots, len(cofactor) - 1
 
 
-def _fiber_betas(prefix_images):
-    """The betas at which every image of the elimination prefix vanishes.
+def _common_roots(polys, axis: int):
+    """The common roots of polynomials in the one variable of an axis
+    (0=x, 1=y, 2=z).
 
-    The prefix images are those of g_1..g_ell2 at one root alpha, and are
-    evaluated at (y, z) = (beta, 0).  The betas are the roots of the
-    nonzero image with the smallest head, filtered by the others.  The head
-    of g_ell2 is a pure power of y, so its image is never zero and the
-    smallest head has no z.  Returns (betas, eliminant, cofactor degree
-    of the eliminant).
+    They are the roots of the nonzero poly with the smallest head at which
+    every other nonzero poly vanishes; a nonzero constant has the smallest
+    head of all and no roots.  Returns (roots, eliminant, cofactor degree
+    of the eliminant), the eliminant being the poly whose roots were kept.
     """
-    images = [h for h in prefix_images if not h.is_zero()]
-    eliminant = min(images, key=Polynomial.lm)
-    roots, stuck = split_roots(eliminant, axis=1)
-    others = [h for h in images if h is not eliminant]
-    betas = tuple(b for b in roots if not any(h.evaluate((0, b, 0)) for h in others))
-    return betas, eliminant, stuck
+    nonzero = [h for h in polys if not h.is_zero()]
+    eliminant = min(nonzero, key=Polynomial.lm)
+    roots, stuck = split_roots(eliminant, axis)
+    others = [h for h in nonzero if h is not eliminant]
+    common = tuple(r for r in roots if not any(h.evaluate((r, r, r)) for h in others))
+    return common, eliminant, stuck
 
 
 class _Fiber(NamedTuple):
     alpha: int
     images: tuple  # g(alpha, y, z) for every element g, in basis order
-    betas: tuple
+    betas: tuple  # the common roots of the prefix images, ascending
     eliminant: Polynomial  # the prefix image whose roots the betas are
     stuck: int  # cofactor degree of the eliminant
+    slices: tuple  # per beta, g(alpha, beta, z) for every g past the prefix
 
 
 class _FiberView(NamedTuple):
     skipped: str | None  # why the fibers cannot be walked, else None
     stuck: int  # cofactor degree of g_1
+    prefix: int  # ell2, the length of the elimination prefix
     fibers: tuple[_Fiber, ...]  # one per root alpha of g_1, ascending
 
 
 @lru_cache(maxsize=1)
 def _fiber_view(G: GroebnerBasis) -> _FiberView:
-    """The fibers of G over the roots of g_1, built once per basis.
-
-    The fiber checks and `solve_system` all read this view, so `verify_all`
-    finds the roots of g_1 and substitutes each alpha into the basis once.
-    It needs a zero-dimensional basis over F_p; on any other, `skipped`
-    says why.
+    """The fibers of G, walked once per basis down to the points: x = alpha
+    at each root of g_1, then y = beta at each common root of the images of
+    the elimination prefix g_1..g_ell2, whose last has a pure power of y as
+    head and so a nonzero image.  The fiber checks and `solve_system` all
+    read this view, so `verify_all` substitutes each alpha and beta once.
+    It needs a zero-dimensional basis over F_p with every element in its
+    band (see `structure_facts`), so that the prefix images lie in k[y] and
+    the slices in k[z]; on any other basis, `skipped` says why.
 
     The roots of any lc_x(g_i) are the alphas at which it vanishes, because
     on a minimal lex Groebner basis every irreducible factor of
@@ -247,16 +244,21 @@ def _fiber_view(G: GroebnerBasis) -> _FiberView:
     that head would properly divide lm(g_i), against minimality.
     """
     if not isinstance(G.field, PrimeField):
-        return _FiberView("requires prime-field coefficients", 0, ())
+        return _FiberView("requires prime-field coefficients", 0, 0, ())
     facts = structure_facts(G)
     if not facts.zero_dim:
-        return _FiberView(f"not zero-dimensional: {facts.missing}", 0, ())
+        return _FiberView(f"not zero-dimensional: {facts.missing}", 0, 0, ())
+    if facts.band_violations:
+        return _FiberView(f"elements outside their bands: {list(facts.band_violations)}", 0, 0, ())
+    ell2 = facts.ell2
     roots, stuck = split_roots(G.elements[0])
     fibers = []
     for alpha in roots:
         images = tuple(g.substitute_x(alpha) for g in G.elements)
-        fibers.append(_Fiber(alpha, images, *_fiber_betas(images[: facts.ell2])))
-    return _FiberView(None, stuck, tuple(fibers))
+        betas, eliminant, beta_stuck = _common_roots(images[:ell2], axis=1)
+        slices = tuple(tuple(h.substitute_y(beta) for h in images[ell2:]) for beta in betas)
+        fibers.append(_Fiber(alpha, images, betas, eliminant, beta_stuck, slices))
+    return _FiberView(None, stuck, ell2, tuple(fibers))
 
 
 def _lc_x_vanishes(g: Polynomial, image: Polynomial) -> bool:
@@ -308,27 +310,23 @@ def check_specialization_image(G: GroebnerBasis) -> CheckReport:
 
 def check_gianni_kalkbrener(G: GroebnerBasis) -> CheckReport:
     """At every solution (alpha, beta) of the elimination prefix, each element
-    with z in its head keeps its z degree after specialization (or vanishes).
+    past the prefix keeps its z degree after specialization (or vanishes).
     Assumes a basis that passes basis_integrity."""
     name = "gianni_kalkbrener"
     view = _fiber_view(G)
     if view.skipped:
         return CheckReport(name, SKIPPED, [], view.skipped)
+    past = G.elements[view.prefix :]
     witnesses = []
-    for alpha, images, betas, *_ in view.fibers:
-        for beta in betas:
-            for idx, g in enumerate(G.elements):
-                if g.lm().c == 0:
-                    continue
-                img = images[idx].substitute_y(beta)
-                if img.is_zero():
-                    continue
-                if img.lm().c != g.lm().c:
+    for fiber in view.fibers:
+        for beta, slice_z in zip(fiber.betas, fiber.slices):
+            for idx, (g, img) in enumerate(zip(past, slice_z), start=view.prefix + 1):
+                if not img.is_zero() and img.lm().c != g.lm().c:
                     witnesses.append(
                         {
-                            "alpha": alpha,
+                            "alpha": fiber.alpha,
                             "beta": beta,
-                            "i": idx + 1,
+                            "i": idx,
                             "image_z_degree": img.lm().c,
                             "head_z_degree": g.lm().c,
                         }
@@ -395,7 +393,7 @@ def solve_system(G: GroebnerBasis) -> tuple[tuple[int, int, int], ...]:
 
     Roots of g_1 give the x values.  At each, the betas come from the
     elimination prefix; each (alpha, beta) slice is solved for z, and a
-    solution must satisfy every specialized element.  Raises NonSplitError
+    solution must satisfy every element of the slice.  Raises NonSplitError
     when an eliminant has an irreducible factor of degree > 1 (solutions
     would then live in an extension field), and ValueError when the
     unit_ideal flag disagrees with the elements.
@@ -412,22 +410,14 @@ def solve_system(G: GroebnerBasis) -> tuple[tuple[int, int, int], ...]:
         raise NonSplitError(G.elements[0], view.stuck)
 
     solutions = []
-    for alpha, images, betas, eliminant, stuck in view.fibers:
-        if stuck:
-            raise NonSplitError(eliminant, stuck)
-        slice_yz = [h for h in images if not h.is_zero()]
-        for beta in betas:
-            slice_z = [h for h in (g.substitute_y(beta) for g in slice_yz) if not h.is_zero()]
-            # the monic pure z power always survives, so the slice is nonempty;
-            # a nonzero constant means beta misses some element at alpha
-            if any(h.is_constant() for h in slice_z):
-                continue
-            eliminant = min(slice_z, key=Polynomial.lm)
-            gammas, stuck = split_roots(eliminant, axis=2)
+    for fiber in view.fibers:
+        if fiber.stuck:
+            raise NonSplitError(fiber.eliminant, fiber.stuck)
+        for beta, slice_z in zip(fiber.betas, fiber.slices):
+            # the pure power of z heading g_n keeps a nonzero slice
+            gammas, eliminant, stuck = _common_roots(slice_z, axis=2)
             if stuck:
                 raise NonSplitError(eliminant, stuck)
-            for gamma in gammas:
-                if not any(h.evaluate((0, 0, gamma)) for h in slice_z):
-                    solutions.append((alpha, beta, gamma))
+            solutions.extend((fiber.alpha, beta, gamma) for gamma in gammas)
     solutions.sort()
     return tuple(solutions)

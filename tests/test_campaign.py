@@ -1,7 +1,10 @@
 """Campaign generation, verification summaries, determinism."""
 
+from dataclasses import replace
+
 import pytest
 
+from lexgb import campaign
 from lexgb.campaign import (
     CampaignConfig,
     nonradical_recipes,
@@ -99,6 +102,36 @@ def test_campaign_parallel_matches_serial():
     serial = CampaignConfig(radical_count=6, nonradical_count=2, seed=33, jobs=1)
     parallel = CampaignConfig(radical_count=6, nonradical_count=2, seed=33, jobs=2)
     assert run_campaign(serial) == run_campaign(parallel)
+
+
+def test_campaign_pool_is_bounded_by_recipes_and_cpus(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Records the pool size asked for and maps in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(campaign.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    cfg = CampaignConfig(radical_count=4, nonradical_count=2, seed=33, jobs=100000)
+    serial = run_campaign(replace(cfg, jobs=1))
+    for cpus in (64, 3, None):
+        monkeypatch.setattr(campaign.os, "cpu_count", lambda n=cpus: n)
+        assert run_campaign(cfg) == serial
+    monkeypatch.setattr(campaign.os, "cpu_count", lambda: 64)
+    assert run_campaign(replace(cfg, radical_count=1, nonradical_count=0))["radical"]["count"] == 1
+    # six recipes, then three CPUs; one CPU or one recipe runs without a pool
+    assert sizes == [6, 3]
 
 
 def test_campaign_check_filter():

@@ -135,6 +135,17 @@ def test_verify_pass(tmp_path, capsys):
     assert data["instance"] is None
 
 
+def test_verify_and_solve_at_a_61_bit_prime(tmp_path, capsys):
+    # 2^61 - 1 is prime; trial division would need 7.6 * 10^8 steps on it
+    pts = [[1, 2, 3], [1, 2, 9], [1, 7, 8], [4, 5, 6]]
+    src = write_json(tmp_path / "big.json", {"p": 2**61 - 1, "points": pts[:1]})
+    assert main(["verify", src]) == 0
+    assert read_json(capsys)["all_pass"] is True
+    src = write_json(tmp_path / "big4.json", {"p": 2**61 - 1, "points": pts})
+    assert main(["solve", src]) == 0
+    assert read_json(capsys)["points"] == pts
+
+
 def test_verify_check_filter(tmp_path, capsys):
     src = write_json(tmp_path / "pts.json", WORKED_POINTS)
     assert main(["verify", src, "--checks", "lazard_2d", "--text"]) == 0
@@ -280,6 +291,9 @@ MALFORMED = {
     "recipe-scalar-degrees": {"kind": "random-triangular", "p": 101, "seed": 0, "degrees": 5},
     "recipe-string-degree": {"kind": "random-triangular", "p": 101, "seed": 0, "degrees": ["a", 1, 1]},
     "generators-not-a-list": {"generators": 5},
+    "basis-string-radical": {"p": 101, "basis": [{"terms": [{"c": 1, "e": [1, 0, 0]}]}], "radical": "no"},
+    "basis-integer-radical": {"p": 101, "basis": [{"terms": [{"c": 1, "e": [1, 0, 0]}]}], "radical": 1},
+    "basis-string-unit-flag": {"p": 101, "basis": [{"terms": [{"c": 1, "e": [0, 0, 0]}]}], "unit_ideal": "false"},
 }
 
 

@@ -57,6 +57,27 @@ def test_is_prime():
     assert not is_prime(7917)
 
 
+def trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+def test_is_prime_is_miller_rabin_exact_to_its_bound():
+    assert all(is_prime(n) == trial_division(n) for n in range(20000))
+    # a Carmichael number, and a strong pseudoprime to the bases 2, 3, 5, 7
+    assert not is_prime(561)
+    assert not is_prime(3215031751)
+    # 2^61 - 1 is a Mersenne prime; trial division would need 7.6 * 10^8 steps
+    assert is_prime(2**61 - 1)
+    assert not is_prime(2**61 + 1)
+    # 318665857834031151167461 is the least strong pseudoprime to the twelve
+    # bases 2..37, so from there on the test could answer wrongly
+    for n in (318665857834031151167461, 2**127 - 1):
+        with pytest.raises(ValueError):
+            is_prime(n)
+        with pytest.raises(ValueError):
+            PrimeField(n)
+
+
 def test_field_axioms_random():
     F = PrimeField(101)
     mod = F.mod

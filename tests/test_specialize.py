@@ -334,6 +334,10 @@ def test_solve_raises_on_nonsplit_eliminant():
         solve_system(buchberger([P("x"), P("y^2 + 99"), P("z")]))
     with pytest.raises(NonSplitError):
         solve_system(buchberger([P("x"), P("y"), P("z^2 + 99")]))
+    # the slice at (0, 0) is {1, z^2 + 99}: the constant has the smallest
+    # head and no roots, so nothing is solved there and nothing raises
+    G = GroebnerBasis((P("x"), P("y"), P("y*z + 1"), P("z^2 + 99")))
+    assert solve_system(G) == ()
 
 
 def test_solve_requires_zero_dimensional_prime_field():
@@ -342,6 +346,13 @@ def test_solve_requires_zero_dimensional_prime_field():
     Q = RationalField()
     with pytest.raises(ValueError):
         solve_system(GroebnerBasis((parse_polynomial(Q, "x"),)))
+    # z - y sits in the elimination prefix, outside its band in k[x, y]; the
+    # slices past the prefix would solve z^2 - 1 alone, though no point
+    # satisfies both z = y = 0 and z^2 = 1
+    G = GroebnerBasis((P("x"), P("z + 100*y"), P("y"), P("z^2 + 100")))
+    with pytest.raises(ValueError, match="outside their bands"):
+        solve_system(G)
+    assert check_gianni_kalkbrener(G).verdict == SKIPPED
 
 
 def test_solve_and_verify_at_a_large_prime():
@@ -384,6 +395,26 @@ def test_lc_x_roots_are_the_alphas_of_g1_they_vanish_at():
             assert set(roots) <= set(g1_roots)
             assert roots == [a for a in g1_roots if not lcx.evaluate((a, 0, 0))]
     assert non_unit >= 40
+
+
+def test_fiber_view_slices_are_the_substituted_elements():
+    config = CampaignConfig(seed=7)
+    bases = [build_instance(r).basis for r in radical_recipes(config) + nonradical_recipes(config)]
+    rng = random.Random(29)
+    bases += [vanishing_basis(fibered_points(pattern, rng)) for pattern in FIBERED_PATTERNS]
+    bases += [squared_vanishing_basis(fibered_points(pattern, rng)) for pattern in FIBERED_PATTERNS]
+    slices = 0
+    for G in bases:
+        if G.unit_ideal:
+            continue
+        view = _fiber_view(G)
+        past = G.elements[view.prefix :]
+        for fiber in view.fibers:
+            assert len(fiber.slices) == len(fiber.betas)
+            for beta, slice_z in zip(fiber.betas, fiber.slices):
+                assert slice_z == tuple(g.substitute_x(fiber.alpha).substitute_y(beta) for g in past)
+                slices += 1
+    assert slices >= 500
 
 
 def test_verify_all_finds_the_roots_of_g1_once(monkeypatch):
