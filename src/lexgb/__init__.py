@@ -7,8 +7,6 @@ from .poly import (
     Monomial,
     Polynomial,
     ZeroPolynomialError,
-    content_divide,
-    divides_univariate,
     lex_compare,
     parse_polynomial,
     poly_from_dict,
@@ -57,8 +55,6 @@ __all__ = [
     "all_ok",
     "buchberger",
     "build_instance",
-    "content_divide",
-    "divides_univariate",
     "elimination_basis",
     "is_groebner_basis",
     "lex_compare",

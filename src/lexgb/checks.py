@@ -23,7 +23,7 @@ from .groebner import (
     normal_form,
     structure_facts,
 )
-from .poly import content_divide, divides_univariate
+from .poly import Monomial, Polynomial, constant
 from .report import FAIL, PASS, SKIPPED, CheckReport, gated_report
 from . import specialize
 
@@ -33,7 +33,7 @@ def check_basis_integrity(G: GroebnerBasis) -> CheckReport:
     name = "basis_integrity"
     witnesses = []
     if G.unit_ideal:
-        if len(G.elements) != 1 or not G.elements[0].is_constant():
+        if len(G.elements) != 1 or G.elements[0] != constant(G.field, 1):
             witnesses.append({"reason": "unit flag on a non-unit basis"})
         return CheckReport(name, FAIL if witnesses else PASS, witnesses)
     elems = G.elements
@@ -95,18 +95,28 @@ def _chain_witnesses(elems, related) -> list[dict]:
         {"i": i + 1, "j": j + 1, "divisor": lcs[i].text(), "dividend": lcs[j].text()}
         for i in range(len(elems))
         for j in range(i)
-        if related(heads[i], heads[j]) and not divides_univariate(lcs[i], lcs[j])[0]
+        if related(heads[i], heads[j]) and not lcs[j].divide([lcs[i]])[1].is_zero()
     ]
 
 
 def _content_witnesses(elems, part, first: int = 1) -> list[dict]:
     """For each g_i from index `first` on, the highest k[x] block of part(g_i)
-    that lc_x(g_i) does not divide."""
+    that lc_x(g_i) does not divide.
+
+    One division per element finds it.  lc_x(g_i) lies in k[x], so every
+    reduction step stays inside one (y, z) block, and the remainder is zero
+    exactly when each block is divisible.  The order compares (y, z) before
+    x, so the remainder's head lies in the highest block that does not
+    divide."""
     witnesses = []
     for i in range(first, len(elems)):
-        q, bad = content_divide(part(elems[i]), elems[i].lc_x())
-        if q is None:
-            witnesses.append({"i": i + 1, "block": bad[0].text(), "coefficient": bad[1].text()})
+        p = part(elems[i])
+        _, r = p.divide([elems[i].lc_x()])
+        if not r.is_zero():
+            yz = r.lm_yz()
+            block = [(Monomial(m.a, 0, 0), c) for m, c in p.terms if m.b == yz.b and m.c == yz.c]
+            coefficient = Polynomial(p.field, block).text()
+            witnesses.append({"i": i + 1, "block": yz.text(), "coefficient": coefficient})
     return witnesses
 
 

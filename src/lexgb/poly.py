@@ -396,6 +396,8 @@ def poly_from_dict(field, data: dict) -> Polynomial:
         e = entry["e"]
         if not isinstance(e, list) or len(e) != 3 or not all(type(v) is int for v in e):
             raise ValueError(f"exponent triple of integers expected, got {e!r}")
+        if isinstance(entry["c"], bool):
+            raise ValueError(f"coefficient must be a number, got {entry['c']!r}")
         try:
             c = field.coerce(entry["c"])
         except TypeError as exc:
@@ -450,47 +452,3 @@ def parse_polynomial(field, text: str) -> Polynomial:
                 raise ValueError(f"bad coefficient {num!r} in {text!r}") from exc
         terms.append((Monomial(*exps), coeff))
     return Polynomial(field, terms)
-
-
-# -- blockwise (content) division ---------------------------------------------
-
-
-def x_coefficient_blocks(p: Polynomial) -> list[tuple[Monomial, Polynomial]]:
-    """The k[x] coefficients of p grouped by (y, z)-monomial, descending."""
-    blocks: dict[tuple[int, int], list] = {}
-    for m, c in p.terms:  # descending, so the blocks are met in descending order
-        blocks.setdefault(m[:2], []).append((_mono((0, 0, m[2])), c))
-    return [(_mono(zy + (0,)), Polynomial._make(p.field, tuple(b))) for zy, b in blocks.items()]
-
-
-def content_divide(p: Polynomial, d: Polynomial):
-    """Blockwise exact division of p by d in k[x].
-
-    Returns (quotient, None) when d divides every k[x] coefficient of p,
-    else (None, (block_monomial, block_coefficient)) for the highest
-    failing block.
-    """
-    if d.is_zero():
-        raise ZeroDivisionError("zero content divisor")
-    if not d.in_kx():
-        raise ValueError("content divisor must lie in k[x]")
-    p._same_field(d)
-    out = []
-    for yz, coeff in x_coefficient_blocks(p):
-        qs, r = coeff.divide([d])
-        if not r.is_zero():
-            return None, (yz, coeff)
-        out.extend((m * yz, c) for m, c in qs[0].terms)
-    return Polynomial._make(p.field, tuple(out)), None
-
-
-def divides_univariate(d: Polynomial, e: Polynomial):
-    """Exact-division verdict in k[x]: does d divide e?  Returns (bool, quotient)."""
-    if d.is_zero():
-        raise ZeroDivisionError("zero divisor in k[x]")
-    if not d.in_kx() or not e.in_kx():
-        raise ValueError("univariate division expects polynomials in k[x]")
-    qs, r = e.divide([d])
-    if r.is_zero():
-        return True, qs[0]
-    return False, None

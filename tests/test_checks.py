@@ -6,6 +6,7 @@ containers need not hold genuine Groebner bases.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -13,6 +14,7 @@ from lexgb import checks, specialize
 from lexgb.checks import (
     CHECK_ORDER,
     _componentwise,
+    _content_witnesses,
     _same_z,
     all_ok,
     check_basis_integrity,
@@ -25,11 +27,13 @@ from lexgb.checks import (
     check_structure,
     verify_all,
 )
-from lexgb.field import PrimeField
+from lexgb.field import PrimeField, RationalField
 from lexgb.groebner import GroebnerBasis, buchberger
 from lexgb.instances import PointSet, squared_vanishing_basis, vanishing_basis
 from lexgb.poly import Monomial, Polynomial, parse_polynomial
 from lexgb.report import FAIL, OBSERVED, PASS, SKIPPED, CheckReport, gated_report
+
+from helpers import random_monomial
 
 F101 = PrimeField(101)
 
@@ -113,9 +117,12 @@ def test_integrity_detects_unreduced_s_pair():
 
 def test_integrity_unit_flag():
     assert check_basis_integrity(GroebnerBasis((P("1"),), unit_ideal=True)).verdict == PASS
-    r = check_basis_integrity(GroebnerBasis((P("x"),), unit_ideal=True))
-    assert r.verdict == FAIL
-    assert r.witnesses[0]["reason"] == "unit flag on a non-unit basis"
+    # the zero polynomial counts as constant, and 5 generates the unit ideal
+    # but is not its reduced basis
+    for element in (P("x"), Polynomial(F101), P("5")):
+        r = check_basis_integrity(GroebnerBasis((element,), unit_ideal=True))
+        assert r.verdict == FAIL
+        assert r.witnesses[0]["reason"] == "unit flag on a non-unit basis"
 
 
 def test_structure_worked_basis():
@@ -221,6 +228,82 @@ def test_lc_x_divides_poly_gated():
     assert not r.empirically_clean
 
     assert check_lc_x_divides_poly(worked_basis()).verdict == PASS
+
+
+def test_content_witnesses_name_the_highest_failing_block():
+    # blocks of the last element: z -> x, y^2 -> x, y -> 1, 1 -> x
+    elems = (P("x*z + 100*z"), P("x*y^2 + 100*y"), P("x*z + x*y^2 + y + x"))
+    assert _content_witnesses(elems, lambda g: g, first=0) == [
+        {"i": 2, "block": "y", "coefficient": "100"},
+        {"i": 3, "block": "y", "coefficient": "1"},
+    ]
+
+
+def _blockwise_witnesses(elems, part, first):
+    """Reference for _content_witnesses: split part(g_i) into its k[x]
+    blocks and divide each one by lc_x(g_i), highest block first."""
+    witnesses = []
+    for i in range(first, len(elems)):
+        p, d = part(elems[i]), elems[i].lc_x()
+        blocks = {}
+        for m, c in p.terms:  # descending, so the blocks are met highest first
+            blocks.setdefault((m.c, m.b), []).append((Monomial(m.a, 0, 0), c))
+        for (c, b), terms in blocks.items():
+            block = Polynomial(p.field, terms)
+            if not block.divide([d])[1].is_zero():
+                witnesses.append({"i": i + 1, "block": Monomial(0, b, c).text(), "coefficient": block.text()})
+                break
+    return witnesses
+
+
+def _element_with_nonunit_lc_x(field, rng, coeff):
+    """A random element whose lc_x has positive degree, in one of three
+    kinds: q * lc_x (every block divisible), q * lc_x plus one stray term,
+    or unstructured."""
+    while True:
+        kind = rng.randrange(3)
+        if kind == 2:
+            g = Polynomial(field, [(random_monomial(rng), coeff(rng)) for _ in range(rng.randint(2, 7))])
+            if not g.is_zero() and g.lm().a > 0:
+                return g, kind
+            continue
+        d = Polynomial(field, [(Monomial(a, 0, 0), coeff(rng)) for a in range(rng.randint(1, 3))])
+        d = d + Polynomial(field, [(Monomial(rng.randint(1, 3), 0, 0), coeff(rng) or 1)])
+        head = Monomial(0, rng.randint(0, 3), rng.randint(0, 3))
+        lower = [(random_monomial(rng), coeff(rng)) for _ in range(rng.randint(0, 4))]
+        # q's top block is the constant 1, so lc_x(q * d) is d itself
+        q = Polynomial(field, [(head, 1)] + [(m, k) for m, k in lower if (m.c, m.b) < (head.c, head.b)])
+        g = q * d
+        if kind == 1:
+            g = g + Polynomial(field, [(random_monomial(rng), coeff(rng))])
+        if not g.is_zero() and g.lm().a > 0:
+            return g, kind
+
+
+@pytest.mark.parametrize(
+    "field, coeff",
+    [
+        (F101, lambda rng: rng.randrange(101)),
+        (RationalField(), lambda rng: Fraction(rng.randint(-5, 5), rng.randint(1, 4))),
+    ],
+    ids=["F101", "QQ"],
+)
+def test_content_witnesses_match_blockwise_reference(field, coeff):
+    rng = random.Random(91)
+    seen = {True: 0, False: 0}
+    for _ in range(150):
+        drawn = [_element_with_nonunit_lc_x(field, rng, coeff) for _ in range(rng.randint(1, 4))]
+        elems = tuple(g for g, _ in drawn)
+        for part in (lambda g: g, lambda g: g.lc_xy()):
+            for first in (0, 1):
+                got = _content_witnesses(elems, part, first)
+                assert got == _blockwise_witnesses(elems, part, first)
+                flagged = {w["i"] for w in got}
+                for i, (g, kind) in enumerate(drawn[first:], start=first + 1):
+                    if kind == 0:
+                        assert i not in flagged, g
+                    seen[i in flagged] += 1
+    assert seen[True] > 200 and seen[False] > 200, seen
 
 
 def test_membership_lc_xy():

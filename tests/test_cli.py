@@ -278,6 +278,8 @@ MALFORMED = {
     "empty-basis": {"p": 101, "basis": []},
     "term-without-exponents": {"p": 101, "basis": [{"terms": [{"c": 1}]}]},
     "float-coefficient": {"p": 101, "generators": [{"terms": [{"c": 1.5, "e": [1, 0, 0]}]}]},
+    "basis-boolean-coefficient": {"p": 101, "basis": [{"terms": [{"c": True, "e": [1, 0, 0]}]}]},
+    "generators-boolean-coefficient": {"p": 101, "generators": [{"terms": [{"c": True, "e": [0, 1, 0]}]}]},
     "points-string-prime": {"p": "x", "points": [[1, 2, 3]]},
     "points-zero-prime": {"p": 0, "points": [[1, 2, 3]]},
     "points-not-a-list": {"p": 101, "points": 5},

@@ -13,12 +13,9 @@ from lexgb.poly import (
     Polynomial,
     ZeroPolynomialError,
     constant,
-    content_divide,
-    divides_univariate,
     lex_compare,
     parse_polynomial,
     poly_from_dict,
-    x_coefficient_blocks,
 )
 
 from helpers import random_monomial, random_poly
@@ -303,65 +300,6 @@ def test_divide_contract_random():
 def test_divide_rejects_zero_divisor():
     with pytest.raises(ZeroDivisionError):
         P("x").divide([Polynomial(F101)])
-
-
-def test_x_coefficient_blocks():
-    p = P("x^2*y*z^2 + y*z^2 + x^3*z^2 + y^3")
-    blocks = x_coefficient_blocks(p)
-    assert [m for m, _ in blocks] == [
-        Monomial(0, 1, 2),
-        Monomial(0, 0, 2),
-        Monomial(0, 3, 0),
-    ]
-    assert blocks[0][1] == P("x^2 + 1")
-    assert blocks[1][1] == P("x^3")
-    assert blocks[2][1] == P("1")
-
-
-def test_content_divide_exact():
-    q, witness = content_divide(P("x*z + 100*z"), P("x + 100"))
-    assert witness is None
-    assert q == P("z")
-    assert q * P("x + 100") == P("x*z + 100*z")
-
-
-def test_content_divide_witness():
-    q, witness = content_divide(P("y^2 + 100*y"), P("x"))
-    assert q is None
-    block_monomial, block_coeff = witness
-    assert block_monomial == Monomial(0, 2, 0)
-    assert block_coeff == P("1")
-
-
-def test_content_divide_round_trip():
-    rng = random.Random(67)
-    for _ in range(300):
-        raw = random_poly(F101, rng, max_deg=3, max_terms=3, nonzero=True)
-        d = Polynomial(F101, [(Monomial(m.a, 0, 0), c) for m, c in raw.terms])
-        if d.is_zero():
-            continue
-        p = random_poly(F101, rng, max_deg=3, max_terms=5)
-        q, witness = content_divide(p * d, d)
-        assert witness is None
-        assert q == p or (p.is_zero() and q.is_zero())
-
-
-def test_content_divide_errors():
-    with pytest.raises(ZeroDivisionError):
-        content_divide(P("x"), Polynomial(F101))
-    with pytest.raises(ValueError):
-        content_divide(P("x"), P("y"))
-
-
-def test_divides_univariate():
-    ok, q = divides_univariate(P("x + 100"), P("x^2 + 100*x"))
-    assert ok and q == P("x")
-    ok, q = divides_univariate(P("x + 1"), P("x^2 + 1"))
-    assert not ok and q is None
-    with pytest.raises(ValueError):
-        divides_univariate(P("y"), P("x"))
-    with pytest.raises(ZeroDivisionError):
-        divides_univariate(Polynomial(F101), P("x"))
 
 
 def test_max_degrees_and_region_predicates():

@@ -18,12 +18,13 @@ sympy = pytest.importorskip("sympy")
 from lexgb.field import PrimeField  # noqa: E402
 from lexgb.groebner import buchberger  # noqa: E402
 from lexgb.instances import (  # noqa: E402
-    PointSet,
     random_triangular_basis,
     squared_vanishing_basis,
     vanishing_basis,
 )
 from lexgb.poly import Monomial, Polynomial  # noqa: E402
+
+from helpers import fibered_points  # noqa: E402
 
 X, Y, Z = sympy.symbols("x y z")
 
@@ -39,14 +40,6 @@ FIBER_PATTERNS = (
     ((2, 1), (1,)),
     ((1, 1, 1), (1,)),
 )
-
-
-def fibered_points(pattern, rng, p):
-    pts = []
-    for x, fiber in zip(rng.sample(range(p), len(pattern)), pattern):
-        for y, count in zip(rng.sample(range(p), len(fiber)), fiber):
-            pts.extend((x, y, z) for z in rng.sample(range(p), count))
-    return PointSet(p, tuple(pts))
 
 
 def plain_terms(g: Polynomial) -> list:
