@@ -302,6 +302,67 @@ def test_divide_rejects_zero_divisor():
         P("x").divide([Polynomial(F101)])
 
 
+def _kx_blocks(p):
+    """The k[x] blocks of p, keyed by their (y, z) monomial, highest first."""
+    blocks = {}
+    for m, c in p.terms:
+        blocks.setdefault(Monomial(0, m.b, m.c), []).append((Monomial(m.a, 0, 0), c))
+    return [(yz, Polynomial(p.field, terms)) for yz, terms in blocks.items()]
+
+
+def test_x_coefficient_blocks():
+    # Dividing by an element of k[x] works block by block: each (y, z) block
+    # of the remainder is the remainder of that block of the dividend.
+    p = P("x^2*y*z^2 + y*z^2 + x^3*z^2 + y^3")
+    blocks = _kx_blocks(p)
+    assert [m for m, _ in blocks] == [
+        Monomial(0, 1, 2),
+        Monomial(0, 0, 2),
+        Monomial(0, 3, 0),
+    ]
+    assert blocks[0][1] == P("x^2 + 1")
+    assert blocks[1][1] == P("x^3")
+    assert blocks[2][1] == P("1")
+    d = P("x^2 + 1")
+    _, rem = p.divide([d])
+    expected = Polynomial(F101)
+    for yz, block in blocks:
+        expected = expected + block.divide([d])[1] * Polynomial(F101, [(yz, 1)])
+    assert rem == expected == P("100*x*z^2 + y^3")
+    assert Monomial(0, rem.lm().b, rem.lm().c) == Monomial(0, 0, 2)
+
+
+def test_content_divide_exact():
+    quots, rem = P("x*z + 100*z").divide([P("x + 100")])
+    assert rem.is_zero()
+    assert quots == [P("z")]
+    assert quots[0] * P("x + 100") == P("x*z + 100*z")
+
+
+def test_content_divide_witness():
+    # x divides neither block of y^2 + 100*y; the remainder's head names the
+    # highest one, y^2, whose k[x] coefficient is 1.
+    p = P("y^2 + 100*y")
+    _, rem = p.divide([P("x")])
+    assert not rem.is_zero()
+    block_monomial = Monomial(0, rem.lm().b, rem.lm().c)
+    assert block_monomial == Monomial(0, 2, 0)
+    assert dict(_kx_blocks(p))[block_monomial] == P("1")
+
+
+def test_content_divide_round_trip():
+    rng = random.Random(67)
+    for _ in range(300):
+        raw = random_poly(F101, rng, max_deg=3, max_terms=3, nonzero=True)
+        d = Polynomial(F101, [(Monomial(m.a, 0, 0), c) for m, c in raw.terms])
+        if d.is_zero():
+            continue
+        p = random_poly(F101, rng, max_deg=3, max_terms=5)
+        quots, rem = (p * d).divide([d])
+        assert rem.is_zero()
+        assert quots[0] == p or (p.is_zero() and quots[0].is_zero())
+
+
 def test_max_degrees_and_region_predicates():
     p = P("x^2*y*z^2 + y^3")
     assert p.max_degrees() == (2, 3, 2)
