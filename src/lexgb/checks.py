@@ -23,7 +23,7 @@ from .groebner import (
     normal_form,
     structure_facts,
 )
-from .poly import Monomial, Polynomial, constant
+from .poly import Monomial, Polynomial
 from .report import FAIL, PASS, SKIPPED, CheckReport, gated_report
 from . import specialize
 
@@ -33,8 +33,12 @@ def check_basis_integrity(G: GroebnerBasis) -> CheckReport:
     name = "basis_integrity"
     witnesses = []
     if G.unit_ideal:
-        if len(G.elements) != 1 or G.elements[0] != constant(G.field, 1):
+        only = G.elements[0] if len(G.elements) == 1 else None
+        if only is None or only.is_zero() or not only.is_constant():
             witnesses.append({"reason": "unit flag on a non-unit basis"})
+        elif only.lc() != 1:
+            # a nonzero constant generates the unit ideal, but (1) is its reduced basis
+            witnesses.append({"reason": "unit ideal basis is not the reduced basis (1)"})
         return CheckReport(name, FAIL if witnesses else PASS, witnesses)
     elems = G.elements
     for g in elems:

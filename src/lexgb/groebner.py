@@ -63,9 +63,20 @@ def basis_from_dict(field, data: dict) -> GroebnerBasis:
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     """lcm(lm f, lm g)/lt(f) * f - lcm(lm f, lm g)/lt(g) * g."""
-    lcm = f.lm().lcm(g.lm())
-    inv = f.field.inv
-    return f.term_mul(lcm // f.lm(), inv(f.lc())) - g.term_mul(lcm // g.lm(), inv(g.lc()))
+    f._same_field(g)
+    field = f.field
+    lz, ly, lx = f.lm().lcm(g.lm())
+    # the two head terms cancel exactly, so only the tails are collected
+    acc: dict[tuple, object] = {}
+    get = acc.get
+    for p, sign in ((f, 1), (g, -1)):
+        (hz, hy, hx), hc = p.terms[0]
+        mz, my, mx = lz - hz, ly - hy, lx - hx
+        c = sign * field.inv(hc)
+        for (z, y, x), k in p.terms[1:]:
+            m = (z + mz, y + my, x + mx)
+            acc[m] = get(m, 0) + c * k
+    return Polynomial._collect(field, acc)
 
 
 def normal_form(p: Polynomial, basis) -> Polynomial:
@@ -75,7 +86,13 @@ def normal_form(p: Polynomial, basis) -> Polynomial:
 
 
 def is_groebner_basis(basis) -> bool:
-    """Buchberger criterion: every S-polynomial reduces to zero."""
+    """Buchberger criterion: every S-polynomial reduces to zero.
+
+    Every pair with non-coprime heads is reduced, with none of the pair
+    criteria `buchberger` prunes by: the `basis_integrity` check verifies
+    the bases `buchberger` builds through this test, so it must not rely
+    on the pruning it verifies.
+    """
     elems = list(basis)
     for g in elems:
         if g.is_zero():
@@ -94,10 +111,22 @@ def buchberger(generators, radical: bool = False) -> GroebnerBasis:
     """Reduced lex Groebner basis of the ideal the generators span.
 
     Completion uses the normal selection strategy (smallest head lcm
-    first, ties to the smallest (i, j)) from a heap keyed once per pair,
-    and never queues pairs with coprime heads.  The result is ordered
-    ascending by leading monomial, minimal, monic and tail-reduced, so
-    it is the unique reduced basis of the ideal.
+    first, ties to the smallest (i, j)) from a heap keyed once per pair.
+    Pairs are pruned by Gebauer and Möller's criteria ("On an installation
+    of Buchberger's algorithm", JSC 6, 1988) as each element h is
+    admitted as element t:
+
+    - B: a queued pair (i, j) is dropped when lm(h) divides its lcm L and
+      neither (i, t) nor (j, t) has lcm L;
+    - M: a new pair (k, t) is dropped when another new pair's lcm
+      properly divides its lcm;
+    - F: of the new pairs sharing one lcm, one is kept, and none when one
+      of them has coprime heads; coprime pairs are then dropped too
+      (Buchberger's product criterion).
+
+    Dropped pairs leave the heap lazily: they are skipped when popped.
+    The result is ordered ascending by leading monomial, minimal, monic
+    and tail-reduced, so it is the unique reduced basis of the ideal.
     """
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
@@ -107,12 +136,29 @@ def buchberger(generators, radical: bool = False) -> GroebnerBasis:
 
     basis: list[Polynomial] = []
     pairs: list[tuple] = []  # heap of (lcm of the heads, i, j)
+    queued: dict[tuple[int, int], Monomial] = {}  # live pairs and their lcms
 
     def admit(p: Polynomial):
         head = p.lm()
+        t = len(basis)
+        lcms = [head.lcm(g.lm()) for g in basis]
+        # criterion B on the queued pairs
+        for (i, j), lcm in list(queued.items()):
+            if head.divides(lcm) and lcms[i] != lcm and lcms[j] != lcm:
+                del queued[i, j]
+        # criterion M, then F: the lcms no other new lcm properly divides,
+        # each once, and those a coprime pair shares not at all
+        fresh: dict[Monomial, int] = {}
+        for k, lcm in enumerate(lcms):
+            if lcm in fresh or any(m != lcm and m.divides(lcm) for m in lcms):
+                continue
+            fresh[lcm] = k
         for k, g in enumerate(basis):
-            if not head.is_coprime(g.lm()):
-                heappush(pairs, (head.lcm(g.lm()), k, len(basis)))
+            if head.is_coprime(g.lm()):
+                fresh.pop(lcms[k], None)
+        for lcm, k in fresh.items():
+            queued[k, t] = lcm
+            heappush(pairs, (lcm, k, t))
         basis.append(p.monic())
 
     for g in gens:
@@ -122,6 +168,8 @@ def buchberger(generators, radical: bool = False) -> GroebnerBasis:
 
     while pairs:
         _, i, j = heappop(pairs)
+        if queued.pop((i, j), None) is None:
+            continue
         _, r = s_polynomial(basis[i], basis[j]).divide(basis)
         if r.is_zero():
             continue

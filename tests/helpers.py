@@ -1,6 +1,10 @@
-"""Shared random generators for the tests: polynomials and fibered point sets."""
+"""Shared test helpers: random polynomials, fibered point sets, and an
+unpruned Buchberger completion to compare `buchberger` against."""
 
-from lexgb import Monomial, PointSet, Polynomial
+from heapq import heappop, heappush
+
+from lexgb import GroebnerBasis, Monomial, PointSet, Polynomial
+from lexgb.poly import constant
 
 
 def random_monomial(rng, max_deg=3):
@@ -40,3 +44,52 @@ def fibered_points(pattern, rng, prime=101) -> PointSet:
         for y, count in zip(rng.sample(range(prime), len(fiber)), fiber):
             pts.extend((x, y, z) for z in rng.sample(range(prime), count))
     return PointSet(prime, tuple(pts))
+
+
+def reference_buchberger(generators, radical=False) -> GroebnerBasis:
+    """Buchberger completion with no pair criterion but the coprime-head one:
+    every other pair of heads is queued and its S-polynomial reduced.  It
+    builds S-polynomials by `term_mul` and subtraction, not by `s_polynomial`,
+    and shares no pair logic with `buchberger`, which must agree with it."""
+    gens = [g for g in generators if not g.is_zero()]
+    if not gens:
+        raise ValueError("no nonzero generators")
+    field = gens[0].field
+    unit = GroebnerBasis((constant(field, 1),), radical=radical, unit_ideal=True)
+
+    basis = []
+    pairs = []  # heap of (lcm of the heads, i, j)
+
+    def admit(p):
+        head = p.lm()
+        for k, g in enumerate(basis):
+            if not head.is_coprime(g.lm()):
+                heappush(pairs, (head.lcm(g.lm()), k, len(basis)))
+        basis.append(p.monic())
+
+    for g in gens:
+        if g.is_constant():
+            return unit
+        admit(g)
+
+    while pairs:
+        lcm, i, j = heappop(pairs)
+        f, g = basis[i], basis[j]  # monic, so the heads cancel as they are
+        s = f.term_mul(lcm // f.lm(), 1) - g.term_mul(lcm // g.lm(), 1)
+        _, r = s.divide(basis)
+        if r.is_zero():
+            continue
+        if r.is_constant():
+            return unit
+        admit(r)
+
+    # minimal: drop heads divisible by an earlier kept head; then reduce
+    # each tail against the others
+    order = sorted(range(len(basis)), key=lambda i: (basis[i].lm(), i))
+    kept = []
+    for i in order:
+        if not any(h.lm().divides(basis[i].lm()) for h in kept):
+            kept.append(basis[i])
+    for i in range(len(kept)):
+        kept[i] = kept[i].divide(kept[:i] + kept[i + 1 :])[1]
+    return GroebnerBasis(tuple(kept), radical=radical)

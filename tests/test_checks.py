@@ -117,12 +117,15 @@ def test_integrity_detects_unreduced_s_pair():
 
 def test_integrity_unit_flag():
     assert check_basis_integrity(GroebnerBasis((P("1"),), unit_ideal=True)).verdict == PASS
-    # the zero polynomial counts as constant, and 5 generates the unit ideal
-    # but is not its reduced basis
-    for element in (P("x"), Polynomial(F101), P("5")):
-        r = check_basis_integrity(GroebnerBasis((element,), unit_ideal=True))
+    # the zero polynomial counts as constant but generates the zero ideal
+    for elements in ((P("x"),), (Polynomial(F101),), (P("1"), P("x"))):
+        r = check_basis_integrity(GroebnerBasis(elements, unit_ideal=True))
         assert r.verdict == FAIL
-        assert r.witnesses[0]["reason"] == "unit flag on a non-unit basis"
+        assert r.witnesses == [{"reason": "unit flag on a non-unit basis"}]
+    # 5 generates the unit ideal but is not its reduced basis
+    r = check_basis_integrity(GroebnerBasis((P("5"),), unit_ideal=True))
+    assert r.verdict == FAIL
+    assert r.witnesses == [{"reason": "unit ideal basis is not the reduced basis (1)"}]
 
 
 def test_structure_worked_basis():

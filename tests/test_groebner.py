@@ -1,10 +1,13 @@
 """Buchberger completion, reduced bases, staircase structure."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from lexgb.field import PrimeField
+from lexgb import groebner, instances
+from lexgb.campaign import CampaignConfig, nonradical_recipes
+from lexgb.field import PrimeField, RationalField
 from lexgb.groebner import (
     GroebnerBasis,
     basis_from_dict,
@@ -17,9 +20,10 @@ from lexgb.groebner import (
     standard_monomials,
     structure_facts,
 )
+from lexgb.instances import RANDOM_TRIANGULAR, build_instance, squared_vanishing_basis
 from lexgb.poly import Monomial, Polynomial, parse_polynomial
 
-from helpers import random_poly
+from helpers import FIBERED_PATTERNS, fibered_points, random_monomial, random_poly, reference_buchberger
 
 F101 = PrimeField(101)
 
@@ -98,6 +102,84 @@ def test_result_is_reduced_and_ascending():
             assert normal_form(g, G).is_zero()
         # feeding the result back in reproduces it exactly
         assert buchberger(G.elements).elements == G.elements
+
+
+def assert_matches_reference(gens, radical=False):
+    G = buchberger(gens, radical)
+    R = reference_buchberger(gens, radical)
+    assert G.elements == R.elements
+    assert (G.unit_ideal, G.radical) == (R.unit_ideal, R.radical)
+    return G
+
+
+@pytest.fixture
+def checked_buchberger(monkeypatch):
+    """Route the instance builders' Buchberger calls through the reference
+    comparison, and collect the bases they build."""
+    built = []
+
+    def checked(gens, radical=False):
+        built.append(assert_matches_reference(list(gens), radical))
+        return built[-1]
+
+    monkeypatch.setattr(instances, "buchberger", checked)
+    return built
+
+
+def test_buchberger_matches_reference_on_squared_fibered_sets(checked_buchberger):
+    # a seed that no benchmark workload draws its inputs from
+    rng = random.Random(2718)
+    for pattern in FIBERED_PATTERNS:
+        squared_vanishing_basis(fibered_points(pattern, rng))
+    assert len(checked_buchberger) == len(FIBERED_PATTERNS)
+
+
+def test_buchberger_matches_reference_on_campaign_recipes(checked_buchberger):
+    config = CampaignConfig(seed=2718, radical_count=0, nonradical_count=24)
+    recipes = nonradical_recipes(config)
+    assert sum(r.kind == RANDOM_TRIANGULAR for r in recipes) == 12
+    for recipe in recipes:
+        build_instance(recipe)
+    assert len(checked_buchberger) >= len(recipes)
+
+
+@pytest.mark.parametrize(
+    "field, draw",
+    [
+        (PrimeField(2), lambda rng: rng.randrange(2)),
+        (PrimeField(7), lambda rng: rng.randrange(7)),
+        (PrimeField(101), lambda rng: rng.randrange(101)),
+        (RationalField(), lambda rng: Fraction(rng.randint(-5, 5), rng.randint(1, 4))),
+    ],
+    ids=["F2", "F7", "F101", "QQ"],
+)
+def test_buchberger_matches_reference_on_random_generators(field, draw):
+    rng = random.Random(31)
+    units = 0
+    for _ in range(40):
+        gens = [
+            Polynomial(field, [(random_monomial(rng, 2), draw(rng)) for _ in range(rng.randint(1, 4))])
+            for _ in range(rng.randint(1, 4))
+        ]
+        if not any(gens):
+            continue
+        units += assert_matches_reference(gens).unit_ideal
+    # the draws reach both the unit ideal and proper ideals
+    assert 0 < units < 40
+
+
+def test_pair_criteria_pin_the_reduction_count(monkeypatch):
+    calls = []
+    s_polynomial = groebner.s_polynomial
+
+    def counted(f, g):
+        calls.append((f, g))
+        return s_polynomial(f, g)
+
+    monkeypatch.setattr(groebner, "s_polynomial", counted)
+    squared_vanishing_basis(fibered_points(FIBERED_PATTERNS[7], random.Random(5)))
+    # the unpruned queue reduces 571 S-pairs here
+    assert len(calls) == 46
 
 
 def test_is_groebner_basis_detects_missing_element():

@@ -1,5 +1,6 @@
 """Property tests for the kernel: ring axioms, the division contract and
-Buchberger idempotence, over F_p and the rationals."""
+Buchberger idempotence and independence of generator order, over F_p and
+the rationals."""
 
 from fractions import Fraction
 
@@ -108,6 +109,18 @@ def test_buchberger_is_idempotent_on_reduced_bases(gens):
     G = buchberger(gens)
     again = buchberger(G.elements)
     assert again.elements == G.elements and again.unit_ideal == G.unit_ideal
+
+
+@FEW
+@given(
+    st.sampled_from(FIELDS).flatmap(lambda f: st.lists(nonzero_polys(f, 3), min_size=1, max_size=4)),
+    st.randoms(use_true_random=False),
+)
+def test_buchberger_ignores_generator_order(gens, rng):
+    shuffled = list(gens)
+    rng.shuffle(shuffled)
+    G, H = buchberger(gens), buchberger(shuffled)
+    assert H.elements == G.elements and H.unit_ideal == G.unit_ideal
 
 
 points = st.lists(st.tuples(*(st.integers(0, 6),) * 3), min_size=1, max_size=8, unique=True)
