@@ -1,10 +1,16 @@
-"""Zero-dimensional instance generators: vanishing ideals and probe ideals.
+"""Zero-dimensional instance generators: fat-point ideals and probe ideals.
 
-Vanishing ideals of finite point sets are radical by construction and come
-with two built-in oracles: every basis element evaluates to zero on every
-point, and the quotient dimension equals the number of points.  The two
-non-radical recipes (squared vanishing ideals, random triangular systems)
-provide instances without the radicality guarantee.
+Ideals of fat points come from one dual-functional elimination loop
+(Marinari, Möller and Mora, AAECC 4, 1993): a point P with a down-closed
+shape D_P of exponent triples contributes one functional per d in D_P, the
+Taylor coefficient at P for d, and the basis is that of the polynomials
+all the functionals annihilate.  Each such basis has two built-in oracles:
+every element has a zero Taylor coefficient at every (P, d), and the
+quotient dimension equals the sum of the |D_P|.  Vanishing ideals of point
+sets are the plain shape {0} at every point and radical by construction.
+The two non-radical recipes provide instances without the radicality
+guarantee: squared vanishing ideals, which are the first-order shape
+{0, e_x, e_y, e_z} at every point, and random triangular systems.
 """
 
 from __future__ import annotations
@@ -66,15 +72,58 @@ def random_points(n: int, seed: int, prime: int = 101) -> PointSet:
     return PointSet(prime, tuple(pts), seed)
 
 
-def vanishing_basis(points: PointSet, field=None) -> GroebnerBasis:
-    """Reduced basis of the ideal of polynomials vanishing on the points.
+PLAIN_POINT = ((0, 0, 0),)
+FIRST_ORDER = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
 
-    Standard evaluation-matrix elimination: monomials are visited in
-    ascending lex order; a monomial whose evaluation vector is dependent
-    on those of the standard monomials found so far yields a basis
-    element (the dependency certificate), an independent one is standard.
-    Each basis element is monic with all tail monomials standard, so the
-    output is the unique reduced basis.
+
+def _step_down(d: tuple, k: int) -> tuple:
+    """d - e_k, for the index k of a shape triple (0=x, 1=y, 2=z)."""
+    return d[:k] + (d[k] - 1,) + d[k + 1 :]
+
+
+def _checked_shape(shape) -> tuple:
+    """The triples of a shape, sorted and distinct; raises ValueError unless
+    it is a nonempty, down-closed set of non-negative integer triples."""
+    if not isinstance(shape, (tuple, list, set, frozenset)):
+        raise ValueError(f"a shape must be a collection of exponent triples, got {shape!r}")
+    triples = set()
+    for d in shape:
+        if (
+            not isinstance(d, (tuple, list))
+            or len(d) != 3
+            or not all(type(e) is int and e >= 0 for e in d)
+        ):
+            raise ValueError(f"shape entry must be three non-negative integers, got {d!r}")
+        triples.add(tuple(d))
+    if not triples:
+        raise ValueError("empty shape")
+    for d in triples:
+        for k in range(3):
+            if d[k] and _step_down(d, k) not in triples:
+                raise ValueError(f"shape is not down-closed: it holds {d} but not {_step_down(d, k)}")
+    return tuple(sorted(triples))
+
+
+def fat_point_basis(points: PointSet, shapes, field=None) -> GroebnerBasis:
+    """Reduced basis of the polynomials whose Taylor coefficients vanish at
+    each point P for every exponent triple (d_x, d_y, d_z) in its shape D_P.
+
+    The shapes are down-closed, so each one's functionals f -> (P, d)(f),
+    the coefficient of (x - P_x)^d_x (y - P_y)^d_y (z - P_z)^d_z in f
+    (Hasse derivatives, valid in every characteristic), cut out an ideal
+    primary to P of colength |D_P|; the basis is that of their intersection
+    (Marinari, Möller and Mora, AAECC 4, 1993, after Möller and
+    Buchberger, EUROCAM 1982).  With D_P = {0} everywhere it is the
+    vanishing ideal of the points, the only case flagged radical.
+
+    Dual-functional elimination: monomials are visited in ascending lex
+    order; a monomial whose vector of functional values is dependent on
+    those of the standard monomials found so far yields a basis element
+    (the dependency certificate), an independent one is standard.  Each
+    basis element is monic with all tail monomials standard, so the output
+    is the unique reduced basis.  The vector of a child x_k * m comes from
+    m's by the product rule: (P, d)(x_k f) = P_k (P, d)(f) + (P, d - e_k)(f),
+    the second term only where d_k > 0.
     """
     if field is None:
         field = PrimeField(points.prime)
@@ -82,11 +131,25 @@ def vanishing_basis(points: PointSet, field=None) -> GroebnerBasis:
         raise ValueError("empty point set")
     if len(set(points.points)) != len(points.points):
         raise ValueError("points must be distinct")
+    shapes = [_checked_shape(shape) for shape in shapes]
+    if len(shapes) != len(points.points):
+        raise ValueError(f"{len(shapes)} shapes for {len(points.points)} points")
     coerce, mod, inv = field.coerce, field.mod, field.inv
-    # the point coordinates in the order of the stored exponents (c, b, a)
-    columns = [[coerce(pt[axis]) for pt in points.points] for axis in (2, 1, 0)]
 
-    # rows: (pivot index, reduced evaluation vector scaled to 1 at the pivot,
+    # one functional (P, d) per entry; index[(i, d)] is the entry of point i
+    index = {}
+    for i, shape in enumerate(shapes):
+        for d in shape:
+            index[i, d] = len(index)
+    # per axis, in the order of the stored exponents (c, b, a): the point
+    # coordinate of every entry, and the (entry, entry of d - e_k) pairs
+    # of the product rule's shift term
+    columns, shifts = [], []
+    for k in (2, 1, 0):
+        columns.append([coerce(points.points[i][k]) for i, _ in index])
+        shifts.append([(j, index[i, _step_down(d, k)]) for (i, d), j in index.items() if d[k]])
+
+    # rows: (pivot index, reduced functional vector scaled to 1 at the pivot,
     # combination over standard monomials as {exponent tuple: coefficient})
     rows: list[tuple[int, list, dict]] = []
     basis: list[Polynomial] = []
@@ -96,10 +159,10 @@ def vanishing_basis(points: PointSet, field=None) -> GroebnerBasis:
         return any(Monomial.divides(h, t) for h in heads)
 
     # a heap of exponent tuples (c, b, a), so the smallest in lex pops
-    # first, and the evaluation vector of each
+    # first, and the functional vector of each
     one = coerce(1)
     candidates = [(0, 0, 0)]
-    evals = {(0, 0, 0): [one] * len(points.points)}
+    evals = {(0, 0, 0): [one if not any(d) else 0 for _, d in index]}
 
     while candidates:
         m = heappop(candidates)
@@ -127,10 +190,20 @@ def vanishing_basis(points: PointSet, field=None) -> GroebnerBasis:
             # every monomial popped so far is below m < child, so a child
             # not waiting in the heap has never been visited
             if child not in evals and not covered(child):
-                evals[child] = [v * x % mod for v, x in zip(values, column)]
+                child_values = [v * x % mod for v, x in zip(values, column)]
+                for j, source in shifts[axis]:
+                    child_values[j] = (child_values[j] + values[source]) % mod
+                evals[child] = child_values
                 heappush(candidates, child)
 
-    return GroebnerBasis(tuple(basis), radical=True)
+    radical = all(shape == PLAIN_POINT for shape in shapes)
+    return GroebnerBasis(tuple(basis), radical=radical)
+
+
+def vanishing_basis(points: PointSet, field=None) -> GroebnerBasis:
+    """Reduced basis of the ideal of polynomials vanishing on the points:
+    the fat-point basis with the plain shape {0} at every point."""
+    return fat_point_basis(points, [PLAIN_POINT] * len(points.points), field)
 
 
 VANISHING_POINTS = "vanishing-points"
@@ -234,13 +307,13 @@ def random_triangular_basis(degrees, seed: int, prime: int = 101) -> GroebnerBas
 
 def squared_vanishing_basis(points: PointSet, field=None) -> GroebnerBasis:
     """Reduced basis of the square of a vanishing ideal (never radical for
-    a proper ideal: the quotient grows strictly beyond the point count)."""
-    V = vanishing_basis(points, field)
-    gens = []
-    for i in range(len(V)):
-        for j in range(i, len(V)):
-            gens.append(V[i] * V[j])
-    return buchberger(gens, radical=False)
+    a proper ideal: the quotient grows strictly beyond the point count).
+
+    I(S)^2 is the intersection of the squares of the points' maximal ideals,
+    so it is the fat-point basis with the first-order shape {0, e_x, e_y,
+    e_z} at every point: f lies in it when f and its three first partials
+    vanish on S."""
+    return fat_point_basis(points, [FIRST_ORDER] * len(points.points), field)
 
 
 def build_instance(recipe: InstanceRecipe) -> Instance:

@@ -9,7 +9,8 @@ coefficients.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from itertools import count
 from typing import NamedTuple
 
@@ -206,13 +207,20 @@ def _common_roots(polys, axis: int):
     return common, eliminant, stuck
 
 
-class _Fiber(NamedTuple):
+@dataclass
+class _Fiber:
     alpha: int
     images: tuple  # g(alpha, y, z) for every element g, in basis order
     betas: tuple  # the common roots of the prefix images, ascending
     eliminant: Polynomial  # the prefix image whose roots the betas are
     stuck: int  # cofactor degree of the eliminant
-    slices: tuple  # per beta, g(alpha, beta, z) for every g past the prefix
+    prefix: int  # ell2, the length of the elimination prefix
+
+    @cached_property
+    def slices(self) -> tuple:
+        """Per beta, g(alpha, beta, z) for every g past the prefix.  Built
+        on first use: only `gianni_kalkbrener` and `solve_system` read them."""
+        return tuple(tuple(h.substitute_y(beta) for h in self.images[self.prefix :]) for beta in self.betas)
 
 
 class _FiberView(NamedTuple):
@@ -228,7 +236,8 @@ def _fiber_view(G: GroebnerBasis) -> _FiberView:
     at each root of g_1, then y = beta at each common root of the images of
     the elimination prefix g_1..g_ell2, whose last has a pure power of y as
     head and so a nonzero image.  The fiber checks and `solve_system` all
-    read this view, so `verify_all` substitutes each alpha and beta once.
+    read this view, so `verify_all` substitutes each alpha and beta at most
+    once; the beta substitutions wait until a fiber's slices are read.
     It needs a zero-dimensional basis over F_p with every element in its
     band (see `structure_facts`), so that the prefix images lie in k[y] and
     the slices in k[z]; on any other basis, `skipped` says why.
@@ -256,8 +265,7 @@ def _fiber_view(G: GroebnerBasis) -> _FiberView:
     for alpha in roots:
         images = tuple(g.substitute_x(alpha) for g in G.elements)
         betas, eliminant, beta_stuck = _common_roots(images[:ell2], axis=1)
-        slices = tuple(tuple(h.substitute_y(beta) for h in images[ell2:]) for beta in betas)
-        fibers.append(_Fiber(alpha, images, betas, eliminant, beta_stuck, slices))
+        fibers.append(_Fiber(alpha, images, betas, eliminant, beta_stuck, ell2))
     return _FiberView(None, stuck, ell2, tuple(fibers))
 
 
@@ -285,9 +293,9 @@ def check_specialization_image(G: GroebnerBasis) -> CheckReport:
     if view.skipped:
         return CheckReport(name, SKIPPED, [], view.skipped)
     witnesses = []
-    for alpha, all_images, *_ in view.fibers:
-        images = []
-        for idx, (g, img) in enumerate(zip(G.elements[1:], all_images[1:]), start=1):
+    for fiber in view.fibers:
+        alpha, images = fiber.alpha, []
+        for idx, (g, img) in enumerate(zip(G.elements[1:], fiber.images[1:]), start=1):
             if img.is_zero():
                 continue
             if _lc_x_vanishes(g, img):
@@ -351,7 +359,8 @@ def check_fiber_membership(G: GroebnerBasis) -> CheckReport:
     for i in range(len(elems) - 1):
         if not elems[i].lm().a:  # lc_x(g_i) is a unit
             continue
-        for alpha, images, *_ in view.fibers:
+        for fiber in view.fibers:
+            alpha, images = fiber.alpha, fiber.images
             succ = images[i + 1]
             if not _lc_x_vanishes(elems[i], images[i]) or _lc_x_vanishes(elems[i + 1], succ):
                 continue

@@ -1,5 +1,6 @@
-"""Shared test helpers: random polynomials, fibered point sets, and an
-unpruned Buchberger completion to compare `buchberger` against."""
+"""Shared test helpers: random polynomials, fibered point sets, the
+generators of a squared vanishing ideal, and an unpruned Buchberger
+completion to compare `buchberger` against."""
 
 from heapq import heappop, heappush
 
@@ -44,6 +45,12 @@ def fibered_points(pattern, rng, prime=101) -> PointSet:
         for y, count in zip(rng.sample(range(prime), len(fiber)), fiber):
             pts.extend((x, y, z) for z in rng.sample(range(prime), count))
     return PointSet(prime, tuple(pts))
+
+
+def squared_products(V) -> list:
+    """Every product V[i] * V[j] with i <= j: generators of the square of the
+    ideal that the elements of V generate."""
+    return [V[i] * V[j] for i in range(len(V)) for j in range(i, len(V))]
 
 
 def reference_buchberger(generators, radical=False) -> GroebnerBasis:

@@ -1,0 +1,164 @@
+"""Fat points: the dual-functional loop over Taylor coefficients.
+
+The oracles here share no code with lexgb's arithmetic.  A basis G of the
+fat points (P, D_P) is right when every element has a zero Taylor
+coefficient at every (P, d), computed below with plain integer binomials
+mod p, when G is a Groebner basis, and when its quotient has dimension
+sum |D_P|: the ideal of G then lies inside the ideal the functionals cut
+out, with a quotient of the same dimension, so the two are equal.
+"""
+
+import random
+from math import comb
+
+import pytest
+
+from lexgb import instances
+from lexgb.groebner import buchberger, is_groebner_basis, quotient_dimension
+from lexgb.instances import (
+    FIRST_ORDER,
+    PLAIN_POINT,
+    PointSet,
+    fat_point_basis,
+    random_points,
+    squared_vanishing_basis,
+    vanishing_basis,
+)
+
+from helpers import FIBERED_PATTERNS, fibered_points, squared_products
+
+SHAPES = {
+    "along-z": ((0, 0, 0), (0, 0, 1)),
+    "along-y": ((0, 0, 0), (0, 1, 0)),
+    "along-x": ((0, 0, 0), (1, 0, 0)),
+    "first-order": FIRST_ORDER,
+    "z-squared": ((0, 0, 0), (0, 0, 1), (0, 0, 2)),
+}
+
+
+def taylor_coefficient(g, point, d, p) -> int:
+    """The coefficient of (x - a)^dx (y - b)^dy (z - c)^dz in g, for a point
+    (a, b, c) and d = (dx, dy, dz), from g's serialized terms."""
+    total = 0
+    for term in g.to_dict()["terms"]:
+        coeff = term["c"]
+        for e, v, k in zip(term["e"], point, d):
+            coeff *= comb(e, k) * v ** (e - k) if e >= k else 0
+        total += coeff
+    return total % p
+
+
+def assert_fat_point_oracles(points, shapes):
+    G = fat_point_basis(points, shapes)
+    p = points.prime
+    assert is_groebner_basis(G)
+    assert quotient_dimension(G) == sum(len(set(shape)) for shape in shapes)
+    for g in G:
+        for point, shape in zip(points.points, shapes):
+            for d in shape:
+                assert taylor_coefficient(g, point, d, p) == 0, (g.text(), point, d)
+    return G
+
+
+@pytest.mark.parametrize("name", SHAPES)
+def test_fat_points_on_fibered_sets(name):
+    rng = random.Random(1993)
+    for pattern in FIBERED_PATTERNS:
+        points = fibered_points(pattern, rng)
+        # every point fat, then a mix with plain points
+        assert_fat_point_oracles(points, [SHAPES[name]] * len(points))
+        mixed = [rng.choice((PLAIN_POINT, SHAPES[name])) for _ in points.points]
+        assert_fat_point_oracles(points, mixed)
+
+
+@pytest.mark.parametrize("prime", [2, 3, 7, 101])
+def test_fat_points_on_random_sets(prime):
+    rng = random.Random(prime)
+    for _ in range(6):
+        points = random_points(rng.randint(1, min(6, prime**3)), rng.randrange(10**6), prime)
+        shapes = [rng.choice(list(SHAPES.values()) + [PLAIN_POINT]) for _ in points.points]
+        assert_fat_point_oracles(points, shapes)
+
+
+def test_fat_point_basis_matches_buchberger_on_squared_products():
+    rng = random.Random(1982)
+    sets = [fibered_points(pattern, rng) for pattern in FIBERED_PATTERNS]
+    for prime in (2, 3, 7, 101):
+        for _ in range(4):
+            sets.append(random_points(rng.randint(1, min(7, prime**3)), rng.randrange(10**6), prime))
+    for points in sets:
+        squared = buchberger(squared_products(vanishing_basis(points)))
+        G = fat_point_basis(points, [FIRST_ORDER] * len(points))
+        assert G.elements == squared.elements
+        assert G.elements == squared_vanishing_basis(points).elements
+
+
+def test_squared_vanishing_basis_calls_no_buchberger(monkeypatch):
+    calls = []
+    monkeypatch.setattr(instances, "buchberger", lambda *args, **kw: calls.append(args))
+    G = squared_vanishing_basis(fibered_points(FIBERED_PATTERNS[7], random.Random(5)))
+    assert not calls
+    assert len(G) > 0
+
+
+TWO_POINTS = PointSet(101, ((1, 2, 3), (4, 5, 6)))
+
+
+def test_radical_flag_only_for_plain_shapes():
+    assert fat_point_basis(TWO_POINTS, [PLAIN_POINT, [(0, 0, 0)]]).radical
+    assert vanishing_basis(TWO_POINTS).radical
+    for shape in SHAPES.values():
+        assert not fat_point_basis(TWO_POINTS, [PLAIN_POINT, shape]).radical
+        assert not fat_point_basis(TWO_POINTS, [shape, shape]).radical
+    assert not squared_vanishing_basis(TWO_POINTS).radical
+
+
+@pytest.mark.parametrize(
+    "shapes",
+    [
+        [PLAIN_POINT],
+        [PLAIN_POINT] * 3,
+        [],
+    ],
+    ids=["too-few", "too-many", "none"],
+)
+def test_rejects_a_shape_count_other_than_the_point_count(shapes):
+    with pytest.raises(ValueError, match="shapes for"):
+        fat_point_basis(TWO_POINTS, shapes)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        (),
+        [(0, 0)],
+        [(0, 0, 0, 0)],
+        [(0, 0, -1)],
+        [(0, 0, 0.0)],
+        [(0, True, 0)],
+        [("0", 0, 0)],
+        [0],
+        "abc",
+        5,
+    ],
+    ids=[
+        "empty", "pair", "quadruple", "negative", "float", "bool", "string-entry", "bare-int", "string", "int"
+    ],
+)
+def test_rejects_a_malformed_shape(shape):
+    with pytest.raises(ValueError):
+        fat_point_basis(TWO_POINTS, [PLAIN_POINT, shape])
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        [(0, 0, 1)],
+        [(0, 0, 0), (0, 0, 2)],
+        [(0, 0, 0), (1, 0, 0), (1, 1, 0)],
+    ],
+    ids=["no-origin", "gap-along-z", "missing-e_y"],
+)
+def test_rejects_a_shape_that_is_not_down_closed(shape):
+    with pytest.raises(ValueError, match="down-closed"):
+        fat_point_basis(TWO_POINTS, [shape, PLAIN_POINT])

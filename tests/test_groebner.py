@@ -20,10 +20,24 @@ from lexgb.groebner import (
     standard_monomials,
     structure_facts,
 )
-from lexgb.instances import RANDOM_TRIANGULAR, build_instance, squared_vanishing_basis
+from lexgb.instances import (
+    RANDOM_TRIANGULAR,
+    SQUARED_VANISHING,
+    build_instance,
+    random_points,
+    squared_vanishing_basis,
+    vanishing_basis,
+)
 from lexgb.poly import Monomial, Polynomial, parse_polynomial
 
-from helpers import FIBERED_PATTERNS, fibered_points, random_monomial, random_poly, reference_buchberger
+from helpers import (
+    FIBERED_PATTERNS,
+    fibered_points,
+    random_monomial,
+    random_poly,
+    reference_buchberger,
+    squared_products,
+)
 
 F101 = PrimeField(101)
 
@@ -126,21 +140,32 @@ def checked_buchberger(monkeypatch):
     return built
 
 
-def test_buchberger_matches_reference_on_squared_fibered_sets(checked_buchberger):
+def test_buchberger_matches_reference_on_squared_fibered_sets():
     # a seed that no benchmark workload draws its inputs from
     rng = random.Random(2718)
+    compared = []
     for pattern in FIBERED_PATTERNS:
-        squared_vanishing_basis(fibered_points(pattern, rng))
-    assert len(checked_buchberger) == len(FIBERED_PATTERNS)
+        V = vanishing_basis(fibered_points(pattern, rng))
+        compared.append(assert_matches_reference(squared_products(V)))
+    assert len(compared) == len(FIBERED_PATTERNS)
 
 
 def test_buchberger_matches_reference_on_campaign_recipes(checked_buchberger):
     config = CampaignConfig(seed=2718, radical_count=0, nonradical_count=24)
     recipes = nonradical_recipes(config)
     assert sum(r.kind == RANDOM_TRIANGULAR for r in recipes) == 12
+    squared = 0
     for recipe in recipes:
-        build_instance(recipe)
-    assert len(checked_buchberger) >= len(recipes)
+        if recipe.kind == RANDOM_TRIANGULAR:
+            build_instance(recipe)
+            continue
+        assert recipe.kind == SQUARED_VANISHING
+        points = random_points(recipe.n_points, recipe.seed, recipe.prime)
+        G = assert_matches_reference(squared_products(vanishing_basis(points)))
+        assert G.elements == squared_vanishing_basis(points).elements
+        squared += 1
+    assert squared == 12
+    assert squared + len(checked_buchberger) >= len(recipes)
 
 
 @pytest.mark.parametrize(
@@ -177,7 +202,8 @@ def test_pair_criteria_pin_the_reduction_count(monkeypatch):
         return s_polynomial(f, g)
 
     monkeypatch.setattr(groebner, "s_polynomial", counted)
-    squared_vanishing_basis(fibered_points(FIBERED_PATTERNS[7], random.Random(5)))
+    V = vanishing_basis(fibered_points(FIBERED_PATTERNS[7], random.Random(5)))
+    buchberger(squared_products(V))
     # the unpruned queue reduces 571 S-pairs here
     assert len(calls) == 46
 

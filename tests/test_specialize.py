@@ -433,3 +433,26 @@ def test_verify_all_finds_the_roots_of_g1_once(monkeypatch):
     # solving the same basis next reuses the view
     assert solve_system(G) == ((0, 0, 0), (1, 0, 0), (1, 0, 1))
     assert [f for f, axis in calls if axis == 0] == [G.elements[0]]
+
+
+def test_fiber_slices_are_built_only_when_read(monkeypatch):
+    calls = []
+    substitute = Polynomial._substitute
+
+    def counting(self, axis, value):
+        calls.append(axis)
+        return substitute(self, axis, value)
+
+    monkeypatch.setattr(Polynomial, "_substitute", counting)
+    config = CampaignConfig(seed=7)
+    bases = [build_instance(r).basis for r in radical_recipes(config) + nonradical_recipes(config)]
+    assert len(bases) == 250
+    counts = {}
+    for checks in (["specialization_image"], None):
+        calls.clear()
+        _fiber_view.cache_clear()
+        for G in bases:
+            verify_all(G, checks=checks)
+        counts[checks is None] = len(calls)
+    # the alpha-images alone, then the (alpha, beta) slices for gianni_kalkbrener too
+    assert counts == {False: 3128, True: 4192}

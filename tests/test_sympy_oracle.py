@@ -5,7 +5,8 @@ A vanishing basis V of a point set S is right when its elements vanish on
 S, sympy finds V to be its own reduced basis, and V has |S| standard
 monomials: then ideal(V) lies inside I(S) with a quotient of the same
 dimension.  The squared and triangular bases are compared with the reduced
-basis that sympy computes from the same generators.  sympy prints
+basis that sympy computes from the same generators, and a fat point with
+the reduced basis of its primary ideal.  sympy prints
 coefficients mod p in symmetric form, so they are normalised into [0, p).
 """
 
@@ -18,6 +19,9 @@ sympy = pytest.importorskip("sympy")
 from lexgb.field import PrimeField  # noqa: E402
 from lexgb.groebner import buchberger  # noqa: E402
 from lexgb.instances import (  # noqa: E402
+    FIRST_ORDER,
+    PointSet,
+    fat_point_basis,
     random_triangular_basis,
     squared_vanishing_basis,
     vanishing_basis,
@@ -95,6 +99,30 @@ def test_vanishing_and_squared_bases_match_sympy(points):
 
     products = [sympy.expand(gens[i] * gens[j]) for i in range(len(gens)) for j in range(i, len(gens))]
     assert sympy_basis(products, p) == lexgb_basis(squared_vanishing_basis(points))
+
+
+@pytest.mark.parametrize(
+    "shape, primary",
+    [
+        (((0, 0, 0), (0, 0, 1)), lambda a, b, c: [X - a, Y - b, (Z - c) ** 2]),
+        (((0, 0, 0), (0, 1, 0)), lambda a, b, c: [X - a, (Y - b) ** 2, Z - c]),
+        (((0, 0, 0), (1, 0, 0)), lambda a, b, c: [(X - a) ** 2, Y - b, Z - c]),
+        (((0, 0, 0), (0, 0, 1), (0, 0, 2)), lambda a, b, c: [X - a, Y - b, (Z - c) ** 3]),
+        (
+            FIRST_ORDER,
+            lambda a, b, c: [f * g for f in (X - a, Y - b, Z - c) for g in (X - a, Y - b, Z - c)],
+        ),
+    ],
+    ids=["along-z", "along-y", "along-x", "z-squared", "first-order"],
+)
+@pytest.mark.parametrize("p", [7, 101])
+def test_one_fat_point_matches_its_primary_ideal(shape, primary, p):
+    rng = random.Random(p)
+    for _ in range(3):
+        point = (rng.randrange(p), rng.randrange(p), rng.randrange(p))
+        G = fat_point_basis(PointSet(p, (point,)), [shape])
+        gens = [sympy.expand(f) for f in primary(*point)]
+        assert sympy_basis(gens, p) == lexgb_basis(G)
 
 
 def random_triangular_gens(field, rng, degrees):
