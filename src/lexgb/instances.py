@@ -21,6 +21,7 @@ from heapq import heappop, heappush
 
 from .field import PrimeField
 from .groebner import GroebnerBasis, buchberger
+from .packed import pack, slot_bytes, unpack
 from .poly import Monomial, Polynomial
 
 
@@ -104,7 +105,7 @@ def _checked_shape(shape) -> tuple:
     return tuple(sorted(triples))
 
 
-def fat_point_basis(points: PointSet, shapes, field=None) -> GroebnerBasis:
+def fat_point_basis(points: PointSet, shapes) -> GroebnerBasis:
     """Reduced basis of the polynomials whose Taylor coefficients vanish at
     each point P for every exponent triple (d_x, d_y, d_z) in its shape D_P.
 
@@ -124,9 +125,14 @@ def fat_point_basis(points: PointSet, shapes, field=None) -> GroebnerBasis:
     is the unique reduced basis.  The vector of a child x_k * m comes from
     m's by the product rule: (P, d)(x_k f) = P_k (P, d)(f) + (P, d - e_k)(f),
     the second term only where d_k > 0.
+
+    A row is one packed vector (see `packed`): the n functional values,
+    then the combination over the standard monomials, slot n + j holding
+    the j-th standard monomial's coefficient.  A candidate starts as its
+    values and a 1 in the slot its monomial would take, every slot below
+    p, and each row adds (p - c) times slots below p, so with at most n
+    rows no slot exceeds n * p^2 + p.
     """
-    if field is None:
-        field = PrimeField(points.prime)
     if not points.points:
         raise ValueError("empty point set")
     if len(set(points.points)) != len(points.points):
@@ -134,24 +140,28 @@ def fat_point_basis(points: PointSet, shapes, field=None) -> GroebnerBasis:
     shapes = [_checked_shape(shape) for shape in shapes]
     if len(shapes) != len(points.points):
         raise ValueError(f"{len(shapes)} shapes for {len(points.points)} points")
-    coerce, mod, inv = field.coerce, field.mod, field.inv
+    field = PrimeField(points.prime)
+    p = points.prime
 
     # one functional (P, d) per entry; index[(i, d)] is the entry of point i
     index = {}
     for i, shape in enumerate(shapes):
         for d in shape:
             index[i, d] = len(index)
+    n = len(index)
     # per axis, in the order of the stored exponents (c, b, a): the point
     # coordinate of every entry, and the (entry, entry of d - e_k) pairs
     # of the product rule's shift term
     columns, shifts = [], []
     for k in (2, 1, 0):
-        columns.append([coerce(points.points[i][k]) for i, _ in index])
+        columns.append([points.points[i][k] % p for i, _ in index])
         shifts.append([(j, index[i, _step_down(d, k)]) for (i, d), j in index.items() if d[k]])
 
-    # rows: (pivot index, reduced functional vector scaled to 1 at the pivot,
-    # combination over standard monomials as {exponent tuple: coefficient})
-    rows: list[tuple[int, list, dict]] = []
+    nb = slot_bytes(n * p * p + p)
+    w = 8 * nb
+    mask = (1 << w) - 1
+    rows: list[tuple[int, int]] = []  # (bit offset of the pivot slot, row)
+    standard: list[tuple] = []  # the exponent tuple of each standard slot
     basis: list[Polynomial] = []
     heads: list[tuple] = []
 
@@ -160,39 +170,40 @@ def fat_point_basis(points: PointSet, shapes, field=None) -> GroebnerBasis:
 
     # a heap of exponent tuples (c, b, a), so the smallest in lex pops
     # first, and the functional vector of each
-    one = coerce(1)
     candidates = [(0, 0, 0)]
-    evals = {(0, 0, 0): [one if not any(d) else 0 for _, d in index]}
+    evals = {(0, 0, 0): [0 if any(d) else 1 for _, d in index]}
 
     while candidates:
         m = heappop(candidates)
         values = evals.pop(m)
         if covered(m):
             continue
-        vec, comb = values, {m: one}
-        for pivot, rvec, rcomb in rows:
-            factor = vec[pivot]
-            if not factor:
-                continue
-            vec = [(v - factor * r) % mod for v, r in zip(vec, rvec)]
-            for mon, coeff in rcomb.items():
-                comb[mon] = comb.get(mon, 0) - factor * coeff
-        pivot = next((i for i, v in enumerate(vec) if v), None)
+        r = len(rows)
+        acc = pack(values, nb) | 1 << (n + r) * w
+        for offset, row in rows:
+            c = (acc >> offset & mask) % p
+            if c:
+                acc += (p - c) * row
+        vec = unpack(acc, nb, n + r + 1, p)
+        pivot = next((i for i in range(n) if vec[i]), None)
         if pivot is None:
             # visited in ascending order, so the basis comes out sorted
+            comb = dict(zip(standard, vec[n:]))
+            comb[m] = 1
             basis.append(Polynomial._collect(field, comb))
             heads.append(m)
             continue
-        scale = inv(vec[pivot])
-        rows.append((pivot, [v * scale % mod for v in vec], {k: c * scale % mod for k, c in comb.items()}))
+        scale = pow(vec[pivot], p - 2, p)
+        rows.append((pivot * w, pack([v * scale % p for v in vec], nb)))
+        standard.append(m)
         for axis, column in enumerate(columns):
             child = m[:axis] + (m[axis] + 1,) + m[axis + 1 :]
             # every monomial popped so far is below m < child, so a child
             # not waiting in the heap has never been visited
             if child not in evals and not covered(child):
-                child_values = [v * x % mod for v, x in zip(values, column)]
+                child_values = [v * x % p for v, x in zip(values, column)]
                 for j, source in shifts[axis]:
-                    child_values[j] = (child_values[j] + values[source]) % mod
+                    child_values[j] = (child_values[j] + values[source]) % p
                 evals[child] = child_values
                 heappush(candidates, child)
 
@@ -202,8 +213,12 @@ def fat_point_basis(points: PointSet, shapes, field=None) -> GroebnerBasis:
 
 def vanishing_basis(points: PointSet, field=None) -> GroebnerBasis:
     """Reduced basis of the ideal of polynomials vanishing on the points:
-    the fat-point basis with the plain shape {0} at every point."""
-    return fat_point_basis(points, [PLAIN_POINT] * len(points.points), field)
+    the fat-point basis with the plain shape {0} at every point.  The basis
+    is over the point set's own field; `field` may name that field or be
+    None, and anything else raises ValueError."""
+    if field is not None and field != PrimeField(points.prime):
+        raise ValueError(f"the points lie in F_{points.prime}, not in {field!r}")
+    return fat_point_basis(points, [PLAIN_POINT] * len(points.points))
 
 
 VANISHING_POINTS = "vanishing-points"
@@ -305,7 +320,7 @@ def random_triangular_basis(degrees, seed: int, prime: int = 101) -> GroebnerBas
     raise RuntimeError(f"no nondegenerate triangular draw in 10 attempts from seed {seed}")
 
 
-def squared_vanishing_basis(points: PointSet, field=None) -> GroebnerBasis:
+def squared_vanishing_basis(points: PointSet) -> GroebnerBasis:
     """Reduced basis of the square of a vanishing ideal (never radical for
     a proper ideal: the quotient grows strictly beyond the point count).
 
@@ -313,7 +328,7 @@ def squared_vanishing_basis(points: PointSet, field=None) -> GroebnerBasis:
     so it is the fat-point basis with the first-order shape {0, e_x, e_y,
     e_z} at every point: f lies in it when f and its three first partials
     vanish on S."""
-    return fat_point_basis(points, [FIRST_ORDER] * len(points.points), field)
+    return fat_point_basis(points, [FIRST_ORDER] * len(points.points))
 
 
 def build_instance(recipe: InstanceRecipe) -> Instance:

@@ -1,0 +1,56 @@
+"""Vectors of residues mod p packed into one Python int.
+
+Entry i of a packed vector sits in the slot at bit i * w, where the slot
+width w is a whole number of bytes chosen above every value the slot will
+hold.  Adding packed vectors, scaling one by an int, shifting by whole
+slots and multiplying two (a Kronecker product: slot k of a * b is the sum
+of a_i * b_(k-i)) then act slot by slot, with no carry from one slot into
+the next.  No slot goes negative either: an entry c is cleared mod p by
+adding (p - c) times a vector whose entry there is 1, never by subtracting.
+So one big-int operation does the work of a loop over the entries, and
+only `unpack` reads them one by one.
+"""
+
+from __future__ import annotations
+
+
+def slot_bytes(bound: int) -> int:
+    """The slot width, in bytes, for slot values up to bound."""
+    return (bound.bit_length() + 7) // 8
+
+
+def pack(values, nb: int) -> int:
+    """The packed vector of non-negative ints below 2^(8 nb), nb bytes a slot."""
+    return int.from_bytes(b"".join([v.to_bytes(nb, "little") for v in values]), "little")
+
+
+def unpack(x: int, nb: int, n: int, p: int) -> list:
+    """The residues mod p of the slots of x, a packed vector of at most n
+    slots, nb bytes a slot."""
+    size = n * nb
+    data = x.to_bytes(size, "little")
+    return [int.from_bytes(data[i : i + nb], "little") % p for i in range(0, size, nb)]
+
+
+def halver(p: int, bound: int, n: int):
+    """(nb, halve) for packed vectors of n slots whose values stay up to
+    bound: the slot width in bytes, and the map that takes the first n
+    slots of x to values below 2p with the same residues mod p.
+
+    It makes one Barrett step in every slot at once.  For v <= bound < 2^k
+    and r = 2^k // p, q = (v * r) >> k is floor(v / p) or one less, so
+    v - q * p lies in [0, 2p).  The slots are wide enough to hold v * r,
+    below 2^(2k) / p, whole, with its k fraction bits clear of the slot
+    below; one shift by k and a mask then give every q at once.
+    """
+    k = bound.bit_length()
+    nb = (2 * k - p.bit_length() + 8) // 8
+    r = (1 << k) // p
+    q_mask = pack([(1 << 8 * nb - k) - 1] * n, nb)
+    low = (1 << 8 * nb * n) - 1
+
+    def halve(x: int) -> int:
+        x &= low
+        return x - (x * r >> k & q_mask) * p
+
+    return nb, halve

@@ -267,12 +267,16 @@ class Polynomial:
         return self._substitute(1, value)
 
     def _substitute(self, axis: int, value) -> "Polynomial":
-        v = self.field.coerce(value)
+        field = self.field
+        v, mod = field.coerce(value), field.mod
+        powers = [1]  # v^e reduced, for every exponent e on the axis
+        for _ in range(max([m[axis] for m, _ in self.terms], default=0)):
+            powers.append(powers[-1] * v % mod)
         acc = {}
         for m, k in self.terms:
             key = m[:axis] + (0,) + m[axis + 1 :]
-            acc[key] = acc.get(key, 0) + k * v ** m[axis]
-        return self._collect(self.field, acc)
+            acc[key] = acc.get(key, 0) + k * powers[m[axis]]
+        return self._collect(field, acc)
 
     # -- division --------------------------------------------------------------
 

@@ -16,6 +16,7 @@ from typing import NamedTuple
 
 from .field import PrimeField
 from .groebner import GroebnerBasis, is_groebner_basis, normal_form, structure_facts
+from .packed import halver, pack, unpack
 from .poly import MONOMIAL_ONE, Monomial, Polynomial
 from .report import CheckReport, SKIPPED, gated_report
 
@@ -69,28 +70,38 @@ def _quo(f: list, g: list, p: int) -> list:
     return q
 
 
-def _mulmod(a: list, b: list, m: list, p: int) -> list:
-    if not a or not b:
-        return []
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                prod[i + j] += ca * cb
-    return _rem(prod, m, p)
+def _pow_linear(s: int, e: int, m: list, p: int) -> list:
+    """(x + s)^e mod m for a monic m of degree d >= 1, by squaring from the
+    top bit of e down, on packed vectors of d slots below 2p (see `packed`).
 
-
-def _powmod(base: list, e: int, m: list, p: int) -> list:
-    """base^e mod m, by repeated squaring."""
-    out = [1]
-    base = _rem(base, m, p)
-    while e:
-        if e & 1:
-            out = _mulmod(out, base, m, p)
-        e >>= 1
-        if e:
-            base = _mulmod(base, base, m, p)
-    return out
+    A square has 2d - 1 slots, each a sum of at most d products below 4p^2.
+    Its top d - 1 slots are cleared from the top down with copies of m
+    shifted into place, which adds at most d - 1 terms (p - c) * m_j below
+    p^2 to any slot.  A 1-bit of e multiplies by x + s: a shift by one slot
+    plus s times the vector, with slot d cleared.  So no slot exceeds
+    5dp^2 before `halve` takes it back below 2p.
+    """
+    d = len(m) - 1
+    nb, halve = halver(p, 5 * d * p * p, d)
+    w = 8 * nb
+    mask = (1 << w) - 1
+    packed_m = pack(m, nb)
+    shifted = [packed_m << i * w for i in range(d - 1)]  # clears slot d + i
+    acc = 1
+    for bit in bin(e)[2:]:
+        acc *= acc
+        for i in range(d - 2, -1, -1):
+            c = (acc >> (d + i) * w & mask) % p
+            if c:
+                acc += (p - c) * shifted[i]
+        acc = halve(acc)
+        if bit == "1":
+            acc = (acc << w) + s * acc
+            c = (acc >> d * w) % p
+            if c:
+                acc += (p - c) * packed_m
+            acc = halve(acc)
+    return _trim(unpack(acc, nb, d, p))
 
 
 def _sub_xpow(f: list, e: int, p: int) -> list:
@@ -124,7 +135,7 @@ def _split(g: list, p: int, out: list, first_shift: int = 1) -> None:
             out.extend((0, 1))
             return
         for a in count(first_shift):
-            h = _monic_gcd(g, _sub_xpow(_powmod([a % p, 1], (p - 1) // 2, g, p), 0, p), p)
+            h = _monic_gcd(g, _sub_xpow(_pow_linear(a % p, (p - 1) // 2, g, p), 0, p), p)
             if 1 < len(h) < len(g):
                 _split(h, p, out, a + 1)
                 _split(_quo(g, h, p), p, out, a + 1)
@@ -139,7 +150,9 @@ def _roots(f: list, p: int) -> list:
         return [-f[0] * pow(f[1], p - 2, p) % p]
     # gcd(f, x^p - x) is the product of the distinct linear factors of f;
     # when f divides x^p - x the remainder x^p mod f - x is zero
-    g = _monic_gcd(f, _sub_xpow(_powmod([0, 1], p, f, p), 1, p), p)
+    inv = pow(f[-1], p - 2, p)
+    f = [c * inv % p for c in f]
+    g = _monic_gcd(f, _sub_xpow(_pow_linear(0, p, f, p), 1, p), p)
     out: list = []
     _split(g, p, out)
     return sorted(out)
@@ -261,9 +274,11 @@ def _fiber_view(G: GroebnerBasis) -> _FiberView:
         return _FiberView(f"elements outside their bands: {list(facts.band_violations)}", 0, 0, ())
     ell2 = facts.ell2
     roots, stuck = split_roots(G.elements[0])
+    zero = Polynomial(G.field)
     fibers = []
     for alpha in roots:
-        images = tuple(g.substitute_x(alpha) for g in G.elements)
+        # g_1 vanishes at each of its roots, so its image is zero unsubstituted
+        images = (zero,) + tuple(g.substitute_x(alpha) for g in G.elements[1:])
         betas, eliminant, beta_stuck = _common_roots(images[:ell2], axis=1)
         fibers.append(_Fiber(alpha, images, betas, eliminant, beta_stuck, ell2))
     return _FiberView(None, stuck, ell2, tuple(fibers))

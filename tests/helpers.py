@@ -1,11 +1,17 @@
 """Shared test helpers: random polynomials, fibered point sets, the
-generators of a squared vanishing ideal, and an unpruned Buchberger
-completion to compare `buchberger` against."""
+generators of a squared vanishing ideal, and references to compare the
+kernels against: an unpruned Buchberger completion for `buchberger`,
+schoolbook powering mod a univariate modulus for the packed
+`specialize._pow_linear`, and the dual-functional loop on plain lists and
+dicts for the packed `fat_point_basis`."""
 
 from heapq import heappop, heappush
 
 from lexgb import GroebnerBasis, Monomial, PointSet, Polynomial
+from lexgb.field import PrimeField
+from lexgb.instances import _checked_shape, _step_down
 from lexgb.poly import constant
+from lexgb.specialize import _rem
 
 
 def random_monomial(rng, max_deg=3):
@@ -100,3 +106,83 @@ def reference_buchberger(generators, radical=False) -> GroebnerBasis:
     for i in range(len(kept)):
         kept[i] = kept[i].divide(kept[:i] + kept[i + 1 :])[1]
     return GroebnerBasis(tuple(kept), radical=radical)
+
+
+def reference_mulmod(a: list, b: list, m: list, p: int) -> list:
+    """a * b mod m on coefficient lists, lowest degree first, by schoolbook
+    multiplication."""
+    if not a or not b:
+        return []
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                prod[i + j] += ca * cb
+    return _rem(prod, m, p)
+
+
+def reference_powmod(base: list, e: int, m: list, p: int) -> list:
+    """base^e mod m, by repeated squaring with `reference_mulmod`."""
+    out = [1]
+    base = _rem(base, m, p)
+    while e:
+        if e & 1:
+            out = reference_mulmod(out, base, m, p)
+        e >>= 1
+        if e:
+            base = reference_mulmod(base, base, m, p)
+    return out
+
+
+def reference_fat_point_basis(points: PointSet, shapes) -> tuple:
+    """The elements of the fat-point basis by the dual-functional loop of
+    `fat_point_basis` on lists and dicts: each row is a reduced functional
+    vector plus its combination over the standard monomials as a dict."""
+    field = PrimeField(points.prime)
+    mod, inv = field.mod, field.inv
+    shapes = [_checked_shape(shape) for shape in shapes]
+    index = {}
+    for i, shape in enumerate(shapes):
+        for d in shape:
+            index[i, d] = len(index)
+    columns, shifts = [], []
+    for k in (2, 1, 0):
+        columns.append([points.points[i][k] % mod for i, _ in index])
+        shifts.append([(j, index[i, _step_down(d, k)]) for (i, d), j in index.items() if d[k]])
+
+    rows, basis, heads = [], [], []
+
+    def covered(t) -> bool:
+        return any(Monomial.divides(h, t) for h in heads)
+
+    candidates = [(0, 0, 0)]
+    evals = {(0, 0, 0): [0 if any(d) else 1 for _, d in index]}
+    while candidates:
+        m = heappop(candidates)
+        values = evals.pop(m)
+        if covered(m):
+            continue
+        vec, comb = values, {m: 1}
+        for pivot, rvec, rcomb in rows:
+            factor = vec[pivot]
+            if not factor:
+                continue
+            vec = [(v - factor * r) % mod for v, r in zip(vec, rvec)]
+            for mon, coeff in rcomb.items():
+                comb[mon] = comb.get(mon, 0) - factor * coeff
+        pivot = next((i for i, v in enumerate(vec) if v), None)
+        if pivot is None:
+            basis.append(Polynomial._collect(field, comb))
+            heads.append(m)
+            continue
+        scale = inv(vec[pivot])
+        rows.append((pivot, [v * scale % mod for v in vec], {k: c * scale % mod for k, c in comb.items()}))
+        for axis, column in enumerate(columns):
+            child = m[:axis] + (m[axis] + 1,) + m[axis + 1 :]
+            if child not in evals and not covered(child):
+                child_values = [v * x % mod for v, x in zip(values, column)]
+                for j, source in shifts[axis]:
+                    child_values[j] = (child_values[j] + values[source]) % mod
+                evals[child] = child_values
+                heappush(candidates, child)
+    return tuple(basis)
