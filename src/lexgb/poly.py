@@ -252,11 +252,20 @@ class Polynomial:
     def evaluate(self, point):
         """Value at (x, y, z); coordinates may be ints or field elements.  The
         value is a plain coefficient (an int in [0, p) over F_p)."""
-        px, py, pz = map(self.field.coerce, point)
-        total = self.field.coerce(0)
+        field = self.field
+        mod = field.mod
+        px, py, pz = map(field.coerce, point)
+        xs, ys, zs = [1], [1], [1]  # powers reduced by mod, grown as the terms ask
+        total = field.coerce(0)
         for (c, b, a), k in self.terms:
-            total += k * px**a * py**b * pz**c
-        return total % self.field.mod
+            while len(xs) <= a:
+                xs.append(xs[-1] * px % mod)
+            while len(ys) <= b:
+                ys.append(ys[-1] * py % mod)
+            while len(zs) <= c:
+                zs.append(zs[-1] * pz % mod)
+            total += k * xs[a] * ys[b] * zs[c]
+        return total % mod
 
     def substitute_x(self, value) -> "Polynomial":
         """Set x to a field value, collecting the result in k[y, z]."""

@@ -16,8 +16,8 @@ from typing import NamedTuple
 
 from .field import PrimeField
 from .groebner import GroebnerBasis, is_groebner_basis, normal_form, structure_facts
-from .packed import halver, pack, unpack
-from .poly import MONOMIAL_ONE, Monomial, Polynomial
+from .packed import halver, pack, slot_bytes, unpack
+from .poly import MONOMIAL_ONE, Monomial, Polynomial, _mono
 from .report import CheckReport, SKIPPED, gated_report
 
 
@@ -194,13 +194,66 @@ def split_roots(f: Polynomial, axis: int = 0):
     over F_p (counted with multiplicity).
     """
     roots = roots_univariate(f, axis)
-    p = f.field.p
     cofactor = _dense(f, axis)
+    if len(roots) == len(cofactor) - 1:
+        # deg f distinct roots: f is their linear factors times a constant
+        return roots, 0
+    p = f.field.p
     for r in roots:
         linear = [-r % p, 1]
         while _horner(cofactor, r, p) == 0:
             cofactor = _quo(cofactor, linear, p)
     return roots, len(cofactor) - 1
+
+
+def _images(polys, axis: int, values) -> tuple:
+    """For each poly over F_p, the tuple of its images with the variable of
+    the axis (0=x, 1=y) set to each value in [0, p) in turn, in one packed
+    pass over its terms (see `packed`).
+
+    Row e of the power table packs v^e mod p for every value v; it is built
+    once per call, so pass every poly that takes the same values at once.
+    The terms that agree off the axis form a block, and a block becomes the
+    packed sum of k * row[e] over its terms k * (axis variable)^e: one
+    big-int multiply-add a term, however many values there are.  A slot of
+    that sum adds at most t products k * v^e with k and v^e below p, t the
+    largest term count among the polys, so t(p-1)^2 bounds every slot (and,
+    as t >= 1, every entry of the table).  Each block is unpacked once, and
+    the blocks come in descending order of their monomial, so every image
+    is built directly on canonical terms.
+    """
+    polys = tuple(polys)
+    if not polys:
+        return ()
+    field = polys[0].field
+    p = field.p
+    n = len(values)
+    k = 2 - axis  # a Monomial stores its exponents as (c, b, a)
+    nb = slot_bytes(max([1] + [len(f.terms) for f in polys]) * (p - 1) ** 2)
+    power = [1] * n
+    rows = [pack(power, nb)]
+    for _ in range(max([m[k] for f in polys for m, _ in f.terms], default=0)):
+        power = [c * v % p for c, v in zip(power, values)]
+        rows.append(pack(power, nb))
+    out = []
+    for f in polys:
+        blocks = {}
+        for m, c in f.terms:
+            key = m[:k] + (0,) + m[k + 1 :]
+            blocks[key] = blocks.get(key, 0) + c * rows[m[k]]
+        terms = [[] for _ in values]
+        for key in sorted(blocks, reverse=True):
+            mono = _mono(key)
+            for image, c in zip(terms, unpack(blocks[key], nb, n, p)):
+                if c:
+                    image.append((mono, c))
+        out.append(tuple([Polynomial._make(field, tuple(image)) for image in terms]))
+    return tuple(out)
+
+
+def _by_value(images: tuple, n: int) -> tuple:
+    """The output of `_images` for n values, regrouped per value."""
+    return tuple([tuple([row[i] for row in images]) for i in range(n)])
 
 
 def _common_roots(polys, axis: int):
@@ -233,7 +286,7 @@ class _Fiber:
     def slices(self) -> tuple:
         """Per beta, g(alpha, beta, z) for every g past the prefix.  Built
         on first use: only `gianni_kalkbrener` and `solve_system` read them."""
-        return tuple(tuple(h.substitute_y(beta) for h in self.images[self.prefix :]) for beta in self.betas)
+        return _by_value(_images(self.images[self.prefix :], 1, self.betas), len(self.betas))
 
 
 class _FiberView(NamedTuple):
@@ -250,7 +303,8 @@ def _fiber_view(G: GroebnerBasis) -> _FiberView:
     the elimination prefix g_1..g_ell2, whose last has a pure power of y as
     head and so a nonzero image.  The fiber checks and `solve_system` all
     read this view, so `verify_all` substitutes each alpha and beta at most
-    once; the beta substitutions wait until a fiber's slices are read.
+    once: one `_images` pass gives every element's images at all alphas,
+    and one per fiber its slices at all betas, built when first read.
     It needs a zero-dimensional basis over F_p with every element in its
     band (see `structure_facts`), so that the prefix images lie in k[y] and
     the slices in k[z]; on any other basis, `skipped` says why.
@@ -276,9 +330,10 @@ def _fiber_view(G: GroebnerBasis) -> _FiberView:
     roots, stuck = split_roots(G.elements[0])
     zero = Polynomial(G.field)
     fibers = []
-    for alpha in roots:
+    per_alpha = _by_value(_images(G.elements[1:], 0, roots), len(roots))
+    for alpha, rest in zip(roots, per_alpha):
         # g_1 vanishes at each of its roots, so its image is zero unsubstituted
-        images = (zero,) + tuple(g.substitute_x(alpha) for g in G.elements[1:])
+        images = (zero,) + rest
         betas, eliminant, beta_stuck = _common_roots(images[:ell2], axis=1)
         fibers.append(_Fiber(alpha, images, betas, eliminant, beta_stuck, ell2))
     return _FiberView(None, stuck, ell2, tuple(fibers))

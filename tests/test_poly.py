@@ -174,6 +174,23 @@ def test_evaluate_and_substitute():
     assert q.substitute_y(F101(3)) == P("9*x + x + 3")
 
 
+def test_evaluate_matches_modular_powers():
+    p = 2**61 - 1
+    field = PrimeField(p)
+    rng = random.Random(61)
+    for _ in range(40):
+        f = random_poly(field, rng, max_deg=9, max_terms=10)
+        point = [rng.randrange(p) for _ in range(3)]
+        if rng.random() < 0.3:
+            point[rng.randrange(3)] = rng.choice([0, 1, p - 1])
+        x, y, z = point
+        expected = sum(k * pow(x, m.a, p) * pow(y, m.b, p) * pow(z, m.c, p) for m, k in f.terms) % p
+        assert f.evaluate(point) == expected
+    Q = RationalField()
+    f = Polynomial(Q, [(Monomial(3, 1, 0), Fraction(1, 2)), (Monomial(0, 0, 2), 1), (MONOMIAL_ONE, Fraction(-7, 3))])
+    assert f.evaluate((Fraction(1, 2), 3, Fraction(-2, 5))) == Fraction(3, 16) + Fraction(4, 25) - Fraction(7, 3)
+
+
 def test_lex_head_drop_under_specialization():
     # substituting x can only lower or kill terms, never create new monomials;
     # the image keeps the head lm_yz(p), with coefficient lc_x(p)(alpha),

@@ -143,6 +143,51 @@ def test_split_roots_y_and_z_match_a_residue_scan():
             assert split_roots(g, axis=axis) == expected
 
 
+def distinct_linear_product(field, roots):
+    f = kx(field, [1])
+    for r in roots:
+        f = f * linear(field, r)
+    return f
+
+
+def irreducible_quadratic(field, rng):
+    while True:
+        q = kx(field, [rng.randrange(field.p), rng.randrange(field.p), 1])
+        if not scan_roots(q):
+            return q
+
+
+@pytest.mark.parametrize("p", [2, 7, 101])
+def test_split_roots_shortcut_matches_a_residue_scan(p, monkeypatch):
+    # deg f distinct roots: f splits into distinct linear factors, so
+    # split_roots returns without deflating by any root
+    field = PrimeField(p)
+    rng = random.Random(100 + p)
+    horner = specialize._horner
+    deflated = []
+
+    def counting(f, v, q):
+        deflated.append(v)
+        return horner(f, v, q)
+
+    monkeypatch.setattr(specialize, "_horner", counting)
+    cases = [(kx(field, [rng.randrange(p), rng.randrange(1, p)]), True)]  # degree 1
+    cases.append((kx(field, [0, p - 1] + [0] * (p - 2) + [1]), True))  # x^p - x
+    for _ in range(30):
+        roots = rng.sample(range(p), rng.randrange(1, min(p, 6) + 1))
+        f = distinct_linear_product(field, roots).scale(rng.randrange(1, p))
+        cases.append((f, True))
+        repeated = f * linear(field, rng.choice(roots))
+        cases.append((repeated, False))
+        quadratic = irreducible_quadratic(field, rng)
+        cases.append((f * quadratic, False))
+        cases.append((repeated * quadratic, False))
+    for f, shortcut in cases:
+        deflated.clear()
+        assert split_roots(f) == scan_split(f), f.text()
+        assert (not deflated) == shortcut, f.text()
+
+
 def test_roots_univariate_errors():
     with pytest.raises(ValueError):
         roots_univariate(Polynomial(F101))
@@ -397,6 +442,45 @@ def test_lc_x_roots_are_the_alphas_of_g1_they_vanish_at():
     assert non_unit >= 40
 
 
+KERNEL_PRIMES = [2, 7, 101, 1009, 2**31 - 1, 2**61 - 1]
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_images_are_the_substituted_polys(p):
+    field = PrimeField(p)
+    rng = random.Random(p)
+    polys = [Polynomial(field), kx(field, [rng.randrange(1, p)])]
+    polys += [random_poly(field, rng, max_deg=6, max_terms=14) for _ in range(12)]
+    values = [0, 1, p - 1] + [rng.randrange(p) for _ in range(5)]
+    for vals in ([], [0], values, values + values[::-1]):  # empty, zero, repeats
+        for axis, substitute in ((0, Polynomial.substitute_x), (1, Polynomial.substitute_y)):
+            images = specialize._images(polys, axis, vals)
+            assert len(images) == len(polys)
+            for f, row in zip(polys, images):
+                assert row == tuple(substitute(f, v) for v in vals), (f.text(), axis)
+                assert all(img.field == field for img in row)
+    assert specialize._images([], 0, values) == ()
+
+
+def test_images_reach_the_slot_bound():
+    # every term of the block has coefficient p - 1 and an odd exponent on
+    # the axis, so at the value p - 1 each product is (p - 1)^2 and the
+    # slot sums to t(p - 1)^2, the bound the slot width is chosen for
+    p = 2**61 - 1
+    field = PrimeField(p)
+    t = 100  # t(p - 1)^2 needs one more byte than (p - 1)^2
+    for axis, mono, substitute in (
+        (0, lambda e: Monomial(e, 0, 3), Polynomial.substitute_x),
+        (1, lambda e: Monomial(0, e, 3), Polynomial.substitute_y),
+    ):
+        f = Polynomial(field, [(mono(2 * i + 1), p - 1) for i in range(t)])
+        g = Polynomial(field, [(mono(i), p - 1) for i in range(t)] + [(Monomial(0, 0, 0), 1)])
+        images = specialize._images([f, g], axis, [p - 1, p - 1, 0])
+        assert images[0][0] == Polynomial(field, [(Monomial(0, 0, 3), t)])
+        for h, row in zip((f, g), images):
+            assert row == tuple(substitute(h, v) for v in (p - 1, p - 1, 0))
+
+
 def test_fiber_view_slices_are_the_substituted_elements():
     config = CampaignConfig(seed=7)
     bases = [build_instance(r).basis for r in radical_recipes(config) + nonradical_recipes(config)]
@@ -436,14 +520,17 @@ def test_verify_all_finds_the_roots_of_g1_once(monkeypatch):
 
 
 def test_fiber_slices_are_built_only_when_read(monkeypatch):
+    # counts the images the packed kernel builds, per axis: one per
+    # (poly, value) pair, the pairs `substitute_x`/`substitute_y` once took
     calls = []
-    substitute = Polynomial._substitute
+    images = specialize._images
 
-    def counting(self, axis, value):
-        calls.append(axis)
-        return substitute(self, axis, value)
+    def counting(polys, axis, values):
+        polys, values = tuple(polys), tuple(values)
+        calls.append((axis, len(polys) * len(values)))
+        return images(polys, axis, values)
 
-    monkeypatch.setattr(Polynomial, "_substitute", counting)
+    monkeypatch.setattr(specialize, "_images", counting)
     config = CampaignConfig(seed=7)
     bases = [build_instance(r).basis for r in radical_recipes(config) + nonradical_recipes(config)]
     assert len(bases) == 250
@@ -453,7 +540,7 @@ def test_fiber_slices_are_built_only_when_read(monkeypatch):
         _fiber_view.cache_clear()
         for G in bases:
             verify_all(G, checks=checks)
-        counts[checks is None] = len(calls)
+        counts[checks is None] = {axis: sum(n for a, n in calls if a == axis) for axis in (0, 1)}
     # the alpha-images of g_2.. alone (g_1's image is zero unsubstituted),
     # then the (alpha, beta) slices for gianni_kalkbrener too
-    assert counts == {False: 2188, True: 3252}
+    assert counts == {False: {0: 2188, 1: 0}, True: {0: 2188, 1: 1064}}
