@@ -194,11 +194,11 @@ def split_roots(f: Polynomial, axis: int = 0):
     over F_p (counted with multiplicity).
     """
     roots = roots_univariate(f, axis)
-    cofactor = _dense(f, axis)
-    if len(roots) == len(cofactor) - 1:
+    if len(roots) == f.lm()[2 - axis]:
         # deg f distinct roots: f is their linear factors times a constant
         return roots, 0
     p = f.field.p
+    cofactor = _dense(f, axis)
     for r in roots:
         linear = [-r % p, 1]
         while _horner(cofactor, r, p) == 0:

@@ -2,8 +2,9 @@
 generators of a squared vanishing ideal, and references to compare the
 kernels against: an unpruned Buchberger completion for `buchberger`,
 schoolbook powering mod a univariate modulus for the packed
-`specialize._pow_linear`, and the dual-functional loop on plain lists and
-dicts for the packed `fat_point_basis`."""
+`specialize._pow_linear`, the dual-functional loop on plain lists and
+dicts for the packed `fat_point_basis`, and a slot-by-slot byte-string
+codec for `packed.pack` and `packed.unpack`."""
 
 from heapq import heappop, heappush
 
@@ -186,3 +187,17 @@ def reference_fat_point_basis(points: PointSet, shapes) -> tuple:
                 evals[child] = child_values
                 heappush(candidates, child)
     return tuple(basis)
+
+
+def reference_pack(values, nb: int) -> int:
+    """The packed vector of non-negative ints below 2^(8 nb), nb bytes a
+    slot, built one slot's bytes at a time."""
+    return int.from_bytes(b"".join([v.to_bytes(nb, "little") for v in values]), "little")
+
+
+def reference_unpack(x: int, nb: int, n: int, p: int) -> list:
+    """The residues mod p of the n slots of x, nb bytes a slot, read one
+    slot's bytes at a time."""
+    size = n * nb
+    data = x.to_bytes(size, "little")
+    return [int.from_bytes(data[i : i + nb], "little") % p for i in range(0, size, nb)]

@@ -1,24 +1,78 @@
-"""The packed-slot kernels against their list-based references, and a large
-instance that only the packed kernels make quick."""
+"""The packed-slot codec and kernels against their slot-by-slot and
+list-based references, and a large instance that only the packed kernels
+make quick."""
 
 import random
+import struct
 
 import pytest
 
 from lexgb.field import PrimeField
 from lexgb.instances import FIRST_ORDER, PLAIN_POINT, PointSet, fat_point_basis, random_points, vanishing_basis
-from lexgb.packed import halver, pack, unpack
+from lexgb.packed import halver, pack, slot_bytes, unpack
 from lexgb.specialize import _pow_linear, _roots, solve_system
 
-from helpers import reference_fat_point_basis, reference_powmod
+from helpers import reference_fat_point_basis, reference_pack, reference_powmod, reference_unpack
 
 PRIMES = (2, 3, 7, 101, 1009, 2**31 - 1, 2**61 - 1)
 DEGREES = (1, 2, 3, 4, 5, 6, 7, 8, 13, 29, 80)
+LARGEST_PRIME = 318665857834031151167441  # the largest that `is_prime` accepts
+# one item a slot, then 64-bit words with a 1-byte piece, with 4-, 2- and
+# 1-byte pieces, with none, and two and three words with and without a piece
+WIDTHS = (1, 2, 4, 8, 9, 15, 16, 17, 24)
+
+
+def allowed(nb):
+    return nb in (1, 2, 4, 8) or nb > 8
+
+
+def narrowest_allowed(nb):
+    return next(w for w in range(max(nb, 1), nb + 8) if allowed(w))
+
+
+@pytest.mark.parametrize("nb", WIDTHS)
+def test_codec_matches_the_byte_string_reference(nb):
+    rng = random.Random(nb)
+    top = (1 << 8 * nb) - 1
+    for p in (2, 101, 2**61 - 1, LARGEST_PRIME):
+        for n in (0, 1, 2, 7, 64):
+            wide = [rng.randint(0, top) for _ in range(n)]
+            if n:
+                wide[rng.randrange(n)] = top
+            # residues too: a slot of nb > 8 bytes whose values all fit in
+            # 64 bits is packed as one word and padding
+            for values in (wide, [rng.randrange(min(p, top + 1)) for _ in range(n)]):
+                x = pack(values, nb)
+                # little-endian slots, whatever sys.byteorder is
+                assert x == reference_pack(values, nb) == sum(v << 8 * nb * i for i, v in enumerate(values))
+                assert unpack(x, nb, n, p) == reference_unpack(x, nb, n, p) == [v % p for v in values]
+                # trailing empty slots read as zeros
+                assert unpack(x, nb, n + 3, p) == reference_unpack(x, nb, n + 3, p)
+
+
+@pytest.mark.parametrize("nb", WIDTHS)
+def test_pack_rejects_values_outside_the_slot(nb):
+    for bad in (1 << 8 * nb, (1 << 8 * nb + 64) + 1, -1):
+        with pytest.raises((OverflowError, struct.error)):
+            pack([0, bad, 0], nb)
+
+
+def test_widths_are_allowed_and_as_narrow_as_allowed():
+    # at and around every power of two up to well past the multiword widths
+    bounds = sorted({max(0, (1 << j) + d) for j in range(200) for d in (-1, 0, 1)})
+    for bound in bounds:
+        needed = (bound.bit_length() + 7) // 8
+        assert slot_bytes(bound) == narrowest_allowed(needed), bound
+    for p in PRIMES + (1009, 10007, LARGEST_PRIME):
+        for bound in [p * (1 << j) for j in range(0, 160, 3)] + [5 * d * p * p for d in DEGREES]:
+            nb, _ = halver(p, bound, 2)
+            needed = (2 * bound.bit_length() - p.bit_length() + 8) // 8
+            assert nb == narrowest_allowed(needed), (p, bound)
 
 
 def test_pack_round_trip_and_halve():
     rng = random.Random(8)
-    for p in PRIMES:
+    for p in PRIMES + (LARGEST_PRIME,):
         bound = 5 * 80 * p * p
         nb, halve = halver(p, bound, 80)
         values = [rng.randint(0, bound) for _ in range(79)] + [bound]
@@ -28,12 +82,14 @@ def test_pack_round_trip_and_halve():
         assert all(h < 2 * p and h % p == v % p for h, v in zip(halved, values))
 
 
-@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("p", PRIMES + (251,))
 def test_pow_linear_matches_schoolbook(p):
     rng = random.Random(p)
     for d in DEGREES:
-        if p == PRIMES[-1]:
-            # every entry at its largest: the widest slots
+        if p in (251, PRIMES[-1]):
+            # every entry at its largest: the fullest slots.  At p = 251 the
+            # bound 5dp^2 needs 8-byte slots from d = 2 on, where 5p^2 would
+            # take 4, so a bound short of its factor d shows here as well
             m = [p - 1] * d + [1]
         else:
             m = [rng.randrange(p) for _ in range(d)] + [1]

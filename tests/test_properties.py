@@ -1,6 +1,6 @@
 """Property tests for the kernel: ring axioms, the division contract and
 Buchberger idempotence and independence of generator order, over F_p and
-the rationals."""
+the rationals, and the packed-slot codec's round trip."""
 
 from fractions import Fraction
 
@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from lexgb.field import PrimeField, RationalField  # noqa: E402
 from lexgb.groebner import buchberger  # noqa: E402
 from lexgb.instances import PointSet, vanishing_basis  # noqa: E402
+from lexgb.packed import pack, unpack  # noqa: E402
 from lexgb.poly import Monomial, Polynomial  # noqa: E402
 from lexgb.specialize import solve_system  # noqa: E402
 
@@ -133,3 +134,20 @@ def test_solve_system_recovers_the_points(pts):
     V = vanishing_basis(S)
     assert buchberger(V.elements).elements == V.elements
     assert solve_system(V) == tuple(sorted(pts))
+
+
+@st.composite
+def packed_vectors(draw):
+    nb = draw(st.sampled_from((1, 2, 4, 8, 9, 15, 16, 17, 24)))
+    values = draw(st.lists(st.integers(0, (1 << 8 * nb) - 1), max_size=40))
+    p = draw(st.sampled_from((2, 101, 2**31 - 1, 2**61 - 1, 318665857834031151167441)))
+    return nb, values, p
+
+
+@FEW
+@given(packed_vectors())
+def test_pack_unpack_round_trip(vector):
+    nb, values, p = vector
+    x = pack(values, nb)
+    assert x == sum(v << 8 * nb * i for i, v in enumerate(values))
+    assert unpack(x, nb, len(values), p) == [v % p for v in values]
