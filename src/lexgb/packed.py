@@ -10,21 +10,16 @@ adding (p - c) times a vector whose entry there is 1, never by subtracting.
 So one big-int operation does the work of a loop over the entries.
 
 The layout is little-endian on any host: pack(v, nb) is the sum of
-v_i << 8 nb i.  `pack` and `unpack` convert a whole vector with one
-`struct` call (format `<`), a slot being a run of B, H, I and Q items:
-whole 64-bit words, then a 4-, 2- and 1-byte piece as the bits of nb mod 8
-ask.  `slot_bytes` and `halver` round a width of 3 bytes up to 4 and one
-of 5 to 7 up to 8, so a slot of up to 8 bytes is one item and converts
-with no split.  A wider slot keeps its exact width, as rounding 9 bytes up
-to 16 would make every big-int step on the vector almost twice as long;
-its pieces are split off (or joined) with one extended-slice pass each,
-and a value below 2^64 is its first piece, the rest of its slot padding.
+v_i << 8 nb i.  `slot_bytes` and `halver` round a width of 3 bytes up to 4
+and one of 5 to 7 up to 8, so a slot of up to 8 bytes is one B, H, I or Q
+item and `pack` and `unpack` convert the whole vector with one `struct`
+call (format `<`).  A wider slot keeps its exact width and is converted
+one slot's bytes at a time.
 """
 
 from __future__ import annotations
 
 import struct
-from functools import lru_cache
 
 _CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
@@ -38,65 +33,29 @@ def _width(nb: int) -> int:
     return max(nb, 8)
 
 
-@lru_cache(maxsize=None)
-def _pieces(nb: int) -> tuple:
-    """The struct codes and the bit widths of the pieces of a slot of
-    nb > 8 bytes, least significant first: whole 64-bit words, then a 4-,
-    2- and 1-byte piece as the bits of nb mod 8 ask."""
-    sizes = [8] * (nb // 8) + [s for s in (4, 2, 1) if nb % 8 & s]
-    return "".join([_CODES[s] for s in sizes]), tuple([8 * s for s in sizes])
-
-
-def _layout(nb: int, n: int) -> tuple:
-    """(the struct format of n slots of nb > 8 bytes, the bit widths of
-    the pieces of a slot)."""
-    codes, bits = _pieces(nb)
-    # slots of whole words take a repeat count, which compiles to one
-    # struct item; a run of letters compiles to an item a letter
-    return (f"<{n * len(bits)}Q" if nb % 8 == 0 else "<" + codes * n), bits
-
-
 def slot_bytes(bound: int) -> int:
     """The slot width, in bytes, for slot values up to bound."""
     return _width((bound.bit_length() + 7) // 8)
 
 
 def pack(values, nb: int) -> int:
-    """The packed vector of a list of non-negative ints below 2^(8 nb), nb
-    bytes a slot, nb an allowed width."""
-    n = len(values)
+    """The packed vector of non-negative ints below 2^(8 nb), nb bytes a
+    slot, nb an allowed width."""
     if nb <= 8:
-        data = struct.pack(f"<{n}{_CODES[nb]}", *values)
-    elif not max(values, default=0) >> 64:
-        # every value is the first piece of its slot, the rest padding
-        data = struct.pack("<" + f"Q{nb - 8}x" * n, *values)
+        data = struct.pack(f"<{len(values)}{_CODES[nb]}", *values)
     else:
-        fmt, bits = _layout(nb, n)
-        m = len(bits)
-        items = [0] * (n * m)
-        shift = 0
-        for j, b in enumerate(bits[:-1]):
-            items[j::m] = [v >> shift & (1 << b) - 1 for v in values]
-            shift += b
-        # unmasked, so that struct rejects a value too wide for its slot
-        items[m - 1 :: m] = [v >> shift for v in values]
-        data = struct.pack(fmt, *items)
+        data = b"".join([v.to_bytes(nb, "little") for v in values])
     return int.from_bytes(data, "little")
 
 
 def unpack(x: int, nb: int, n: int, p: int) -> list:
     """The residues mod p of the slots of x, a packed vector of at most n
     slots, nb bytes a slot."""
-    data = x.to_bytes(n * nb, "little")
+    size = n * nb
+    data = x.to_bytes(size, "little")
     if nb <= 8:
         return [v % p for v in struct.unpack(f"<{n}{_CODES[nb]}", data)]
-    fmt, bits = _layout(nb, n)
-    m = len(bits)
-    items = struct.unpack(fmt, data)
-    values = items[m - 1 :: m]
-    for j in range(m - 2, 0, -1):
-        values = [v << bits[j] | u for v, u in zip(values, items[j::m])]
-    return [(v << bits[0] | u) % p for v, u in zip(values, items[::m])]
+    return [int.from_bytes(data[i : i + nb], "little") % p for i in range(0, size, nb)]
 
 
 def halver(p: int, bound: int, n: int):

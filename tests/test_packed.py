@@ -17,8 +17,8 @@ from helpers import reference_fat_point_basis, reference_pack, reference_powmod,
 PRIMES = (2, 3, 7, 101, 1009, 2**31 - 1, 2**61 - 1)
 DEGREES = (1, 2, 3, 4, 5, 6, 7, 8, 13, 29, 80)
 LARGEST_PRIME = 318665857834031151167441  # the largest that `is_prime` accepts
-# one item a slot, then 64-bit words with a 1-byte piece, with 4-, 2- and
-# 1-byte pieces, with none, and two and three words with and without a piece
+# the four that are one struct item a slot, then wider slots, which are
+# converted one at a time
 WIDTHS = (1, 2, 4, 8, 9, 15, 16, 17, 24)
 
 
@@ -39,8 +39,6 @@ def test_codec_matches_the_byte_string_reference(nb):
             wide = [rng.randint(0, top) for _ in range(n)]
             if n:
                 wide[rng.randrange(n)] = top
-            # residues too: a slot of nb > 8 bytes whose values all fit in
-            # 64 bits is packed as one word and padding
             for values in (wide, [rng.randrange(min(p, top + 1)) for _ in range(n)]):
                 x = pack(values, nb)
                 # little-endian slots, whatever sys.byteorder is
