@@ -2,7 +2,7 @@
 with generators for test instances and a verifier for the structural
 divisibility and specialization properties of such bases."""
 
-from .field import PrimeField, RationalField
+from .field import PrimeField
 from .poly import (
     Monomial,
     Polynomial,
@@ -50,7 +50,6 @@ __all__ = [
     "PointSet",
     "Polynomial",
     "PrimeField",
-    "RationalField",
     "ZeroPolynomialError",
     "all_ok",
     "buchberger",

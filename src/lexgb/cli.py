@@ -107,7 +107,7 @@ def cmd_verify(args) -> int:
     failed = any(r.verdict == FAIL for r in reports)
     out = {
         "instance": data if "kind" in data else None,
-        "p": basis.field.size,
+        "p": basis.field.p,
         "checks": [r.to_dict() for r in reports],
         "all_pass": not failed,
     }
@@ -125,7 +125,7 @@ def cmd_solve(args) -> int:
     except NonSplitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    out = PointSet(basis.field.size, solutions, None).to_dict()
+    out = PointSet(basis.field.p, solutions, None).to_dict()
     _emit(out, args.output)
     return 0
 
@@ -154,9 +154,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=True):
-        p.add_argument("--prime", type=int, default=101, help="field modulus (default 101)")
-        if seed:
+    def common(p, generates=True):
+        if generates:
+            p.add_argument("--prime", type=int, default=101, help="field modulus (default 101)")
             p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
         p.add_argument("-o", "--output", default=None, help="output file (default stdout)")
 
@@ -175,19 +175,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gb", help="compute the reduced basis of an input file")
     p.add_argument("input", help="point-set, generator-list or recipe file")
     p.add_argument("--text", action="store_true", help="add human-readable renderings")
-    common(p, seed=False)
+    common(p, generates=False)
     p.set_defaults(func=cmd_gb)
 
     p = sub.add_parser("verify", help="run the structural checks on a basis")
     p.add_argument("input", help="basis, point-set, generator-list or recipe file")
     p.add_argument("--checks", default=None, help=f"comma list from: {','.join(CHECK_ORDER)}")
     p.add_argument("--text", action="store_true", help="add human-readable renderings")
-    common(p, seed=False)
+    common(p, generates=False)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("solve", help="enumerate the F_p solutions of a basis")
     p.add_argument("input", help="basis, point-set, generator-list or recipe file")
-    common(p, seed=False)
+    common(p, generates=False)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("campaign", help="generate and verify a batch of instances")

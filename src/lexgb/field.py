@@ -1,8 +1,6 @@
-"""Exact coefficient arithmetic: prime fields F_p and an exact-rational mode."""
+"""Coefficient arithmetic in prime fields F_p."""
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 
 # Miller-Rabin on the first twelve primes as bases is exact below the least
@@ -40,16 +38,15 @@ class PrimeField:
     """Coefficient context for F_p; the modulus is validated at construction.
 
     Its elements are plain ints in [0, p): `coerce` (also `F(n)`) makes
-    one, `inv` inverts one, `mod` (which is p) reduces them, and `zero`
-    and `one` are the ints 0 and 1.
+    one, `inv` inverts one, and reducing mod `p` keeps them canonical.
     """
 
-    __slots__ = ("p", "mod")
+    __slots__ = ("p",)
 
     def __init__(self, p: int = 101):
         if not isinstance(p, int) or not is_prime(p):
             raise ValueError(f"modulus must be prime, got {p!r}")
-        self.p = self.mod = p
+        self.p = p
 
     def coerce(self, n) -> int:
         """n as a kernel coefficient: its canonical residue."""
@@ -65,13 +62,6 @@ class PrimeField:
         # p prime, so c^(p-2) is the inverse by Fermat
         return pow(c, self.p - 2, self.p)
 
-    zero = 0
-    one = 1
-
-    @property
-    def size(self) -> int:
-        return self.p
-
     def elements(self):
         """All residues in order; only bench/tracer.py uses it, as a hook."""
         return iter(range(self.p))
@@ -84,50 +74,3 @@ class PrimeField:
 
     def __repr__(self):
         return f"PrimeField({self.p})"
-
-
-class _Exact:
-    """The `mod` of the rationals: `c % _Exact()` is c, so kernel loops
-    written for F_p leave rational coefficients unreduced."""
-
-    __slots__ = ()
-
-    def __rmod__(self, c):
-        return c
-
-
-class RationalField:
-    """Exact rational coefficients (a cross-checking mode; no root finding).
-    Polynomials hold them as Fractions, with `mod`, `coerce` and `inv` as in
-    PrimeField."""
-
-    __slots__ = ()
-    mod = _Exact()
-
-    def __call__(self, n) -> Fraction:
-        if isinstance(n, Fraction):
-            return n
-        if isinstance(n, (int, str)):
-            return Fraction(n)
-        raise TypeError(f"cannot coerce {n!r} into the rationals")
-
-    coerce = __call__
-
-    def inv(self, c: Fraction) -> Fraction:
-        return 1 / c
-
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    @property
-    def size(self) -> None:
-        return None
-
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("RationalField")
-
-    def __repr__(self):
-        return "RationalField()"

@@ -40,7 +40,7 @@ class GroebnerBasis:
             facts = structure_facts(self)
         polys = [dict(g.to_dict(), text=g.text()) if text else g.to_dict() for g in self.elements]
         return {
-            "p": self.field.size,
+            "p": self.field.p,
             "basis": polys,
             "ell2": facts.ell2 if facts is not None else None,
             "zero_dim": facts.zero_dim if facts is not None else False,
@@ -67,7 +67,7 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     field = f.field
     lz, ly, lx = f.lm().lcm(g.lm())
     # the two head terms cancel exactly, so only the tails are collected
-    acc: dict[tuple, object] = {}
+    acc: dict[tuple, int] = {}
     get = acc.get
     for p, sign in ((f, 1), (g, -1)):
         (hz, hy, hx), hc = p.terms[0]

@@ -4,19 +4,20 @@ The order compares the z exponent first, then y, then x.  A monomial is
 stored as its exponent tuple (c, b, a), so native tuple order is the term
 order.  Polynomials are stored as strictly descending, duplicate-free term
 tuples with no zero coefficients, so equal polynomials have identical
-representations.  Coefficients are plain values, canonical ints in [0, p)
-over F_p and Fractions over the rationals: the kernel reduces with
-`% field.mod` (a no-op for the rationals) and inverts with `field.inv`, so
-one code path serves both fields.
+representations.  Coefficients are canonical ints in [0, p): the kernel
+reduces with `% field.p` and inverts with `field.inv`.  `_images` is the
+one substitution kernel: it sets x or y to many values at once, and
+`substitute_x` and `substitute_y` are its one-value calls.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from functools import partial
 from heapq import heappop, heappush
 from operator import itemgetter
+
+from .packed import pack, slot_bytes, unpack
 
 
 class ZeroPolynomialError(ValueError):
@@ -100,7 +101,7 @@ class Polynomial:
         for m, c in terms:
             acc[m] = acc.get(m, 0) + coerce(c)
         self.field = field
-        self.terms = _canonical(field.mod, acc)
+        self.terms = _canonical(field.p, acc)
 
     @classmethod
     def _make(cls, field, terms: tuple) -> "Polynomial":
@@ -114,7 +115,7 @@ class Polynomial:
     @classmethod
     def _collect(cls, field, acc: dict) -> "Polynomial":
         """The polynomial of {exponent tuple (c, b, a): unreduced coefficient}."""
-        return cls._make(field, _canonical(field.mod, acc))
+        return cls._make(field, _canonical(field.p, acc))
 
     # -- basic structure ---------------------------------------------------
 
@@ -232,9 +233,9 @@ class Polynomial:
         c = self.field.coerce(c)
         if not c:
             return self._make(self.field, ())
-        mod = self.field.mod
+        p = self.field.p
         mz, my, mx = m
-        terms = tuple((_mono((z + mz, y + my, x + mx)), k * c % mod) for (z, y, x), k in self.terms)
+        terms = tuple((_mono((z + mz, y + my, x + mx)), k * c % p) for (z, y, x), k in self.terms)
         return self._make(self.field, terms)
 
     def scale(self, c) -> "Polynomial":
@@ -251,41 +252,29 @@ class Polynomial:
 
     def evaluate(self, point):
         """Value at (x, y, z); coordinates may be ints or field elements.  The
-        value is a plain coefficient (an int in [0, p) over F_p)."""
+        value is a plain coefficient, an int in [0, p)."""
         field = self.field
-        mod = field.mod
+        p = field.p
         px, py, pz = map(field.coerce, point)
-        xs, ys, zs = [1], [1], [1]  # powers reduced by mod, grown as the terms ask
-        total = field.coerce(0)
+        xs, ys, zs = [1], [1], [1]  # powers reduced mod p, grown as the terms ask
+        total = 0
         for (c, b, a), k in self.terms:
             while len(xs) <= a:
-                xs.append(xs[-1] * px % mod)
+                xs.append(xs[-1] * px % p)
             while len(ys) <= b:
-                ys.append(ys[-1] * py % mod)
+                ys.append(ys[-1] * py % p)
             while len(zs) <= c:
-                zs.append(zs[-1] * pz % mod)
+                zs.append(zs[-1] * pz % p)
             total += k * xs[a] * ys[b] * zs[c]
-        return total % mod
+        return total % p
 
     def substitute_x(self, value) -> "Polynomial":
         """Set x to a field value, collecting the result in k[y, z]."""
-        return self._substitute(2, value)
+        return _images((self,), 0, (self.field.coerce(value),))[0][0]
 
     def substitute_y(self, value) -> "Polynomial":
         """Set y to a field value, collecting the result in k[x, z]."""
-        return self._substitute(1, value)
-
-    def _substitute(self, axis: int, value) -> "Polynomial":
-        field = self.field
-        v, mod = field.coerce(value), field.mod
-        powers = [1]  # v^e reduced, for every exponent e on the axis
-        for _ in range(max([m[axis] for m, _ in self.terms], default=0)):
-            powers.append(powers[-1] * v % mod)
-        acc = {}
-        for m, k in self.terms:
-            key = m[:axis] + (0,) + m[axis + 1 :]
-            acc[key] = acc.get(key, 0) + k * powers[m[axis]]
-        return self._collect(field, acc)
+        return _images((self,), 1, (self.field.coerce(value),))[0][0]
 
     # -- division --------------------------------------------------------------
 
@@ -309,7 +298,7 @@ class Polynomial:
             if d.is_zero():
                 raise ZeroDivisionError("zero polynomial used as a divisor")
         field = self.field
-        mod = field.mod
+        p = field.p
         inv = field.inv
         # negated head exponents: h divides m when -h >= -m componentwise
         heads = [((-z, -y, -x), hc) for (z, y, x), hc in (d.terms[0] for d in divisors)]
@@ -325,7 +314,7 @@ class Polynomial:
             n0, n1, n2 = n
             for i, ((h0, h1, h2), hc) in enumerate(heads):
                 if h0 >= n0 and h1 >= n1 and h2 >= n2:
-                    qc = c if hc == 1 else c * inv(hc) % mod
+                    qc = c if hc == 1 else c * inv(hc) % p
                     quots[i].append((_mono((h0 - n0, h1 - n1, h2 - n2)), qc))
                     # subtract q * d_i: its head term cancels c exactly, and
                     # (q0, q1, q2) is q's exponent triple, negated
@@ -337,10 +326,10 @@ class Polynomial:
                         mm = (q0 - t0, q1 - t1, q2 - t2)
                         old = work.get(mm)
                         if old is None:
-                            work[mm] = qc * tc % mod
+                            work[mm] = qc * tc % p
                             heappush(heap, mm)
                         else:
-                            nc = (old + qc * tc) % mod
+                            nc = (old + qc * tc) % p
                             if nc:
                                 work[mm] = nc
                             else:
@@ -353,7 +342,7 @@ class Polynomial:
     # -- serialization ----------------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {"terms": [{"c": _coeff_json(c), "e": [m.a, m.b, m.c]} for m, c in self.terms]}
+        return {"terms": [{"c": c, "e": [m.a, m.b, m.c]} for m, c in self.terms]}
 
     def text(self) -> str:
         if not self.terms:
@@ -381,21 +370,60 @@ class Polynomial:
     __str__ = text
 
 
-def _canonical(mod, acc: dict) -> tuple:
-    """Canonical terms of {exponent tuple: unreduced coefficient}: reduced,
-    zeros dropped, descending."""
+def _canonical(p: int, acc: dict) -> tuple:
+    """Canonical terms of {exponent tuple: unreduced coefficient}: reduced
+    mod p, zeros dropped, descending."""
     out = []
     for m in sorted(acc, reverse=True):
-        c = acc[m] % mod
+        c = acc[m] % p
         if c:
             out.append((_mono(m), c))
     return tuple(out)
 
 
-def _coeff_json(c):
-    if isinstance(c, Fraction):
-        return int(c) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-    return c
+def _images(polys, axis: int, values) -> tuple:
+    """For each poly, the tuple of its images with the variable of the axis
+    (0=x, 1=y) set to each value in [0, p) in turn, in one packed pass over
+    its terms (see `packed`).
+
+    Row e of the power table packs v^e mod p for every value v; it is built
+    once per call, so pass every poly that takes the same values at once.
+    The terms that agree off the axis form a block, and a block becomes the
+    packed sum of k * row[e] over its terms k * (axis variable)^e: one
+    big-int multiply-add a term, however many values there are.  A slot of
+    that sum adds at most t products k * v^e with k and v^e below p, t the
+    largest term count among the polys, so t(p-1)^2 bounds every slot (and,
+    as t >= 1, every entry of the table).  Each block is unpacked once, and
+    the blocks come in descending order of their monomial, so every image
+    is built directly on canonical terms.
+    """
+    polys = tuple(polys)
+    if not polys:
+        return ()
+    field = polys[0].field
+    p = field.p
+    n = len(values)
+    k = 2 - axis  # a Monomial stores its exponents as (c, b, a)
+    nb = slot_bytes(max([1] + [len(f.terms) for f in polys]) * (p - 1) ** 2)
+    power = [1] * n
+    rows = [pack(power, nb)]
+    for _ in range(max([m[k] for f in polys for m, _ in f.terms], default=0)):
+        power = [c * v % p for c, v in zip(power, values)]
+        rows.append(pack(power, nb))
+    out = []
+    for f in polys:
+        blocks = {}
+        for m, c in f.terms:
+            key = m[:k] + (0,) + m[k + 1 :]
+            blocks[key] = blocks.get(key, 0) + c * rows[m[k]]
+        terms = [[] for _ in values]
+        for key in sorted(blocks, reverse=True):
+            mono = _mono(key)
+            for image, c in zip(terms, unpack(blocks[key], nb, n, p)):
+                if c:
+                    image.append((mono, c))
+        out.append(tuple([Polynomial._make(field, tuple(image)) for image in terms]))
+    return tuple(out)
 
 
 def poly_from_dict(field, data: dict) -> Polynomial:
@@ -423,18 +451,9 @@ def constant(field, value) -> Polynomial:
     return Polynomial(field, [(MONOMIAL_ONE, value)])
 
 
-def generators(field) -> tuple[Polynomial, Polynomial, Polynomial]:
-    """The variable polynomials (x, y, z)."""
-    return (
-        Polynomial(field, [(Monomial(1, 0, 0), 1)]),
-        Polynomial(field, [(Monomial(0, 1, 0), 1)]),
-        Polynomial(field, [(Monomial(0, 0, 1), 1)]),
-    )
-
-
 # -- text parsing ------------------------------------------------------------
 
-_FACTOR = re.compile(r"^(?:(?P<num>\d+(?:/\d+)?)|(?P<var>[xyz])(?:\^(?P<exp>\d+))?)$")
+_FACTOR = re.compile(r"^(?:(?P<num>\d+)|(?P<var>[xyz])(?:\^(?P<exp>\d+))?)$")
 
 
 def parse_polynomial(field, text: str) -> Polynomial:
@@ -459,9 +478,6 @@ def parse_polynomial(field, text: str) -> Polynomial:
             if num is None:
                 exps["xyz".index(m.group("var"))] += int(m.group("exp") or 1)
                 continue
-            try:
-                coeff = coeff * field.coerce(num if "/" in num else int(num))
-            except TypeError as exc:
-                raise ValueError(f"bad coefficient {num!r} in {text!r}") from exc
+            coeff = coeff * int(num)
         terms.append((Monomial(*exps), coeff))
     return Polynomial(field, terms)

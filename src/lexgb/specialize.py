@@ -2,9 +2,7 @@
 
 Roots in F_p come from gcd(f, x^p - x), split by equal-degree
 factorization (Cantor-Zassenhaus), so finding them costs a polynomial in
-log p and deg f rather than a pass over every residue.  The rational mode
-has no such root finder, so these operations require prime-field
-coefficients.
+log p and deg f rather than a pass over every residue.
 """
 
 from __future__ import annotations
@@ -14,10 +12,9 @@ from functools import cached_property, lru_cache
 from itertools import count
 from typing import NamedTuple
 
-from .field import PrimeField
 from .groebner import GroebnerBasis, is_groebner_basis, normal_form, structure_facts
-from .packed import halver, pack, slot_bytes, unpack
-from .poly import MONOMIAL_ONE, Monomial, Polynomial, _mono
+from .packed import halver, pack, unpack
+from .poly import MONOMIAL_ONE, Monomial, Polynomial, _images
 from .report import CheckReport, SKIPPED, gated_report
 
 
@@ -168,8 +165,6 @@ def _horner(f: list, v: int, p: int) -> int:
 def _dense(f: Polynomial, axis: int) -> list:
     """The coefficient list of f, a nonzero polynomial over F_p in the one
     variable of the axis (0=x, 1=y, 2=z); raises ValueError otherwise."""
-    if not isinstance(f.field, PrimeField):
-        raise ValueError("root finding needs prime-field coefficients")
     if f.is_zero():
         raise ValueError("the zero polynomial has every point as a root")
     k = 2 - axis  # a Monomial stores its exponents as (c, b, a)
@@ -204,51 +199,6 @@ def split_roots(f: Polynomial, axis: int = 0):
         while _horner(cofactor, r, p) == 0:
             cofactor = _quo(cofactor, linear, p)
     return roots, len(cofactor) - 1
-
-
-def _images(polys, axis: int, values) -> tuple:
-    """For each poly over F_p, the tuple of its images with the variable of
-    the axis (0=x, 1=y) set to each value in [0, p) in turn, in one packed
-    pass over its terms (see `packed`).
-
-    Row e of the power table packs v^e mod p for every value v; it is built
-    once per call, so pass every poly that takes the same values at once.
-    The terms that agree off the axis form a block, and a block becomes the
-    packed sum of k * row[e] over its terms k * (axis variable)^e: one
-    big-int multiply-add a term, however many values there are.  A slot of
-    that sum adds at most t products k * v^e with k and v^e below p, t the
-    largest term count among the polys, so t(p-1)^2 bounds every slot (and,
-    as t >= 1, every entry of the table).  Each block is unpacked once, and
-    the blocks come in descending order of their monomial, so every image
-    is built directly on canonical terms.
-    """
-    polys = tuple(polys)
-    if not polys:
-        return ()
-    field = polys[0].field
-    p = field.p
-    n = len(values)
-    k = 2 - axis  # a Monomial stores its exponents as (c, b, a)
-    nb = slot_bytes(max([1] + [len(f.terms) for f in polys]) * (p - 1) ** 2)
-    power = [1] * n
-    rows = [pack(power, nb)]
-    for _ in range(max([m[k] for f in polys for m, _ in f.terms], default=0)):
-        power = [c * v % p for c, v in zip(power, values)]
-        rows.append(pack(power, nb))
-    out = []
-    for f in polys:
-        blocks = {}
-        for m, c in f.terms:
-            key = m[:k] + (0,) + m[k + 1 :]
-            blocks[key] = blocks.get(key, 0) + c * rows[m[k]]
-        terms = [[] for _ in values]
-        for key in sorted(blocks, reverse=True):
-            mono = _mono(key)
-            for image, c in zip(terms, unpack(blocks[key], nb, n, p)):
-                if c:
-                    image.append((mono, c))
-        out.append(tuple([Polynomial._make(field, tuple(image)) for image in terms]))
-    return tuple(out)
 
 
 def _by_value(images: tuple, n: int) -> tuple:
@@ -319,8 +269,6 @@ def _fiber_view(G: GroebnerBasis) -> _FiberView:
     x^(deg h) * m, which some lm(g_j) divides.  If u' were not constant,
     that head would properly divide lm(g_i), against minimality.
     """
-    if not isinstance(G.field, PrimeField):
-        return _FiberView("requires prime-field coefficients", 0, 0, ())
     facts = structure_facts(G)
     if not facts.zero_dim:
         return _FiberView(f"not zero-dimensional: {facts.missing}", 0, 0, ())

@@ -1,7 +1,8 @@
 """Shared test helpers: random polynomials, fibered point sets, the
 generators of a squared vanishing ideal, and references to compare the
-kernels against: an unpruned Buchberger completion for `buchberger`,
-schoolbook powering mod a univariate modulus for the packed
+kernels against: an unpruned Buchberger completion for `buchberger`, a
+term-by-term substitution loop for the packed `poly._images`, schoolbook
+powering mod a univariate modulus for the packed
 `specialize._pow_linear`, the dual-functional loop on plain lists and
 dicts for the packed `fat_point_basis`, and a slot-by-slot byte-string
 codec for `packed.pack` and `packed.unpack`."""
@@ -109,6 +110,21 @@ def reference_buchberger(generators, radical=False) -> GroebnerBasis:
     return GroebnerBasis(tuple(kept), radical=radical)
 
 
+def reference_substitute(f, axis: int, value) -> Polynomial:
+    """f with the variable of the axis (0=x, 1=y) set to value, one term at
+    a time with a table of the value's reduced powers."""
+    p = f.field.p
+    k = 2 - axis  # a Monomial stores its exponents as (c, b, a)
+    powers = [1]
+    for _ in range(max([m[k] for m, _ in f.terms], default=0)):
+        powers.append(powers[-1] * value % p)
+    acc = {}
+    for m, c in f.terms:
+        key = m[:k] + (0,) + m[k + 1 :]
+        acc[key] = acc.get(key, 0) + c * powers[m[k]]
+    return Polynomial._collect(f.field, acc)
+
+
 def reference_mulmod(a: list, b: list, m: list, p: int) -> list:
     """a * b mod m on coefficient lists, lowest degree first, by schoolbook
     multiplication."""
@@ -140,7 +156,7 @@ def reference_fat_point_basis(points: PointSet, shapes) -> tuple:
     `fat_point_basis` on lists and dicts: each row is a reduced functional
     vector plus its combination over the standard monomials as a dict."""
     field = PrimeField(points.prime)
-    mod, inv = field.mod, field.inv
+    mod, inv = field.p, field.inv
     shapes = [_checked_shape(shape) for shape in shapes]
     index = {}
     for i, shape in enumerate(shapes):

@@ -80,7 +80,6 @@ def test_small_campaign_summary_shape():
     assert summary["nonradical"]["count"] == 4
     assert summary["all_pass"] is True
     assert summary["radical"]["failures"] == []
-    assert summary["implication_violations"] == []
     # radical instances assert every check, so nothing lands in observed mode
     assert summary["radical"]["observed"] == {}
     by_name = summary["radical"]["checks"]

@@ -207,6 +207,20 @@ def test_solve_nonsplit_small_prime(tmp_path, capsys):
     assert "does not split" in capsys.readouterr().err
 
 
+def test_input_commands_take_no_prime_flag(tmp_path, capsys):
+    # the modulus of gb, verify and solve is the input file's "p"; a --prime
+    # that silently lost to it would solve {x^2 + 1, y, z} over F_101, not F_5
+    src = write_json(
+        tmp_path / "gens.json",
+        {"p": 101, "generators": [P("x^2 + 1").to_dict(), P("y").to_dict(), P("z").to_dict()]},
+    )
+    for command in ("gb", "verify", "solve"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--prime", "5", src])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --prime" in capsys.readouterr().err
+
+
 def test_solve_rejects_a_unit_flag_the_elements_contradict(tmp_path, capsys):
     # (0, 0, 0) solves x^2, x*y, y^2, z, so the unit flag is wrong; verify
     # fails basis_integrity on the same file and solve must not print no points
@@ -278,6 +292,7 @@ MALFORMED = {
     "empty-basis": {"p": 101, "basis": []},
     "term-without-exponents": {"p": 101, "basis": [{"terms": [{"c": 1}]}]},
     "float-coefficient": {"p": 101, "generators": [{"terms": [{"c": 1.5, "e": [1, 0, 0]}]}]},
+    "string-coefficient": {"p": 101, "generators": [{"terms": [{"c": "3/4", "e": [1, 0, 0]}]}]},
     "basis-boolean-coefficient": {"p": 101, "basis": [{"terms": [{"c": True, "e": [1, 0, 0]}]}]},
     "generators-boolean-coefficient": {"p": 101, "generators": [{"terms": [{"c": True, "e": [0, 1, 0]}]}]},
     "points-string-prime": {"p": "x", "points": [[1, 2, 3]]},

@@ -1,13 +1,12 @@
 """Buchberger completion, reduced bases, staircase structure."""
 
 import random
-from fractions import Fraction
 
 import pytest
 
 from lexgb import groebner, instances
 from lexgb.campaign import CampaignConfig, nonradical_recipes
-from lexgb.field import PrimeField, RationalField
+from lexgb.field import PrimeField
 from lexgb.groebner import (
     GroebnerBasis,
     basis_from_dict,
@@ -107,7 +106,7 @@ def test_result_is_reduced_and_ascending():
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
         for i, g in enumerate(G.elements):
-            assert g.lc() == F101.one
+            assert g.lc() == 1
             others = [h for j, h in enumerate(G.elements) if j != i]
             for m, _ in g.terms:
                 assert not any(h.lm().divides(m) for h in others)
@@ -174,9 +173,8 @@ def test_buchberger_matches_reference_on_campaign_recipes(checked_buchberger):
         (PrimeField(2), lambda rng: rng.randrange(2)),
         (PrimeField(7), lambda rng: rng.randrange(7)),
         (PrimeField(101), lambda rng: rng.randrange(101)),
-        (RationalField(), lambda rng: Fraction(rng.randint(-5, 5), rng.randint(1, 4))),
     ],
-    ids=["F2", "F7", "F101", "QQ"],
+    ids=["F2", "F7", "F101"],
 )
 def test_buchberger_matches_reference_on_random_generators(field, draw):
     rng = random.Random(31)

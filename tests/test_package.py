@@ -1,5 +1,10 @@
 """The package's public surface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import lexgb
 
 
@@ -10,3 +15,13 @@ def test_every_exported_name_resolves():
     namespace = {}
     exec("from lexgb import *", namespace)
     assert set(lexgb.__all__) <= set(namespace)
+
+
+def test_import_loads_no_rational_arithmetic():
+    # the coefficients are ints mod p, so importing the package should not
+    # pay for the standard library's fractions (and decimal, which it loads)
+    src = str(Path(lexgb.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = "import sys, lexgb; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"

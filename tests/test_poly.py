@@ -2,11 +2,10 @@
 
 import pickle
 import random
-from fractions import Fraction
 
 import pytest
 
-from lexgb.field import PrimeField, RationalField
+from lexgb.field import PrimeField
 from lexgb.poly import (
     MONOMIAL_ONE,
     Monomial,
@@ -186,9 +185,6 @@ def test_evaluate_matches_modular_powers():
         x, y, z = point
         expected = sum(k * pow(x, m.a, p) * pow(y, m.b, p) * pow(z, m.c, p) for m, k in f.terms) % p
         assert f.evaluate(point) == expected
-    Q = RationalField()
-    f = Polynomial(Q, [(Monomial(3, 1, 0), Fraction(1, 2)), (Monomial(0, 0, 2), 1), (MONOMIAL_ONE, Fraction(-7, 3))])
-    assert f.evaluate((Fraction(1, 2), 3, Fraction(-2, 5))) == Fraction(3, 16) + Fraction(4, 25) - Fraction(7, 3)
 
 
 def test_lex_head_drop_under_specialization():
@@ -243,15 +239,6 @@ def test_parse_rejects_garbage():
     for bad in ("", "x +", "w^2", "x^", "3/4*x", "x**2", "+", "2x"):
         with pytest.raises(ValueError):
             P(bad)
-
-
-def test_rational_coefficients():
-    Q = RationalField()
-    p = parse_polynomial(Q, "x^2 + 3/4")
-    assert p.evaluate((2, 0, 0)) == Q("19/4")
-    d = p.to_dict()
-    assert d["terms"][1]["c"] == "3/4"
-    assert poly_from_dict(Q, d) == p
 
 
 def test_dict_round_trip():
@@ -395,7 +382,6 @@ def test_max_degrees_and_region_predicates():
 
 
 def test_prime_field_coefficients_are_canonical_ints():
-    Q = RationalField()
     rng = random.Random(5)
     for _ in range(50):
         a, b = random_poly(F7, rng), random_poly(F7, rng, nonzero=True)
@@ -408,8 +394,6 @@ def test_prime_field_coefficients_are_canonical_ints():
     assert type(given.evaluate((F7(2), 0, 0))) is int and given.evaluate((2, 0, 0)) == 5
     with pytest.raises(TypeError):
         Polynomial(F7, [(MONOMIAL_ONE, 1.5)])
-    rational = P("x^2 - 1/3*y + 2", Q)
-    assert all(type(c) is Fraction for p in (rational, rational * rational) for _, c in p.terms)
 
 
 def test_monomials_compare_and_hash_like_their_cba_tuples():
@@ -428,25 +412,14 @@ def test_monomials_compare_and_hash_like_their_cba_tuples():
 
 
 def test_serialization_round_trips_unchanged():
-    Q = RationalField()
     g = P("3*x^2*y - z + 5", F7)
     assert g.to_dict() == {
         "terms": [{"c": 6, "e": [0, 0, 1]}, {"c": 3, "e": [2, 1, 0]}, {"c": 5, "e": [0, 0, 0]}]
     }
     assert g.text() == "6*z + 3*x^2*y + 5"
-    h = P("3/2*x^2*y - z + 5 - 1/3*x", Q)
-    assert h.to_dict() == {
-        "terms": [
-            {"c": -1, "e": [0, 0, 1]},
-            {"c": "3/2", "e": [2, 1, 0]},
-            {"c": "-1/3", "e": [1, 0, 0]},
-            {"c": 5, "e": [0, 0, 0]},
-        ]
-    }
-    assert h.text() == "-z + 3/2*x^2*y - 1/3*x + 5"
     rng = random.Random(13)
     polys = [random_poly(F101, rng, max_terms=8) for _ in range(30)]
-    polys += [P("x^3 - 7/2*y*z + 1/5", Q), P("-x", Q), Polynomial(Q), g, h]
+    polys += [Polynomial(F7), g]
     for p in polys:
         for back in (poly_from_dict(p.field, p.to_dict()), parse_polynomial(p.field, p.text())):
             assert back == p and back.to_dict() == p.to_dict() and back.text() == p.text()

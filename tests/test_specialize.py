@@ -6,7 +6,7 @@ import pytest
 
 from lexgb import specialize
 from lexgb.campaign import CampaignConfig, nonradical_recipes, radical_recipes
-from lexgb.field import PrimeField, RationalField
+from lexgb.field import PrimeField
 from lexgb.checks import verify_all
 from lexgb.groebner import GroebnerBasis, buchberger, normal_form
 from lexgb.instances import (
@@ -29,7 +29,7 @@ from lexgb.specialize import (
     split_roots,
 )
 
-from helpers import FIBERED_PATTERNS, fibered_points, random_poly
+from helpers import FIBERED_PATTERNS, fibered_points, random_poly, reference_substitute
 
 F101 = PrimeField(101)
 
@@ -193,9 +193,6 @@ def test_roots_univariate_errors():
         roots_univariate(Polynomial(F101))
     with pytest.raises(ValueError):
         roots_univariate(P("x*y"))
-    Q = RationalField()
-    with pytest.raises(ValueError):
-        roots_univariate(parse_polynomial(Q, "x"))
 
 
 def test_split_roots_detects_rootless_cofactor():
@@ -242,11 +239,6 @@ def test_specialization_image_detects_vanishing_lc():
 
 def test_specialization_image_skips():
     assert check_specialization_image(GroebnerBasis((P("x"),))).verdict == SKIPPED
-    Q = RationalField()
-    G = GroebnerBasis((parse_polynomial(Q, "x"),))
-    r = check_specialization_image(G)
-    assert r.verdict == SKIPPED
-    assert "prime-field" in r.notes
 
 
 def test_specialization_image_observed_mode():
@@ -388,9 +380,6 @@ def test_solve_raises_on_nonsplit_eliminant():
 def test_solve_requires_zero_dimensional_prime_field():
     with pytest.raises(ValueError):
         solve_system(GroebnerBasis((P("x"),)))
-    Q = RationalField()
-    with pytest.raises(ValueError):
-        solve_system(GroebnerBasis((parse_polynomial(Q, "x"),)))
     # z - y sits in the elimination prefix, outside its band in k[x, y]; the
     # slices past the prefix would solve z^2 - 1 alone, though no point
     # satisfies both z = y = 0 and z^2 = 1
@@ -457,7 +446,8 @@ def test_images_are_the_substituted_polys(p):
             images = specialize._images(polys, axis, vals)
             assert len(images) == len(polys)
             for f, row in zip(polys, images):
-                assert row == tuple(substitute(f, v) for v in vals), (f.text(), axis)
+                assert row == tuple(reference_substitute(f, axis, v) for v in vals), (f.text(), axis)
+                assert row == tuple(substitute(f, v) for v in vals)
                 assert all(img.field == field for img in row)
     assert specialize._images([], 0, values) == ()
 
@@ -469,16 +459,13 @@ def test_images_reach_the_slot_bound():
     p = 2**61 - 1
     field = PrimeField(p)
     t = 100  # t(p - 1)^2 needs one more byte than (p - 1)^2
-    for axis, mono, substitute in (
-        (0, lambda e: Monomial(e, 0, 3), Polynomial.substitute_x),
-        (1, lambda e: Monomial(0, e, 3), Polynomial.substitute_y),
-    ):
+    for axis, mono in ((0, lambda e: Monomial(e, 0, 3)), (1, lambda e: Monomial(0, e, 3))):
         f = Polynomial(field, [(mono(2 * i + 1), p - 1) for i in range(t)])
         g = Polynomial(field, [(mono(i), p - 1) for i in range(t)] + [(Monomial(0, 0, 0), 1)])
         images = specialize._images([f, g], axis, [p - 1, p - 1, 0])
         assert images[0][0] == Polynomial(field, [(Monomial(0, 0, 3), t)])
         for h, row in zip((f, g), images):
-            assert row == tuple(substitute(h, v) for v in (p - 1, p - 1, 0))
+            assert row == tuple(reference_substitute(h, axis, v) for v in (p - 1, p - 1, 0))
 
 
 def test_fiber_view_slices_are_the_substituted_elements():
@@ -496,7 +483,8 @@ def test_fiber_view_slices_are_the_substituted_elements():
         for fiber in view.fibers:
             assert len(fiber.slices) == len(fiber.betas)
             for beta, slice_z in zip(fiber.betas, fiber.slices):
-                assert slice_z == tuple(g.substitute_x(fiber.alpha).substitute_y(beta) for g in past)
+                expected = (reference_substitute(reference_substitute(g, 0, fiber.alpha), 1, beta) for g in past)
+                assert slice_z == tuple(expected)
                 slices += 1
     assert slices >= 500
 
