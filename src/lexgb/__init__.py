@@ -7,7 +7,6 @@ from .poly import (
     Monomial,
     Polynomial,
     ZeroPolynomialError,
-    lex_compare,
     parse_polynomial,
     poly_from_dict,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "build_instance",
     "elimination_basis",
     "is_groebner_basis",
-    "lex_compare",
     "normal_form",
     "parse_polynomial",
     "poly_from_dict",

@@ -150,7 +150,7 @@ def run_campaign(config: CampaignConfig) -> dict:
     workers = min(config.jobs, len(recipes), os.cpu_count() or 1)
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_worker, [(r, config.checks) for r in recipes]))
+            results = list(pool.map(verify_recipe, recipes, [config.checks] * len(recipes)))
     else:
         results = [verify_recipe(r, config.checks) for r in recipes]
 
@@ -171,8 +171,3 @@ def run_campaign(config: CampaignConfig) -> dict:
         "nonradical": nonradical,
         "all_pass": all_pass,
     }
-
-
-def _worker(args):
-    recipe_data, checks = args
-    return verify_recipe(recipe_data, checks)

@@ -107,7 +107,7 @@ def is_groebner_basis(basis) -> bool:
     return True
 
 
-def buchberger(generators, radical: bool = False) -> GroebnerBasis:
+def buchberger(generators) -> GroebnerBasis:
     """Reduced lex Groebner basis of the ideal the generators span.
 
     Completion uses the normal selection strategy (smallest head lcm
@@ -132,7 +132,7 @@ def buchberger(generators, radical: bool = False) -> GroebnerBasis:
     if not gens:
         raise ValueError("no nonzero generators")
     field = gens[0].field
-    unit = GroebnerBasis((constant(field, 1),), radical=radical, unit_ideal=True)
+    unit = GroebnerBasis((constant(field, 1),), unit_ideal=True)
 
     basis: list[Polynomial] = []
     pairs: list[tuple] = []  # heap of (lcm of the heads, i, j)
@@ -191,7 +191,7 @@ def buchberger(generators, radical: bool = False) -> GroebnerBasis:
     for i in range(len(kept)):
         kept[i] = kept[i].divide(kept[:i] + kept[i + 1 :])[1]
 
-    return GroebnerBasis(tuple(kept), radical=radical)
+    return GroebnerBasis(tuple(kept))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,9 @@ quotient dimension equals the sum of the |D_P|.  Vanishing ideals of point
 sets are the plain shape {0} at every point and radical by construction.
 The two non-radical recipes provide instances without the radicality
 guarantee: squared vanishing ideals, which are the first-order shape
-{0, e_x, e_y, e_z} at every point, and random triangular systems.
+{0, e_x, e_y, e_z} at every point, and random triangular systems, whose
+drawn elements are already their reduced basis.  No builder runs a
+Buchberger completion.
 """
 
 from __future__ import annotations
@@ -18,9 +20,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import product
 
 from .field import PrimeField
-from .groebner import GroebnerBasis, buchberger
+from .groebner import GroebnerBasis
 from .packed import pack, slot_bytes, unpack
 from .poly import Monomial, Polynomial
 
@@ -286,38 +289,30 @@ class Instance:
     points: PointSet | None
 
 
-def _random_kx(field, rng, max_deg: int) -> list[tuple[Monomial, object]]:
-    return [(Monomial(i, 0, 0), rng.randrange(field.p)) for i in range(max_deg)]
-
-
 def random_triangular_basis(degrees, seed: int, prime: int = 101) -> GroebnerBasis:
-    """Reduced basis of a random triangular system.
+    """Reduced basis of a random triangular system, as drawn.
 
-    The generators are f1 in k[x], f2 monic of the given degree in y, f3
-    monic in z, with dense random lower-order terms.  The heads x^d1,
-    y^d2, z^d3 are pairwise coprime, so the system is zero-dimensional;
-    a degenerate draw (unit ideal) is retried on a shifted seed.
+    The elements are f1 = x^d1 + (terms x^i), f2 = y^d2 + (terms x^i y^j)
+    and f3 = z^d3 + (terms x^i y^j z^k), i < d1, j < d2, k < d3, with dense
+    random coefficients.  The heads x^d1, y^d2, z^d3 are pairwise coprime,
+    so the elements form a Groebner basis (Buchberger's product criterion)
+    of a zero-dimensional ideal of colength d1 d2 d3, and no head divides a
+    tail monomial, so that basis is already reduced.
     """
     d1, d2, d3 = degrees
+    if min(degrees) < 1:
+        raise ValueError(f"triangular degrees must be positive, got {tuple(degrees)}")
     field = PrimeField(prime)
-    for attempt in range(10):
-        rng = random.Random(seed + attempt)
-        f1 = Polynomial(field, [(Monomial(d1, 0, 0), 1)] + _random_kx(field, rng, d1))
-        t2 = [(Monomial(0, d2, 0), 1)]
-        for j in range(d2):
-            for i in range(d1):
-                t2.append((Monomial(i, j, 0), rng.randrange(prime)))
-        f2 = Polynomial(field, t2)
-        t3 = [(Monomial(0, 0, d3), 1)]
-        for k in range(d3):
-            for j in range(d2):
-                for i in range(d1):
-                    t3.append((Monomial(i, j, k), rng.randrange(prime)))
-        f3 = Polynomial(field, t3)
-        G = buchberger([f1, f2, f3], radical=False)
-        if not G.unit_ideal:
-            return G
-    raise RuntimeError(f"no nondegenerate triangular draw in 10 attempts from seed {seed}")
+    rng = random.Random(seed)
+    elements = []
+    # heads and tail boxes as stored exponent tuples (c, b, a); the box is
+    # walked ascending, so z is outermost and x innermost
+    for head, box in (((0, 0, d1), (1, 1, d1)), ((0, d2, 0), (1, d2, d1)), ((d3, 0, 0), (d3, d2, d1))):
+        terms = {head: 1}
+        for m in product(*map(range, box)):
+            terms[m] = rng.randrange(prime)
+        elements.append(Polynomial._collect(field, terms))
+    return GroebnerBasis(tuple(elements))
 
 
 def squared_vanishing_basis(points: PointSet) -> GroebnerBasis:

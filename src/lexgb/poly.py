@@ -45,10 +45,6 @@ class Monomial(tuple):
     def __repr__(self):
         return f"Monomial(a={self[2]}, b={self[1]}, c={self[0]})"
 
-    def lex_key(self):
-        """Sort key for lex with z most significant: the stored (c, b, a)."""
-        return tuple(self)
-
     def __mul__(self, other) -> "Monomial":
         return _mono((self[0] + other[0], self[1] + other[1], self[2] + other[2]))
 
@@ -83,11 +79,6 @@ _mono = partial(tuple.__new__, Monomial)
 
 
 MONOMIAL_ONE = Monomial(0, 0, 0)
-
-
-def lex_compare(m1: Monomial, m2: Monomial) -> int:
-    """-1, 0 or 1 as m1 is below, equal to, or above m2 in the term order."""
-    return (m1 > m2) - (m1 < m2)
 
 
 class Polynomial:
@@ -152,11 +143,6 @@ class Polynomial:
             raise ZeroPolynomialError("zero polynomial has no leading coefficient")
         return self.terms[0][1]
 
-    def lt(self) -> "Polynomial":
-        if not self.terms:
-            raise ZeroPolynomialError("zero polynomial has no leading term")
-        return self._make(self.field, self.terms[:1])
-
     def lc_x(self) -> "Polynomial":
         """Leading coefficient in k[x]: the k[x] block attached to lm_yz."""
         zc, yb, _ = self.lm()
@@ -173,15 +159,7 @@ class Polynomial:
         block = [(_mono((0, m[1], m[2])), k) for m, k in self.terms if m[0] == zc]
         return self._make(self.field, tuple(block))
 
-    def lm_z(self) -> Monomial:
-        """Leading monomial of self viewed in k[x, y][z]: the top z power."""
-        return _mono((self.lm()[0], 0, 0))
-
-    # -- degree / support predicates ----------------------------------------
-
-    def max_degrees(self) -> tuple[int, int, int]:
-        dz, dy, dx = map(max, zip((0, 0, 0), *(m for m, _ in self.terms)))
-        return dx, dy, dz
+    # -- support predicates ------------------------------------------------
 
     def in_kx(self) -> bool:
         return all(m[0] == 0 and m[1] == 0 for m, _ in self.terms)

@@ -37,10 +37,6 @@ class CheckReport:
     def ok(self) -> bool:
         return self.verdict != FAIL
 
-    @property
-    def empirically_clean(self) -> bool:
-        return not self.witnesses
-
     def to_dict(self) -> dict:
         return {
             "name": self.name,

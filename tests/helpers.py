@@ -61,7 +61,7 @@ def squared_products(V) -> list:
     return [V[i] * V[j] for i in range(len(V)) for j in range(i, len(V))]
 
 
-def reference_buchberger(generators, radical=False) -> GroebnerBasis:
+def reference_buchberger(generators) -> GroebnerBasis:
     """Buchberger completion with no pair criterion but the coprime-head one:
     every other pair of heads is queued and its S-polynomial reduced.  It
     builds S-polynomials by `term_mul` and subtraction, not by `s_polynomial`,
@@ -70,7 +70,7 @@ def reference_buchberger(generators, radical=False) -> GroebnerBasis:
     if not gens:
         raise ValueError("no nonzero generators")
     field = gens[0].field
-    unit = GroebnerBasis((constant(field, 1),), radical=radical, unit_ideal=True)
+    unit = GroebnerBasis((constant(field, 1),), unit_ideal=True)
 
     basis = []
     pairs = []  # heap of (lcm of the heads, i, j)
@@ -107,7 +107,7 @@ def reference_buchberger(generators, radical=False) -> GroebnerBasis:
             kept.append(basis[i])
     for i in range(len(kept)):
         kept[i] = kept[i].divide(kept[:i] + kept[i + 1 :])[1]
-    return GroebnerBasis(tuple(kept), radical=radical)
+    return GroebnerBasis(tuple(kept))
 
 
 def reference_substitute(f, axis: int, value) -> Polynomial:

@@ -118,8 +118,8 @@ def test_campaign_pool_is_bounded_by_recipes_and_cpus(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(campaign.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     cfg = CampaignConfig(radical_count=4, nonradical_count=2, seed=33, jobs=100000)

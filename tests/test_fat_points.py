@@ -13,12 +13,16 @@ from math import comb
 
 import pytest
 
-from lexgb import instances
+from lexgb import groebner, instances
 from lexgb.groebner import buchberger, is_groebner_basis, quotient_dimension
 from lexgb.instances import (
     FIRST_ORDER,
     PLAIN_POINT,
+    RANDOM_TRIANGULAR,
+    SQUARED_VANISHING,
+    InstanceRecipe,
     PointSet,
+    build_instance,
     fat_point_basis,
     random_points,
     squared_vanishing_basis,
@@ -94,11 +98,20 @@ def test_fat_point_basis_matches_buchberger_on_squared_products():
 
 
 def test_squared_vanishing_basis_calls_no_buchberger(monkeypatch):
+    # no instance builder runs a completion, nor can reach one by name
+    assert "buchberger" not in vars(instances)
     calls = []
-    monkeypatch.setattr(instances, "buchberger", lambda *args, **kw: calls.append(args))
+
+    def recorded(*args, **kw):
+        calls.append(args)
+        return buchberger(*args, **kw)
+
+    monkeypatch.setattr(groebner, "buchberger", recorded)
     G = squared_vanishing_basis(fibered_points(FIBERED_PATTERNS[7], random.Random(5)))
+    squared = build_instance(InstanceRecipe(SQUARED_VANISHING, 101, seed=3, n_points=4))
+    triangular = build_instance(InstanceRecipe(RANDOM_TRIANGULAR, 101, seed=3, degrees=(3, 2, 2)))
     assert not calls
-    assert len(G) > 0
+    assert len(G) > 0 and len(squared.basis) > 0 and len(triangular.basis) == 3
 
 
 TWO_POINTS = PointSet(101, ((1, 2, 3), (4, 5, 6)))

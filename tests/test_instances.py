@@ -1,11 +1,12 @@
 """Point sets, vanishing ideals, and the non-radical instance recipes."""
 
 import random
+from itertools import product
 
 import pytest
 
 from lexgb.field import PrimeField
-from lexgb.groebner import is_groebner_basis, normal_form, quotient_dimension
+from lexgb.groebner import buchberger, is_groebner_basis, normal_form, quotient_dimension
 from lexgb.instances import (
     RANDOM_TRIANGULAR,
     SQUARED_VANISHING,
@@ -166,6 +167,18 @@ def test_random_triangular_shape():
 def test_random_triangular_degree_one():
     G = random_triangular_basis((1, 1, 1), seed=0)
     assert quotient_dimension(G) == 1
+    with pytest.raises(ValueError):
+        random_triangular_basis((2, 0, 1), seed=0)
+
+
+@pytest.mark.parametrize("degrees", list(product((1, 2, 3), repeat=3)))
+@pytest.mark.parametrize("p", [2, 3, 7, 101, 1009])
+def test_random_triangular_basis_is_reduced_as_drawn(p, degrees):
+    T = random_triangular_basis(degrees, 0, p)
+    assert T == buchberger(T.elements)
+    assert not T.unit_ideal
+    d1, d2, d3 = degrees
+    assert quotient_dimension(T) == d1 * d2 * d3
 
 
 def test_recipe_validation():
