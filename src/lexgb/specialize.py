@@ -1,21 +1,19 @@
 """Specialization of x (and y): image bases, degree preservation, solving.
 
-Roots in F_p come from gcd(f, x^p - x), split by equal-degree
-factorization (Cantor-Zassenhaus), so finding them costs a polynomial in
-log p and deg f rather than a pass over every residue.
+The roots of univariate eliminants come from `univariate`, which finds
+them without a pass over every residue of F_p.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import count
 from typing import NamedTuple
 
 from .groebner import GroebnerBasis, is_groebner_basis, normal_form, structure_facts
-from .packed import halver, pack, unpack
 from .poly import MONOMIAL_ONE, Monomial, Polynomial, _images
 from .report import CheckReport, SKIPPED, gated_report
+from .univariate import _horner, _quo, _roots
 
 
 class NonSplitError(RuntimeError):
@@ -27,139 +25,6 @@ class NonSplitError(RuntimeError):
         super().__init__(
             f"{poly.text()} does not split: a degree-{cofactor_degree} factor has no roots"
         )
-
-
-# -- dense univariate arithmetic over F_p -------------------------------------
-# Coefficient lists of plain ints in [0, p), lowest degree first, with no
-# trailing zeros; [] is the zero polynomial.
-
-
-def _trim(f: list) -> list:
-    while f and not f[-1]:
-        f.pop()
-    return f
-
-
-def _rem(f: list, g: list, p: int) -> list:
-    """f mod g for a nonzero g; the entries of f need not be reduced mod p."""
-    f = list(f)
-    dg = len(g) - 1
-    inv = pow(g[-1], p - 2, p)
-    for i in range(len(f) - 1, dg - 1, -1):
-        c = f[i] % p * inv % p
-        if c:
-            shift = i - dg
-            for j in range(dg):
-                f[shift + j] -= c * g[j]
-    return _trim([c % p for c in f[:dg]])
-
-
-def _quo(f: list, g: list, p: int) -> list:
-    """The exact quotient f / g for a monic g that divides f."""
-    f = list(f)
-    dg = len(g) - 1
-    q = [0] * (len(f) - dg)
-    for i in range(len(q) - 1, -1, -1):
-        c = q[i] = f[i + dg]
-        if c:
-            for j in range(dg + 1):
-                f[i + j] = (f[i + j] - c * g[j]) % p
-    return q
-
-
-def _pow_linear(s: int, e: int, m: list, p: int) -> list:
-    """(x + s)^e mod m for a monic m of degree d >= 1, by squaring from the
-    top bit of e down, on packed vectors of d slots below 2p (see `packed`).
-
-    A square has 2d - 1 slots, each a sum of at most d products below 4p^2.
-    Its top d - 1 slots are cleared from the top down with copies of m
-    shifted into place, which adds at most d - 1 terms (p - c) * m_j below
-    p^2 to any slot.  A 1-bit of e multiplies by x + s: a shift by one slot
-    plus s times the vector, with slot d cleared.  So no slot exceeds
-    5dp^2 before `halve` takes it back below 2p.
-    """
-    d = len(m) - 1
-    nb, halve = halver(p, 5 * d * p * p, d)
-    w = 8 * nb
-    mask = (1 << w) - 1
-    packed_m = pack(m, nb)
-    shifted = [packed_m << i * w for i in range(d - 1)]  # clears slot d + i
-    acc = 1
-    for bit in bin(e)[2:]:
-        acc *= acc
-        for i in range(d - 2, -1, -1):
-            c = (acc >> (d + i) * w & mask) % p
-            if c:
-                acc += (p - c) * shifted[i]
-        acc = halve(acc)
-        if bit == "1":
-            acc = (acc << w) + s * acc
-            c = (acc >> d * w) % p
-            if c:
-                acc += (p - c) * packed_m
-            acc = halve(acc)
-    return _trim(unpack(acc, nb, d, p))
-
-
-def _sub_xpow(f: list, e: int, p: int) -> list:
-    """f - x^e."""
-    f = f + [0] * (e + 1 - len(f))
-    f[e] = (f[e] - 1) % p
-    return _trim(f)
-
-
-def _monic_gcd(a: list, b: list, p: int) -> list:
-    while b:
-        a, b = b, _rem(a, b, p)
-    inv = pow(a[-1], p - 2, p)
-    return [c * inv % p for c in a]
-
-
-def _split(g: list, p: int, out: list, first_shift: int = 1) -> None:
-    """Append the roots of g, a monic product of distinct linear factors.
-
-    gcd(g, (x + a)^((p-1)/2) - 1) keeps the roots r with r + a a nonzero
-    square.  For two distinct roots about half of all shifts a separate
-    them, so few shifts are tried.  A shift that fails on g fails on its
-    factors too, so they go on from the shift after the one that split g.
-    """
-    if len(g) == 2:
-        out.append(-g[0] % p)
-    elif len(g) > 2:
-        if p == 2:
-            # g divides x^2 - x, so here g = x(x + 1); (p - 1)/2 = 0 leaves
-            # nothing to split with below
-            out.extend((0, 1))
-            return
-        for a in count(first_shift):
-            h = _monic_gcd(g, _sub_xpow(_pow_linear(a % p, (p - 1) // 2, g, p), 0, p), p)
-            if 1 < len(h) < len(g):
-                _split(h, p, out, a + 1)
-                _split(_quo(g, h, p), p, out, a + 1)
-                return
-
-
-def _roots(f: list, p: int) -> list:
-    """The distinct roots of a nonzero f in F_p, ascending."""
-    if len(f) < 2:
-        return []
-    if len(f) == 2:
-        return [-f[0] * pow(f[1], p - 2, p) % p]
-    # gcd(f, x^p - x) is the product of the distinct linear factors of f;
-    # when f divides x^p - x the remainder x^p mod f - x is zero
-    inv = pow(f[-1], p - 2, p)
-    f = [c * inv % p for c in f]
-    g = _monic_gcd(f, _sub_xpow(_pow_linear(0, p, f, p), 1, p), p)
-    out: list = []
-    _split(g, p, out)
-    return sorted(out)
-
-
-def _horner(f: list, v: int, p: int) -> int:
-    acc = 0
-    for c in reversed(f):
-        acc = (acc * v + c) % p
-    return acc
 
 
 def _dense(f: Polynomial, axis: int) -> list:

@@ -3,7 +3,7 @@ generators of a squared vanishing ideal, and references to compare the
 kernels against: an unpruned Buchberger completion for `buchberger`, a
 term-by-term substitution loop for the packed `poly._images`, schoolbook
 powering mod a univariate modulus for the packed
-`specialize._pow_linear`, the dual-functional loop on plain lists and
+`univariate._pow_linear`, the dual-functional loop on plain lists and
 dicts for the packed `fat_point_basis`, and a slot-by-slot byte-string
 codec for `packed.pack` and `packed.unpack`."""
 
@@ -13,7 +13,7 @@ from lexgb import GroebnerBasis, Monomial, PointSet, Polynomial
 from lexgb.field import PrimeField
 from lexgb.instances import _checked_shape, _step_down
 from lexgb.poly import constant
-from lexgb.specialize import _rem
+from lexgb.univariate import _rem
 
 
 def random_monomial(rng, max_deg=3):

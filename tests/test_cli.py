@@ -1,6 +1,10 @@
 """End-to-end command-line behavior: formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -259,6 +263,18 @@ def test_campaign_small(tmp_path):
     assert data["all_pass"] is True
     assert data["radical"]["count"] == 3
     assert data["nonradical"]["count"] == 2
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    args = ["campaign", "--radical", "3", "--nonradical", "2", "--points-max", "4", "--seed", "17"]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-m", "lexgb", *args], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert main(args) == 0
+    assert done.stdout == capsys.readouterr().out
 
 
 def test_campaign_empty(capsys):

@@ -10,7 +10,8 @@ import pytest
 from lexgb.field import PrimeField
 from lexgb.instances import FIRST_ORDER, PLAIN_POINT, PointSet, fat_point_basis, random_points, vanishing_basis
 from lexgb.packed import halver, pack, slot_bytes, unpack
-from lexgb.specialize import _pow_linear, _roots, solve_system
+from lexgb.specialize import solve_system
+from lexgb.univariate import _pow_linear, _roots
 
 from helpers import reference_fat_point_basis, reference_pack, reference_powmod, reference_unpack
 
@@ -91,7 +92,7 @@ def test_pow_linear_matches_schoolbook(p):
             m = [p - 1] * d + [1]
         else:
             m = [rng.randrange(p) for _ in range(d)] + [1]
-        # both shifts and both exponents, as x^p in `_roots` and the
+        # both shifts and both exponents, as x^p in `_cz_roots` and the
         # (x + s)^((p - 1)/2) of `_split` use them
         for s, e in ((0, p), (p - 1, (p - 1) // 2)):
             assert _pow_linear(s, e, m, p) == reference_powmod([s, 1], e, m, p), (d, s, e)

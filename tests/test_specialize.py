@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from lexgb import specialize
+from lexgb import specialize, univariate
 from lexgb.campaign import CampaignConfig, nonradical_recipes, radical_recipes
 from lexgb.field import PrimeField
 from lexgb.checks import verify_all
@@ -117,9 +117,8 @@ def test_roots_match_a_residue_scan(p):
     for _ in range(20):
         cases.append(kx(field, [rng.randrange(p) for _ in range(rng.randrange(1, 9))] + [1]))
     cases.append(kx(field, [rng.randrange(1, p)]))  # a nonzero constant
-    # a product of distinct linear factors divides x^p - x, so x^p mod f
-    # is x and the gcd step meets a zero remainder; so does x^p - x itself,
-    # whose degree p makes it too slow to include at p = 1009
+    # a product of distinct linear factors divides x^p - x, and so does
+    # x^p - x itself, whose degree p makes it too slow to include at p = 1009
     if p <= 101:
         cases.append(kx(field, [0, p - 1] + [0] * (p - 2) + [1]))
     distinct = rng.sample(range(p), min(p, 6))
@@ -187,6 +186,59 @@ def test_split_roots_shortcut_matches_a_residue_scan(p, monkeypatch):
         deflated.clear()
         assert split_roots(f) == scan_split(f), f.text()
         assert (not deflated) == shortcut, f.text()
+
+
+def finder_cases(p):
+    """Coefficient lists, lowest degree first: split, repeated and non-split
+    products, non-monic and with f(0) = 0, random ones, two of degree
+    p - 1, and x^p - x."""
+    field = PrimeField(p)
+    rng = random.Random(200 + p)
+    x = kx(field, [0, 1])
+    cases = []
+    for _ in range(10):
+        roots = rng.sample(range(p), rng.randrange(1, min(p, 6) + 1))
+        split = distinct_linear_product(field, roots).scale(rng.randrange(1, p))
+        repeated = split * linear(field, rng.choice(roots)) ** 2
+        quadratic = irreducible_quadratic(field, rng)
+        cases += [split, repeated, split * quadratic, x * split, x * x * repeated * quadratic]
+        cases.append(kx(field, [rng.randrange(p) for _ in range(rng.randrange(2, 9))] + [1]))
+    cases = [coefficient_list(f) for f in cases]
+    cases.append([rng.randrange(p) for _ in range(p - 1)] + [rng.randrange(1, p)])
+    cases.append([p - 1] + [0] * (p - 2) + [1])  # x^(p-1) - 1: all of F_p^*
+    cases.append([0, p - 1] + [0] * (p - 2) + [1])  # x^p - x: all of F_p
+    return cases
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 101, 1009])
+def test_both_root_finders_match_a_residue_scan(p):
+    # _roots sends each input to one finder, so both run here on every
+    # input; the chirp takes degrees below p only
+    for f in finder_cases(p):
+        expected = [v for v in range(p) if synthetic_division(f, v, p)[1] == 0]
+        assert univariate._cz_roots(f, p) == expected, f
+        if len(f) <= p:
+            assert univariate._chirp_roots(f, p) == expected, f
+
+
+def test_root_finder_choice(monkeypatch):
+    taken = []
+    monkeypatch.setattr(univariate, "_chirp_roots", lambda f, p: taken.append("chirp") or [])
+    monkeypatch.setattr(univariate, "_cz_roots", lambda f, p: taken.append("cz") or [])
+
+    def finder(p, degree):
+        taken.clear()
+        univariate._roots([1] * (degree + 1), p)
+        return taken[0] if taken else "closed form"
+
+    assert finder(101, 2) == finder(1009, 24) == "chirp"
+    assert finder(1009, 2) == "cz"
+    assert {finder(2**31 - 1, d) for d in range(1, 300)} == {"closed form", "cz"}
+    assert {finder(2, d) for d in range(2, 9)} == {"cz"}
+    monkeypatch.undo()
+    # p = 2 splits x(x + 1) apart from the other primes (see _split)
+    assert univariate._roots([0, 1, 1], 2) == [0, 1]
+    assert univariate._roots([0, 1, 0, 1], 2) == [0, 1]
 
 
 def test_roots_univariate_errors():
