@@ -92,28 +92,43 @@ def _componentwise(hi, hj) -> bool:
 
 def _chain_witnesses(elems, related) -> list[dict]:
     """The pairs j < i whose heads satisfy related(lm g_i, lm g_j) but where
-    lc_x(g_i) does not divide lc_x(g_j), ordered by i and then j."""
+    lc_x(g_i) does not divide lc_x(g_j), ordered by i and then j.
+
+    The terms of lc_x(g_i) are the terms of g_i at lm_yz(g_i), whose top is
+    the head, so a head with no x makes lc_x(g_i) a nonzero constant, which
+    divides everything: only the other divisors take a division."""
     heads = [g.lm() for g in elems]
-    lcs = [g.lc_x() for g in elems]
-    return [
-        {"i": i + 1, "j": j + 1, "divisor": lcs[i].text(), "dividend": lcs[j].text()}
-        for i in range(len(elems))
-        for j in range(i)
-        if related(heads[i], heads[j]) and not lcs[j].divide([lcs[i]])[1].is_zero()
-    ]
+    lcs = None
+    witnesses = []
+    for i in range(1, len(elems)):
+        if not heads[i].a:
+            continue
+        lcs = lcs or [g.lc_x() for g in elems]
+        witnesses += [
+            {"i": i + 1, "j": j + 1, "divisor": lcs[i].text(), "dividend": lcs[j].text()}
+            for j in range(i)
+            if related(heads[i], heads[j]) and not lcs[j].divide([lcs[i]])[1].is_zero()
+        ]
+    return witnesses
 
 
 def _content_witnesses(elems, part, first: int = 1) -> list[dict]:
     """For each g_i from index `first` on, the highest k[x] block of part(g_i)
-    that lc_x(g_i) does not divide.
+    that lc_x(g_i) does not divide; part(g) is g or lc_xy(g).
 
     One division per element finds it.  lc_x(g_i) lies in k[x], so every
     reduction step stays inside one (y, z) block, and the remainder is zero
     exactly when each block is divisible.  The order compares (y, z) before
     x, so the remainder's head lies in the highest block that does not
-    divide."""
+    divide.  The heads settle two cases with no division: a head with no x
+    makes lc_x(g_i) a nonzero constant (see `_chain_witnesses`), and a head
+    with no y or z puts all of g_i in k[x], so that part(g_i) = g_i is its
+    own lc_x."""
     witnesses = []
     for i in range(first, len(elems)):
+        head = elems[i].lm()
+        if not head.a or not (head.b or head.c):
+            continue
         p = part(elems[i])
         _, r = p.divide([elems[i].lc_x()])
         if not r.is_zero():
@@ -171,6 +186,11 @@ def check_membership_lc_xy(G: GroebnerBasis) -> CheckReport:
     elems = G.elements
     witnesses = []
     for i in range(facts.ell2, len(elems)):
+        head = elems[i].lm()
+        if not (head.a or head.b):
+            # a pure z-power head makes lc_xy(g_i) a nonzero constant, so the
+            # ideal is the unit ideal and holds g_i
+            continue
         H = buchberger([elems[i].lc_xy(), elems[0]])
         r = normal_form(elems[i], H)
         if not r.is_zero():

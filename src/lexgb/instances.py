@@ -140,7 +140,14 @@ def fat_point_basis(points: PointSet, shapes) -> GroebnerBasis:
         raise ValueError("empty point set")
     if len(set(points.points)) != len(points.points):
         raise ValueError("points must be distinct")
-    shapes = [_checked_shape(shape) for shape in shapes]
+    # callers pass one shape object for many points: check each object once
+    # (the list keeps every object alive, so no id is reused)
+    shapes = list(shapes)
+    checked = {}
+    for shape in shapes:
+        if id(shape) not in checked:
+            checked[id(shape)] = _checked_shape(shape)
+    shapes = [checked[id(shape)] for shape in shapes]
     if len(shapes) != len(points.points):
         raise ValueError(f"{len(shapes)} shapes for {len(points.points)} points")
     field = PrimeField(points.prime)

@@ -7,7 +7,7 @@ them without a pass over every residue of F_p.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
 from .groebner import GroebnerBasis, is_groebner_basis, normal_form, structure_facts
@@ -97,10 +97,9 @@ class _Fiber:
     stuck: int  # cofactor degree of the eliminant
     prefix: int  # ell2, the length of the elimination prefix
 
-    @cached_property
+    @property
     def slices(self) -> tuple:
-        """Per beta, g(alpha, beta, z) for every g past the prefix.  Built
-        on first use: only `gianni_kalkbrener` and `solve_system` read them."""
+        """Per beta, g(alpha, beta, z) for every g past the prefix, built on each read."""
         return _by_value(_images(self.images[self.prefix :], 1, self.betas), len(self.betas))
 
 
@@ -117,9 +116,9 @@ def _fiber_view(G: GroebnerBasis) -> _FiberView:
     at each root of g_1, then y = beta at each common root of the images of
     the elimination prefix g_1..g_ell2, whose last has a pure power of y as
     head and so a nonzero image.  The fiber checks and `solve_system` all
-    read this view, so `verify_all` substitutes each alpha and beta at most
-    once: one `_images` pass gives every element's images at all alphas,
-    and one per fiber its slices at all betas, built when first read.
+    read this view, so `verify_all` substitutes each alpha once, in one
+    `_images` pass over every element.  Only `solve_system` reads every
+    (alpha, beta) slice, one `_images` pass per fiber (`_Fiber.slices`).
     It needs a zero-dimensional basis over F_p with every element in its
     band (see `structure_facts`), so that the prefix images lie in k[y] and
     the slices in k[z]; on any other basis, `skipped` says why.
@@ -182,14 +181,8 @@ def check_specialization_image(G: GroebnerBasis) -> CheckReport:
             if img.is_zero():
                 continue
             if _lc_x_vanishes(g, img):
-                witnesses.append(
-                    {
-                        "alpha": alpha,
-                        "i": idx + 1,
-                        "image": img.text(),
-                        "reason": "nonzero image though the leading x-coefficient vanishes",
-                    }
-                )
+                reason = "nonzero image though the leading x-coefficient vanishes"
+                witnesses.append({"alpha": alpha, "i": idx + 1, "image": img.text(), "reason": reason})
                 continue
             images.append(img)
         if images and not is_groebner_basis(images):
@@ -202,24 +195,40 @@ def check_specialization_image(G: GroebnerBasis) -> CheckReport:
 def check_gianni_kalkbrener(G: GroebnerBasis) -> CheckReport:
     """At every solution (alpha, beta) of the elimination prefix, each element
     past the prefix keeps its z degree after specialization (or vanishes).
-    Assumes a basis that passes basis_integrity."""
+    Assumes a basis that passes basis_integrity.  An element with head
+    z-degree c has no term above z^c, so its slice keeps degree c exactly
+    when its alpha-image's z^c block is nonzero at beta; slices are built,
+    one `_images` pass per fiber, only at the betas where a block vanishes."""
     name = "gianni_kalkbrener"
     view = _fiber_view(G)
     if view.skipped:
         return CheckReport(name, SKIPPED, [], view.skipped)
-    past = G.elements[view.prefix :]
+    p = G.field.p
+    degrees = [g.lm().c for g in G.elements[view.prefix :]]
     witnesses = []
     for fiber in view.fibers:
-        for beta, slice_z in zip(fiber.betas, fiber.slices):
-            for idx, (g, img) in enumerate(zip(past, slice_z), start=view.prefix + 1):
-                if not img.is_zero() and img.lm().c != g.lm().c:
+        images = fiber.images[view.prefix :]
+        # per image, the (y exponent, coefficient) pairs of its z^c block
+        blocks = [[(m[1], k) for m, k in img.terms if m[0] == c] for img, c in zip(images, degrees)]
+        live = [j for j, img in enumerate(images) if img]
+        drops = {}  # beta -> the nonzero images whose z^c block vanishes there
+        for beta in fiber.betas:
+            lost = [j for j in live if not sum(k * pow(beta, e, p) for e, k in blocks[j]) % p]
+            if lost:
+                drops[beta] = lost
+        if not drops:
+            continue
+        slices = _by_value(_images(images, 1, tuple(drops)), len(drops))
+        for (beta, lost), slice_z in zip(drops.items(), slices):
+            for j in lost:
+                if slice_z[j]:
                     witnesses.append(
                         {
                             "alpha": fiber.alpha,
                             "beta": beta,
-                            "i": idx,
-                            "image_z_degree": img.lm().c,
-                            "head_z_degree": g.lm().c,
+                            "i": view.prefix + 1 + j,
+                            "image_z_degree": slice_z[j].lm().c,
+                            "head_z_degree": degrees[j],
                         }
                     )
     return gated_report(name, G.radical, witnesses)
@@ -249,13 +258,10 @@ def check_fiber_membership(G: GroebnerBasis) -> CheckReport:
                 continue
             qualified = True
             if not images[i].is_zero():
-                witnesses.append(
-                    {
-                        "i": i + 1,
-                        "alpha": alpha,
-                        "reason": "element does not vanish on its fiber",
-                    }
-                )
+                reason = "element does not vanish on its fiber"
+                witnesses.append({"i": i + 1, "alpha": alpha, "reason": reason})
+            if not elems[i + 1].lm().c:  # the image keeps the head, so it lies in k[y]
+                continue  # and is its own lc_xy
             # the image keeps the head of g_{i+1}, so its top z block is
             # lc_xy(g_{i+1}) at x = alpha.  The heads x and y^k are coprime,
             # so x - alpha and that block form a Groebner basis, and since
@@ -265,14 +271,8 @@ def check_fiber_membership(G: GroebnerBasis) -> CheckReport:
             r = normal_form(succ, [fiber_gen])
             if not r.is_zero():
                 linear = Polynomial(G.field, [(Monomial(1, 0, 0), 1), (MONOMIAL_ONE, -alpha)])
-                witnesses.append(
-                    {
-                        "i": i + 2,
-                        "alpha": alpha,
-                        "normal_form": r.text(),
-                        "modulo": [linear.text(), fiber_gen.text()],
-                    }
-                )
+                modulo = [linear.text(), fiber_gen.text()]
+                witnesses.append({"i": i + 2, "alpha": alpha, "normal_form": r.text(), "modulo": modulo})
     if not qualified:
         return CheckReport(
             name, SKIPPED, [], "no non-unit leading x-coefficient with the successor nonvanishing"

@@ -4,15 +4,21 @@ kernels against: an unpruned Buchberger completion for `buchberger`, a
 term-by-term substitution loop for the packed `poly._images`, schoolbook
 powering mod a univariate modulus for the packed
 `univariate._pow_linear`, the dual-functional loop on plain lists and
-dicts for the packed `fat_point_basis`, and a slot-by-slot byte-string
-codec for `packed.pack` and `packed.unpack`."""
+dicts for the packed `fat_point_basis`, a slot-by-slot byte-string
+codec for `packed.pack` and `packed.unpack`, and the checks that divide,
+complete or substitute on every element, for the checks that first read
+the heads (`REFERENCE_CHECKS`)."""
 
 from heapq import heappop, heappush
 
 from lexgb import GroebnerBasis, Monomial, PointSet, Polynomial
+from lexgb.checks import _componentwise, _every_pair, _same_z
 from lexgb.field import PrimeField
+from lexgb.groebner import buchberger, elimination_basis, normal_form, structure_facts
 from lexgb.instances import _checked_shape, _step_down
-from lexgb.poly import constant
+from lexgb.poly import MONOMIAL_ONE, constant
+from lexgb.report import FAIL, PASS, SKIPPED, CheckReport, gated_report
+from lexgb.specialize import _fiber_view, _lc_x_vanishes
 from lexgb.univariate import _rem
 
 
@@ -217,3 +223,140 @@ def reference_unpack(x: int, nb: int, n: int, p: int) -> list:
     size = n * nb
     data = x.to_bytes(size, "little")
     return [int.from_bytes(data[i : i + nb], "little") % p for i in range(0, size, nb)]
+
+
+def _reference_chain(elems, related) -> list:
+    """The pairs j < i with related heads where lc_x(g_i) does not divide
+    lc_x(g_j): one division per related pair."""
+    heads = [g.lm() for g in elems]
+    lcs = [g.lc_x() for g in elems]
+    return [
+        {"i": i + 1, "j": j + 1, "divisor": lcs[i].text(), "dividend": lcs[j].text()}
+        for i in range(len(elems))
+        for j in range(i)
+        if related(heads[i], heads[j]) and not lcs[j].divide([lcs[i]])[1].is_zero()
+    ]
+
+
+def _reference_content(elems, part, first: int = 1) -> list:
+    """Per g_i from `first` on, the highest k[x] block of part(g_i) that
+    lc_x(g_i) does not divide: one division per element."""
+    witnesses = []
+    for i in range(first, len(elems)):
+        p = part(elems[i])
+        _, r = p.divide([elems[i].lc_x()])
+        if not r.is_zero():
+            yz = r.lm_yz()
+            block = [(Monomial(m.a, 0, 0), c) for m, c in p.terms if m.b == yz.b and m.c == yz.c]
+            witnesses.append({"i": i + 1, "block": yz.text(), "coefficient": Polynomial(p.field, block).text()})
+    return witnesses
+
+
+def reference_lazard_2d(G2) -> CheckReport:
+    elems = G2.elements
+    content = [
+        {**w, "reason": "leading x-coefficient does not divide the element"}
+        for w in _reference_content(elems, lambda g: g, first=0)
+    ]
+    witnesses = sorted(_reference_chain(elems, _every_pair) + content, key=lambda w: w["i"])
+    return CheckReport("lazard_2d", FAIL if witnesses else PASS, witnesses)
+
+
+def reference_membership_lc_xy(G) -> CheckReport:
+    """Completes (lc_xy(g_i), g_1) and reduces g_i for every g_i past the
+    elimination prefix."""
+    name = "membership_lc_xy"
+    facts = structure_facts(G)
+    if not facts.zero_dim:
+        return CheckReport(name, SKIPPED, [], f"not zero-dimensional: {facts.missing}")
+    elems = G.elements
+    witnesses = []
+    for i in range(facts.ell2, len(elems)):
+        r = normal_form(elems[i], buchberger([elems[i].lc_xy(), elems[0]]))
+        if not r.is_zero():
+            witnesses.append(
+                {"i": i + 1, "normal_form": r.text(), "modulo": [elems[i].lc_xy().text(), elems[0].text()]}
+            )
+    return gated_report(name, G.radical, witnesses)
+
+
+def reference_gianni_kalkbrener(G) -> CheckReport:
+    """Builds every (alpha, beta) slice and reads its z degree."""
+    name = "gianni_kalkbrener"
+    view = _fiber_view(G)
+    if view.skipped:
+        return CheckReport(name, SKIPPED, [], view.skipped)
+    past = G.elements[view.prefix :]
+    witnesses = []
+    for fiber in view.fibers:
+        for beta in fiber.betas:
+            for idx, g in enumerate(past, start=view.prefix + 1):
+                img = reference_substitute(fiber.images[idx - 1], 1, beta)
+                if not img.is_zero() and img.lm().c != g.lm().c:
+                    witnesses.append(
+                        {
+                            "alpha": fiber.alpha,
+                            "beta": beta,
+                            "i": idx,
+                            "image_z_degree": img.lm().c,
+                            "head_z_degree": g.lm().c,
+                        }
+                    )
+    return gated_report(name, G.radical, witnesses)
+
+
+def reference_fiber_membership(G) -> CheckReport:
+    """Reduces every qualifying alpha-image of g_{i+1} by its top z block."""
+    name = "fiber_membership"
+    view = _fiber_view(G)
+    if view.skipped:
+        return CheckReport(name, SKIPPED, [], view.skipped)
+    elems = G.elements
+    witnesses = []
+    qualified = False
+    for i in range(len(elems) - 1):
+        if not elems[i].lm().a:
+            continue
+        for fiber in view.fibers:
+            alpha, images = fiber.alpha, fiber.images
+            succ = images[i + 1]
+            if not _lc_x_vanishes(elems[i], images[i]) or _lc_x_vanishes(elems[i + 1], succ):
+                continue
+            qualified = True
+            if not images[i].is_zero():
+                witnesses.append({"i": i + 1, "alpha": alpha, "reason": "element does not vanish on its fiber"})
+            fiber_gen = succ.lc_xy()
+            r = normal_form(succ, [fiber_gen])
+            if not r.is_zero():
+                linear = Polynomial(G.field, [(Monomial(1, 0, 0), 1), (MONOMIAL_ONE, -alpha)])
+                witnesses.append(
+                    {"i": i + 2, "alpha": alpha, "normal_form": r.text(), "modulo": [linear.text(), fiber_gen.text()]}
+                )
+    if not qualified:
+        return CheckReport(
+            name, SKIPPED, [], "no non-unit leading x-coefficient with the successor nonvanishing"
+        )
+    return gated_report(name, G.radical, witnesses)
+
+
+def _reference_report(name, witnesses) -> CheckReport:
+    return CheckReport(name, FAIL if witnesses else PASS, witnesses)
+
+
+# check name -> reference run on a basis, as `checks._RUNNERS` runs the check
+REFERENCE_CHECKS = {
+    "lazard_2d": lambda G: reference_lazard_2d(elimination_basis(G)),
+    "lc_chain_same_zdeg": lambda G: _reference_report("lc_chain_same_zdeg", _reference_chain(G.elements, _same_z)),
+    "lc_chain_componentwise": lambda G: _reference_report(
+        "lc_chain_componentwise", _reference_chain(G.elements, _componentwise)
+    ),
+    "lc_x_divides_lc_xy": lambda G: _reference_report(
+        "lc_x_divides_lc_xy", _reference_content(G.elements, lambda g: g.lc_xy())
+    ),
+    "lc_x_divides_poly": lambda G: gated_report(
+        "lc_x_divides_poly", G.radical, _reference_content(G.elements, lambda g: g)
+    ),
+    "membership_lc_xy": reference_membership_lc_xy,
+    "gianni_kalkbrener": reference_gianni_kalkbrener,
+    "fiber_membership": reference_fiber_membership,
+}

@@ -1,0 +1,117 @@
+"""The checks that settle a statement from the heads agree with the
+references in `helpers.REFERENCE_CHECKS`, which divide, complete or
+substitute on every element, report for report.
+
+The corpus holds the seed-7 campaign bases, where the heads decide almost
+everything, and bases where the statements are refuted: vanishing and
+squared bases of point sets that share x- and (x, y)-coordinates, random
+triangular bases, and hand-built containers that are not Groebner bases.
+Each check must return witnesses somewhere in the corpus, so a shortcut
+that skipped real work would show as a missing witness."""
+
+import random
+
+from lexgb import checks
+from lexgb.campaign import CampaignConfig, nonradical_recipes, radical_recipes
+from lexgb.field import PrimeField
+from lexgb.groebner import GroebnerBasis
+from lexgb.instances import (
+    PointSet,
+    build_instance,
+    random_triangular_basis,
+    squared_vanishing_basis,
+    vanishing_basis,
+)
+
+from helpers import REFERENCE_CHECKS, fibered_points, random_poly, reference_lazard_2d
+
+F101 = PrimeField(101)
+
+
+def _random_pattern(rng) -> tuple:
+    """1-3 x-values, 1-3 y-values on each, 1-3 z-values on each (x, y)."""
+    return tuple(
+        tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 3))) for _ in range(rng.randint(1, 3))
+    )
+
+
+def _box_points(rng, prime=101) -> PointSet:
+    """1-20 distinct points of a q x q x q box, q in {3, 5, 7}."""
+    q = rng.choice((3, 5, 7))
+    box = [(x, y, z) for x in range(q) for y in range(q) for z in range(q)]
+    return PointSet(prime, tuple(rng.sample(box, rng.randint(1, 20))))
+
+
+def _point_set_bases(rng) -> list:
+    point_sets = [fibered_points(_random_pattern(rng), rng) for _ in range(300)]
+    point_sets += [_box_points(rng) for _ in range(300)]
+    bases = []
+    for points in point_sets:
+        bases += [vanishing_basis(points), squared_vanishing_basis(points)]
+    return bases
+
+
+def _triangular_bases(rng) -> list:
+    return [
+        random_triangular_basis([rng.randint(1, 3) for _ in range(3)], seed, 101) for seed in range(300)
+    ]
+
+
+def _hand_built(rng, count, bivariate=False) -> list:
+    """Containers of 2-5 random elements with distinct heads, ascending."""
+    out = []
+    while len(out) < count:
+        elems = {}
+        for _ in range(rng.randint(2, 5)):
+            g = random_poly(F101, rng, max_deg=3, max_terms=6, nonzero=True)
+            if bivariate:
+                g = g.lc_xy() if g.lm().c else g
+            elems.setdefault(g.lm(), g)
+        out.append(GroebnerBasis(tuple(elems[m] for m in sorted(elems)), radical=rng.random() < 0.5))
+    return out
+
+
+def _tally(bases, pairs) -> dict:
+    """Assert that each check of `pairs` (name: (check, reference)) reports
+    as its reference on every basis; count the bases where it witnesses."""
+    counts = dict.fromkeys(pairs, 0)
+    for G in bases:
+        for name, (check, reference) in pairs.items():
+            report = check(G).to_dict()
+            assert report == reference(G).to_dict(), (name, G.to_dict(text=True))
+            counts[name] += bool(report["witnesses"])
+    return counts
+
+
+def _runners(names) -> dict:
+    return {name: (checks._RUNNERS[name], REFERENCE_CHECKS[name]) for name in names}
+
+
+def test_shortcuts_match_the_references_on_the_campaign():
+    config = CampaignConfig(seed=7)
+    bases = [build_instance(r).basis for r in radical_recipes(config) + nonradical_recipes(config)]
+    assert len(bases) == 250
+    # every statement holds here, so the shortcuts must keep every pass
+    assert _tally(bases, _runners(REFERENCE_CHECKS)) == dict.fromkeys(REFERENCE_CHECKS, 0)
+
+
+def test_shortcuts_match_the_references_where_the_statements_are_refuted():
+    rng = random.Random(18)
+    bases = _point_set_bases(rng) + _triangular_bases(rng)
+    counts = _tally(bases, _runners(REFERENCE_CHECKS))
+    for name in ("lc_x_divides_poly", "membership_lc_xy", "gianni_kalkbrener", "fiber_membership"):
+        assert counts[name] >= 50, (name, counts)
+
+
+def test_shortcuts_match_the_references_on_hand_built_containers():
+    rng = random.Random(181)
+    walkers = [
+        "lc_chain_same_zdeg",
+        "lc_chain_componentwise",
+        "lc_x_divides_lc_xy",
+        "lc_x_divides_poly",
+    ]
+    counts = _tally(_hand_built(rng, 400), _runners(walkers))
+    lazard = {"lazard_2d": (checks.check_lazard_2d, reference_lazard_2d)}
+    counts.update(_tally(_hand_built(rng, 400, bivariate=True), lazard))
+    assert all(n >= 20 for n in counts.values()), counts
