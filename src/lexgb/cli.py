@@ -42,7 +42,10 @@ def _emit(data: dict, path: str | None) -> None:
 
 def _load(path: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to read") from None
 
 
 def cmd_gen_points(args) -> int:

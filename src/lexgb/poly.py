@@ -13,6 +13,7 @@ one substitution kernel: it sets x or y to many values at once, and
 from __future__ import annotations
 
 import re
+import sys
 from functools import partial
 from heapq import heappop, heappush
 from operator import itemgetter
@@ -360,9 +361,9 @@ def _canonical(p: int, acc: dict) -> tuple:
 
 
 def _images(polys, axis: int, values) -> tuple:
-    """For each poly, the tuple of its images with the variable of the axis
-    (0=x, 1=y) set to each value in [0, p) in turn, in one packed pass over
-    its terms (see `packed`).
+    """For each value in [0, p), the tuple of the images of the polys, a
+    sequence, with the variable of the axis (0=x, 1=y) set to it, in one
+    packed pass over their terms (see `packed`).
 
     Row e of the power table packs v^e mod p for every value v; it is built
     once per call, so pass every poly that takes the same values at once.
@@ -375,9 +376,8 @@ def _images(polys, axis: int, values) -> tuple:
     the blocks come in descending order of their monomial, so every image
     is built directly on canonical terms.
     """
-    polys = tuple(polys)
     if not polys:
-        return ()
+        return ((),) * len(values)
     field = polys[0].field
     p = field.p
     n = len(values)
@@ -400,8 +400,8 @@ def _images(polys, axis: int, values) -> tuple:
             for image, c in zip(terms, unpack(blocks[key], nb, n, p)):
                 if c:
                     image.append((mono, c))
-        out.append(tuple([Polynomial._make(field, tuple(image)) for image in terms]))
-    return tuple(out)
+        out.append([Polynomial._make(field, tuple(image)) for image in terms])
+    return tuple(zip(*out))
 
 
 def poly_from_dict(field, data: dict) -> Polynomial:
@@ -413,8 +413,8 @@ def poly_from_dict(field, data: dict) -> Polynomial:
         if not isinstance(entry, dict) or "c" not in entry or "e" not in entry:
             raise ValueError(f"term must be an object with 'c' and 'e', got {entry!r}")
         e = entry["e"]
-        if not isinstance(e, list) or len(e) != 3 or not all(type(v) is int for v in e):
-            raise ValueError(f"exponent triple of integers expected, got {e!r}")
+        if not isinstance(e, list) or len(e) != 3 or not all(type(v) is int and v < sys.maxsize for v in e):
+            raise ValueError(f"exponent triple of integers below sys.maxsize expected, got {e!r}")
         if isinstance(entry["c"], bool):
             raise ValueError(f"coefficient must be a number, got {entry['c']!r}")
         try:

@@ -6,7 +6,6 @@ them without a pass over every residue of F_p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -66,11 +65,6 @@ def split_roots(f: Polynomial, axis: int = 0):
     return roots, len(cofactor) - 1
 
 
-def _by_value(images: tuple, n: int) -> tuple:
-    """The output of `_images` for n values, regrouped per value."""
-    return tuple([tuple([row[i] for row in images]) for i in range(n)])
-
-
 def _common_roots(polys, axis: int):
     """The common roots of polynomials in the one variable of an axis
     (0=x, 1=y, 2=z).
@@ -88,19 +82,12 @@ def _common_roots(polys, axis: int):
     return common, eliminant, stuck
 
 
-@dataclass
-class _Fiber:
+class _Fiber(NamedTuple):
     alpha: int
     images: tuple  # g(alpha, y, z) for every element g, in basis order
     betas: tuple  # the common roots of the prefix images, ascending
     eliminant: Polynomial  # the prefix image whose roots the betas are
     stuck: int  # cofactor degree of the eliminant
-    prefix: int  # ell2, the length of the elimination prefix
-
-    @property
-    def slices(self) -> tuple:
-        """Per beta, g(alpha, beta, z) for every g past the prefix, built on each read."""
-        return _by_value(_images(self.images[self.prefix :], 1, self.betas), len(self.betas))
 
 
 class _FiberView(NamedTuple):
@@ -117,11 +104,11 @@ def _fiber_view(G: GroebnerBasis) -> _FiberView:
     the elimination prefix g_1..g_ell2, whose last has a pure power of y as
     head and so a nonzero image.  The fiber checks and `solve_system` all
     read this view, so `verify_all` substitutes each alpha once, in one
-    `_images` pass over every element.  Only `solve_system` reads every
-    (alpha, beta) slice, one `_images` pass per fiber (`_Fiber.slices`).
-    It needs a zero-dimensional basis over F_p with every element in its
-    band (see `structure_facts`), so that the prefix images lie in k[y] and
-    the slices in k[z]; on any other basis, `skipped` says why.
+    `_images` pass over every element.  The view holds no (alpha, beta)
+    slice: only `solve_system` builds them.  It needs a zero-dimensional
+    basis over F_p with every element in its band (see `structure_facts`),
+    so that the prefix images lie in k[y] and the slices in k[z]; on any
+    other basis, `skipped` says why.
 
     The roots of any lc_x(g_i) are the alphas at which it vanishes, because
     on a minimal lex Groebner basis every irreducible factor of
@@ -142,12 +129,11 @@ def _fiber_view(G: GroebnerBasis) -> _FiberView:
     roots, stuck = split_roots(G.elements[0])
     zero = Polynomial(G.field)
     fibers = []
-    per_alpha = _by_value(_images(G.elements[1:], 0, roots), len(roots))
-    for alpha, rest in zip(roots, per_alpha):
+    for alpha, rest in zip(roots, _images(G.elements[1:], 0, roots)):
         # g_1 vanishes at each of its roots, so its image is zero unsubstituted
         images = (zero,) + rest
         betas, eliminant, beta_stuck = _common_roots(images[:ell2], axis=1)
-        fibers.append(_Fiber(alpha, images, betas, eliminant, beta_stuck, ell2))
+        fibers.append(_Fiber(alpha, images, betas, eliminant, beta_stuck))
     return _FiberView(None, stuck, ell2, tuple(fibers))
 
 
@@ -195,10 +181,11 @@ def check_specialization_image(G: GroebnerBasis) -> CheckReport:
 def check_gianni_kalkbrener(G: GroebnerBasis) -> CheckReport:
     """At every solution (alpha, beta) of the elimination prefix, each element
     past the prefix keeps its z degree after specialization (or vanishes).
-    Assumes a basis that passes basis_integrity.  An element with head
-    z-degree c has no term above z^c, so its slice keeps degree c exactly
-    when its alpha-image's z^c block is nonzero at beta; slices are built,
-    one `_images` pass per fiber, only at the betas where a block vanishes."""
+    Assumes a basis that passes basis_integrity.  The degrees are read off
+    the alpha-images, with no slice built: the terms of an image descend in
+    z, so its slice at beta has the degree of its first z block whose y part
+    is nonzero at beta, and is zero, with no degree to lose, when none is.
+    An element with head z-degree c has no term above z^c."""
     name = "gianni_kalkbrener"
     view = _fiber_view(G)
     if view.skipped:
@@ -208,27 +195,23 @@ def check_gianni_kalkbrener(G: GroebnerBasis) -> CheckReport:
     witnesses = []
     for fiber in view.fibers:
         images = fiber.images[view.prefix :]
-        # per image, the (y exponent, coefficient) pairs of its z^c block
-        blocks = [[(m[1], k) for m, k in img.terms if m[0] == c] for img, c in zip(images, degrees)]
-        live = [j for j, img in enumerate(images) if img]
-        drops = {}  # beta -> the nonzero images whose z^c block vanishes there
         for beta in fiber.betas:
-            lost = [j for j in live if not sum(k * pow(beta, e, p) for e, k in blocks[j]) % p]
-            if lost:
-                drops[beta] = lost
-        if not drops:
-            continue
-        slices = _by_value(_images(images, 1, tuple(drops)), len(drops))
-        for (beta, lost), slice_z in zip(drops.items(), slices):
-            for j in lost:
-                if slice_z[j]:
+            for j, (img, c) in enumerate(zip(images, degrees)):
+                d, value = None, 0  # a z block's degree and its y part at beta
+                for (zc, yb, _), k in img.terms:
+                    if zc != d:
+                        if value % p:
+                            break
+                        d, value = zc, 0
+                    value += k * pow(beta, yb, p)
+                if value % p and d != c:
                     witnesses.append(
                         {
                             "alpha": fiber.alpha,
                             "beta": beta,
                             "i": view.prefix + 1 + j,
-                            "image_z_degree": slice_z[j].lm().c,
-                            "head_z_degree": degrees[j],
+                            "image_z_degree": d,
+                            "head_z_degree": c,
                         }
                     )
     return gated_report(name, G.radical, witnesses)
@@ -305,7 +288,7 @@ def solve_system(G: GroebnerBasis) -> tuple[tuple[int, int, int], ...]:
     for fiber in view.fibers:
         if fiber.stuck:
             raise NonSplitError(fiber.eliminant, fiber.stuck)
-        for beta, slice_z in zip(fiber.betas, fiber.slices):
+        for beta, slice_z in zip(fiber.betas, _images(fiber.images[view.prefix :], 1, fiber.betas)):
             # the pure power of z heading g_n keeps a nonzero slice
             gammas, eliminant, stuck = _common_roots(slice_z, axis=2)
             if stuck:

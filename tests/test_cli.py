@@ -327,6 +327,11 @@ MALFORMED = {
     "basis-string-radical": {"p": 101, "basis": [{"terms": [{"c": 1, "e": [1, 0, 0]}]}], "radical": "no"},
     "basis-integer-radical": {"p": 101, "basis": [{"terms": [{"c": 1, "e": [1, 0, 0]}]}], "radical": 1},
     "basis-string-unit-flag": {"p": 101, "basis": [{"terms": [{"c": 1, "e": [0, 0, 0]}]}], "unit_ideal": "false"},
+    # [x^(10^20), y, z]: the dense univariate code cannot index such an exponent
+    "exponent-beyond-index": {
+        "p": 101,
+        "basis": [{"terms": [{"c": 1, "e": e}]} for e in ([10**20, 0, 0], [0, 1, 0], [0, 0, 1])],
+    },
 }
 
 
@@ -335,6 +340,16 @@ def test_malformed_input_exits_two(tmp_path, capsys, case):
     src = write_json(tmp_path / "bad.json", MALFORMED[case])
     for command in ("verify", "gb", "solve"):
         assert main([command, src]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_deeply_nested_json_exits_two(tmp_path, capsys):
+    # json.load raises RecursionError on nesting this deep
+    src = tmp_path / "deep.json"
+    src.write_text("[" * 5000 + "]" * 5000)
+    for command in ("verify", "gb", "solve"):
+        assert main([command, str(src)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 

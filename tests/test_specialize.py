@@ -497,12 +497,12 @@ def test_images_are_the_substituted_polys(p):
     for vals in ([], [0], values, values + values[::-1]):  # empty, zero, repeats
         for axis, substitute in ((0, Polynomial.substitute_x), (1, Polynomial.substitute_y)):
             images = specialize._images(polys, axis, vals)
-            assert len(images) == len(polys)
-            for f, row in zip(polys, images):
-                assert row == tuple(reference_substitute(f, axis, v) for v in vals), (f.text(), axis)
-                assert row == tuple(substitute(f, v) for v in vals)
+            assert len(images) == len(vals)
+            for v, row in zip(vals, images):
+                assert row == tuple(reference_substitute(f, axis, v) for f in polys), (v, axis)
+                assert row == tuple(substitute(f, v) for f in polys)
                 assert all(img.field == field for img in row)
-    assert specialize._images([], 0, values) == ()
+    assert specialize._images([], 0, values) == ((),) * len(values)
 
 
 def test_images_reach_the_slot_bound():
@@ -517,11 +517,22 @@ def test_images_reach_the_slot_bound():
         g = Polynomial(field, [(mono(i), p - 1) for i in range(t)] + [(Monomial(0, 0, 0), 1)])
         images = specialize._images([f, g], axis, [p - 1, p - 1, 0])
         assert images[0][0] == Polynomial(field, [(Monomial(0, 0, 3), t)])
-        for h, row in zip((f, g), images):
-            assert row == tuple(reference_substitute(h, axis, v) for v in (p - 1, p - 1, 0))
+        for v, row in zip((p - 1, p - 1, 0), images):
+            assert row == (reference_substitute(f, axis, v), reference_substitute(g, axis, v))
 
 
-def test_fiber_view_slices_are_the_substituted_elements():
+def test_fiber_view_slices_are_the_substituted_elements(monkeypatch):
+    # the slices solve_system builds, one `_images` call over each fiber's betas
+    built = []
+    images = specialize._images
+
+    def recording(polys, axis, values):
+        out = images(polys, axis, values)
+        if axis == 1:
+            built.append((tuple(values), out))
+        return out
+
+    monkeypatch.setattr(specialize, "_images", recording)
     config = CampaignConfig(seed=7)
     bases = [build_instance(r).basis for r in radical_recipes(config) + nonradical_recipes(config)]
     rng = random.Random(29)
@@ -531,11 +542,17 @@ def test_fiber_view_slices_are_the_substituted_elements():
     for G in bases:
         if G.unit_ideal:
             continue
+        built.clear()
+        try:
+            solve_system(G)
+        except NonSplitError:
+            pass
         view = _fiber_view(G)
         past = G.elements[view.prefix :]
-        for fiber in view.fibers:
-            assert len(fiber.slices) == len(fiber.betas)
-            for beta, slice_z in zip(fiber.betas, fiber.slices):
+        assert len(built) <= len(view.fibers)
+        for fiber, (betas, rows) in zip(view.fibers, built):
+            assert betas == fiber.betas and len(rows) == len(betas)
+            for beta, slice_z in zip(betas, rows):
                 expected = (reference_substitute(reference_substitute(g, 0, fiber.alpha), 1, beta) for g in past)
                 assert slice_z == tuple(expected)
                 slices += 1
@@ -594,12 +611,11 @@ def test_fiber_slices_are_built_only_when_read(monkeypatch):
             run(G)
         counts[name] = {axis: sum(n for a, n in calls if a == axis) for axis in (0, 1)}
     # every run takes the alpha-images of g_2.. (g_1's image is zero
-    # unsubstituted).  gianni_kalkbrener evaluates the top z block of each
-    # at the betas and builds the slices only at the betas where one of
-    # them vanishes; solve_system builds every (alpha, beta) slice up to
-    # the first eliminant that does not split
+    # unsubstituted).  gianni_kalkbrener reads the slices' degrees off
+    # them and builds none; solve_system builds every (alpha, beta) slice
+    # up to the first eliminant that does not split
     assert counts == {
         "specialization_image": {0: 2188, 1: 0},
-        "verify_all": {0: 2188, 1: 147},
+        "verify_all": {0: 2188, 1: 0},
         "solve_system": {0: 2188, 1: 1055},
     }
