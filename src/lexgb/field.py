@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 
 # Miller-Rabin on the first twelve primes as bases is exact below the least
 # strong pseudoprime to all of them (Sorenson and Webster, Math. Comp. 2017)
@@ -9,8 +11,13 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_LIMIT = 318665857834031151167461
 
 
+@lru_cache(maxsize=64)
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; n >= 3.18 * 10^23 raises ValueError."""
+    """Deterministic Miller-Rabin; n >= 3.18 * 10^23 raises ValueError.
+
+    Memoized: every `PrimeField(p)` asks again, and a campaign makes
+    hundreds of fields over one or two moduli.  A raise is not cached, so
+    each call at or above the bound raises anew."""
     if n >= _MR_LIMIT:
         raise ValueError(f"moduli of {_MR_LIMIT} and above are not supported, got {n}")
     if n < 2:

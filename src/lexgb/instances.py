@@ -7,7 +7,9 @@ Taylor coefficient at P for d, and the basis is that of the polynomials
 all the functionals annihilate.  Each such basis has two built-in oracles:
 every element has a zero Taylor coefficient at every (P, d), and the
 quotient dimension equals the sum of the |D_P|.  Vanishing ideals of point
-sets are the plain shape {0} at every point and radical by construction.
+sets are the plain shape {0} at every point and radical by construction;
+when no two points share (x, y), `vanishing_basis` builds the same basis
+from the x-fibers by interpolation instead (`lazard`).
 The two non-radical recipes provide instances without the radicality
 guarantee: squared vanishing ideals, which are the first-order shape
 {0, e_x, e_y, e_z} at every point, and random triangular systems, whose
@@ -24,6 +26,7 @@ from itertools import product
 
 from .field import PrimeField
 from .groebner import GroebnerBasis
+from .lazard import lazard_basis
 from .packed import pack, slot_bytes, unpack
 from .poly import Monomial, Polynomial
 
@@ -222,12 +225,20 @@ def fat_point_basis(points: PointSet, shapes) -> GroebnerBasis:
 
 
 def vanishing_basis(points: PointSet, field=None) -> GroebnerBasis:
-    """Reduced basis of the ideal of polynomials vanishing on the points:
-    the fat-point basis with the plain shape {0} at every point.  The basis
-    is over the point set's own field; `field` may name that field or be
-    None, and anything else raises ValueError."""
+    """Reduced basis of the ideal of polynomials vanishing on the points.
+    The basis is over the point set's own field; `field` may name that
+    field or be None, and anything else raises ValueError.
+
+    When no two points share (x mod p, y mod p), the basis is built from
+    its fibers (`lazard.lazard_basis`).  Otherwise, and on empty input or
+    duplicate points, which the loop rejects, it is the fat-point basis
+    with the plain shape {0} at every point."""
     if field is not None and field != PrimeField(points.prime):
         raise ValueError(f"the points lie in F_{points.prime}, not in {field!r}")
+    p = points.prime
+    reduced = [(x % p, y % p, z % p) for x, y, z in points.points]
+    if reduced and len({pt[:2] for pt in reduced}) == len(reduced):
+        return GroebnerBasis(lazard_basis(reduced, PrimeField(p)), radical=True)
     return fat_point_basis(points, [PLAIN_POINT] * len(points.points))
 
 

@@ -7,7 +7,9 @@ When p is small against the degree, one packed product gives f at every
 point of F_p^* (Bluestein's chirp), at a cost linear in p.  Otherwise
 they come from gcd(f, x^p - x), split by equal-degree factorization
 (Cantor-Zassenhaus), at a cost polynomial in log p and the degree rather
-than a pass over every residue.
+than a pass over every residue.  `_from_roots` and `_Nodes` build
+products of linear factors, and evaluate and interpolate at many points,
+on packed vectors too.
 """
 
 from __future__ import annotations
@@ -199,3 +201,79 @@ def _horner(f: list, v: int, p: int) -> int:
     for c in reversed(f):
         acc = (acc * v + c) % p
     return acc
+
+
+def _from_roots(roots, p: int) -> list:
+    """The monic product of the x - r over the roots, as a dense list.
+
+    One packed step a root: acc * (x - r) is acc shifted by one slot plus
+    (p - r) times acc.  Slots below 2p stay below 2p^2 + 2p, and `halve`
+    takes them back below 2p (see `packed`)."""
+    nb, halve = halver(p, 2 * p * p + 2 * p, len(roots) + 1)
+    w = 8 * nb
+    acc = 1
+    for r in roots:
+        acc = halve((acc << w) + (p - r) * acc)
+    return unpack(acc, nb, len(roots) + 1, p)
+
+
+class _Nodes:
+    """Distinct nodes a_0, ..., a_(k-1) of F_p and the packed table of
+    their powers, for evaluation at every node and interpolation over
+    every prefix of them.
+
+    Row e packs a_i^e over the nodes i, column i packs a_i^t over t < k;
+    building both takes k^2 products mod p, and each use after that is
+    one big-int multiply-add per coefficient or per node.  Interpolation
+    over the first m nodes is Lagrange's: with M = prod (x - a_i) and
+    u_i = f(a_i) / M'(a_i), f = sum u_i M / (x - a_i), and as
+    M / (x - a) = sum_j x^j sum_(t >= 0) M_(j+1+t) a^t, the coefficient f_j
+    is sum_t M_(j+1+t) s_t with s_t = sum_i u_i a_i^t.  The s_t are the
+    columns' combination with weights u_i, and the f_j are slots m to
+    2m - 1 of M times the reversed s: one product.  A slot sums at most
+    k + 1 products below p^2.
+    """
+
+    def __init__(self, nodes, p: int):
+        k = len(nodes)
+        self.nodes, self.p, self.k = nodes, p, k
+        self.nb = nb = slot_bytes((k + 1) * (p - 1) ** 2)
+        power = [1] * k
+        table = [power]
+        for _ in range(k - 1):
+            power = [c * a % p for c, a in zip(power, nodes)]
+            table.append(power)
+        self.rows = [pack(row, nb) for row in table]
+        self.cols = [pack(col, nb) for col in zip(*table)]
+        self.prefixes: dict = {}
+
+    def master(self, m: int) -> list:
+        """prod (x - a_i) over the first m nodes."""
+        return self._prefix(m)[0]
+
+    def evaluate(self, f: list) -> list:
+        """f, of degree below k, at every node."""
+        acc = 0
+        for c, row in zip(f, self.rows):
+            acc += c * row
+        return unpack(acc, self.nb, self.k, self.p)
+
+    def interpolate(self, values) -> list:
+        """The f of degree below m = len(values) with f(a_i) = values[i]
+        for i < m, as m coefficients."""
+        p, nb, m = self.p, self.nb, len(values)
+        _, packed_m, weights = self._prefix(m)
+        s = 0
+        for v, u, col in zip(values, weights, self.cols):
+            s += v * u % p * col
+        s = unpack(s & (1 << 8 * nb * m) - 1, nb, m, p)
+        return unpack(packed_m * pack(s[::-1], nb) >> 8 * nb * m, nb, m, p)
+
+    def _prefix(self, m: int) -> tuple:
+        """(M, M packed, the 1 / M'(a_i)) for the first m nodes."""
+        if m not in self.prefixes:
+            p = self.p
+            master = _from_roots(self.nodes[:m], p)
+            slopes = self.evaluate([e * c % p for e, c in enumerate(master) if e])[:m]
+            self.prefixes[m] = master, pack(master, self.nb), [pow(d, -1, p) for d in slopes]
+        return self.prefixes[m]

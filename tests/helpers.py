@@ -1,5 +1,6 @@
-"""Shared test helpers: random polynomials, fibered point sets, the
-generators of a squared vanishing ideal, and references to compare the
+"""Shared test helpers: random polynomials, fibered and box point sets,
+the generators of a squared vanishing ideal, the lex game's staircase of
+a point set for `standard_monomials`, and references to compare the
 kernels against: an unpruned Buchberger completion for `buchberger`, a
 term-by-term substitution loop for the packed `poly._images`, schoolbook
 powering mod a univariate modulus for the packed
@@ -9,6 +10,7 @@ codec for `packed.pack` and `packed.unpack`, and the checks that divide,
 complete or substitute on every element, for the checks that first read
 the heads (`REFERENCE_CHECKS`)."""
 
+from collections import Counter
 from heapq import heappop, heappush
 
 from lexgb import GroebnerBasis, Monomial, PointSet, Polynomial
@@ -59,6 +61,37 @@ def fibered_points(pattern, rng, prime=101) -> PointSet:
         for y, count in zip(rng.sample(range(prime), len(fiber)), fiber):
             pts.extend((x, y, z) for z in rng.sample(range(prime), count))
     return PointSet(prime, tuple(pts))
+
+
+def random_pattern(rng) -> tuple:
+    """1-3 x-values, 1-3 y-values on each, 1-3 z-values on each (x, y)."""
+    return tuple(
+        tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 3))) for _ in range(rng.randint(1, 3))
+    )
+
+
+def box_points(rng, most=20, prime=101) -> PointSet:
+    """1 to `most` distinct points of a q x q x q box, q in {3, 5, 7}."""
+    q = rng.choice((3, 5, 7))
+    box = [(x, y, z) for x in range(q) for y in range(q) for z in range(q)]
+    return PointSet(prime, tuple(rng.sample(box, rng.randint(1, min(most, len(box))))))
+
+
+def lex_game_staircase(points: PointSet) -> list:
+    """The lex staircase of I(S), ascending, counted from the points alone
+    (Cerlienco and Mureddu, Discrete Math. 139, 1995; the "lex game" of
+    Felszeghy, Ráth and Rónyai, JSC 41, 2006).  With m(a, b) the number of
+    points over (a, b), x^i y^j z^k is standard exactly when
+    i < #{a : j < #{b : m(a, b) > k}}.  No linear algebra, and no code
+    shared with the basis builders."""
+    p = points.prime
+    over = Counter((x % p, y % p) for x, y, _ in {tuple(v % p for v in pt) for pt in points.points})
+    out = []
+    for k in range(max(over.values())):
+        per_x = Counter(a for (a, _), m in over.items() if m > k)
+        for j in range(max(per_x.values())):
+            out += [Monomial(i, j, k) for i in range(sum(1 for c in per_x.values() if c > j))]
+    return sorted(out)
 
 
 def squared_products(V) -> list:

@@ -76,6 +76,25 @@ def test_is_prime_is_miller_rabin_exact_to_its_bound():
             PrimeField(n)
 
 
+def test_is_prime_is_memoized_and_still_raises_past_its_bound():
+    is_prime.cache_clear()
+    for _ in range(3):
+        assert is_prime(2**31 - 1) and not is_prime(2**31 + 1)
+        PrimeField(101)
+    info = is_prime.cache_info()
+    assert (info.misses, info.hits) == (3, 6)
+    # a raise leaves nothing in the cache: every call at the bound raises
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            is_prime(318665857834031151167461)
+        with pytest.raises(ValueError):
+            PrimeField(318665857834031151167461)
+    assert is_prime.cache_info().currsize == 3
+    # the largest modulus below the bound is still accepted, and cached
+    assert PrimeField(318665857834031151167441).p == 318665857834031151167441
+    assert is_prime.cache_info().currsize == 4
+
+
 def test_field_axioms_random():
     F = PrimeField(101)
     mod = F.p

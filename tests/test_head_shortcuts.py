@@ -16,35 +16,27 @@ from lexgb.campaign import CampaignConfig, nonradical_recipes, radical_recipes
 from lexgb.field import PrimeField
 from lexgb.groebner import GroebnerBasis
 from lexgb.instances import (
-    PointSet,
     build_instance,
     random_triangular_basis,
     squared_vanishing_basis,
     vanishing_basis,
 )
 
-from helpers import REFERENCE_CHECKS, fibered_points, random_poly, reference_lazard_2d
+from helpers import (
+    REFERENCE_CHECKS,
+    box_points,
+    fibered_points,
+    random_pattern,
+    random_poly,
+    reference_lazard_2d,
+)
 
 F101 = PrimeField(101)
 
 
-def _random_pattern(rng) -> tuple:
-    """1-3 x-values, 1-3 y-values on each, 1-3 z-values on each (x, y)."""
-    return tuple(
-        tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 3))) for _ in range(rng.randint(1, 3))
-    )
-
-
-def _box_points(rng, prime=101) -> PointSet:
-    """1-20 distinct points of a q x q x q box, q in {3, 5, 7}."""
-    q = rng.choice((3, 5, 7))
-    box = [(x, y, z) for x in range(q) for y in range(q) for z in range(q)]
-    return PointSet(prime, tuple(rng.sample(box, rng.randint(1, 20))))
-
-
 def _point_set_bases(rng) -> list:
-    point_sets = [fibered_points(_random_pattern(rng), rng) for _ in range(300)]
-    point_sets += [_box_points(rng) for _ in range(300)]
+    point_sets = [fibered_points(random_pattern(rng), rng) for _ in range(300)]
+    point_sets += [box_points(rng) for _ in range(300)]
     bases = []
     for points in point_sets:
         bases += [vanishing_basis(points), squared_vanishing_basis(points)]

@@ -1,4 +1,4 @@
-"""Golden digests of two campaign summaries.
+"""Golden digests of three campaign summaries.
 
 Each digest is the sha256 of the exact bytes `lexgb campaign` writes for
 the summary (`json.dumps(summary, indent=2) + "\\n"`), so any change in a
@@ -19,6 +19,7 @@ DIGESTS = Path(__file__).parent / "data" / "summary_digests.json"
 CONFIGS = {
     "seed7": CampaignConfig(seed=7),
     "p1009-seed3": CampaignConfig(prime=1009, radical_count=60, nonradical_count=20, seed=3),
+    "p7-seed5": CampaignConfig(prime=7, radical_count=60, nonradical_count=20, seed=5),
 }
 
 
