@@ -33,11 +33,16 @@ from .poly import Monomial, Polynomial
 
 @dataclass(frozen=True)
 class PointSet:
-    """Distinct points of F_p^3 with the seed that produced them."""
+    """Distinct points of F_p^3, reduced mod p on construction, with the
+    seed that produced them."""
 
     prime: int
     points: tuple[tuple[int, int, int], ...]
     seed: int | None = None
+
+    def __post_init__(self):
+        p = self.prime
+        object.__setattr__(self, "points", tuple([(x % p, y % p, z % p) for x, y, z in self.points]))
 
     def __len__(self):
         return len(self.points)
@@ -57,10 +62,11 @@ def pointset_from_dict(data: dict) -> PointSet:
     for pt in data["points"]:
         if not isinstance(pt, list) or len(pt) != 3 or not all(type(v) is int for v in pt):
             raise ValueError(f"point must be three integer coordinates, got {pt!r}")
-        pts.append(tuple(v % p for v in pt))
-    if len(set(pts)) != len(pts):
+        pts.append(pt)
+    points = PointSet(p, pts, data.get("seed"))
+    if len(set(points.points)) != len(pts):
         raise ValueError("points must be distinct")
-    return PointSet(p, tuple(pts), data.get("seed"))
+    return points
 
 
 def random_points(n: int, seed: int, prime: int = 101) -> PointSet:
@@ -167,7 +173,7 @@ def fat_point_basis(points: PointSet, shapes) -> GroebnerBasis:
     # of the product rule's shift term
     columns, shifts = [], []
     for k in (2, 1, 0):
-        columns.append([points.points[i][k] % p for i, _ in index])
+        columns.append([points.points[i][k] for i, _ in index])
         shifts.append([(j, index[i, _step_down(d, k)]) for (i, d), j in index.items() if d[k]])
 
     nb = slot_bytes(n * p * p + p)
@@ -229,17 +235,16 @@ def vanishing_basis(points: PointSet, field=None) -> GroebnerBasis:
     The basis is over the point set's own field; `field` may name that
     field or be None, and anything else raises ValueError.
 
-    When no two points share (x mod p, y mod p), the basis is built from
+    When no two points share (x, y), the basis is built from
     its fibers (`lazard.lazard_basis`).  Otherwise, and on empty input or
     duplicate points, which the loop rejects, it is the fat-point basis
     with the plain shape {0} at every point."""
     if field is not None and field != PrimeField(points.prime):
         raise ValueError(f"the points lie in F_{points.prime}, not in {field!r}")
-    p = points.prime
-    reduced = [(x % p, y % p, z % p) for x, y, z in points.points]
-    if reduced and len({pt[:2] for pt in reduced}) == len(reduced):
-        return GroebnerBasis(lazard_basis(reduced, PrimeField(p)), radical=True)
-    return fat_point_basis(points, [PLAIN_POINT] * len(points.points))
+    pts = points.points
+    if pts and len({pt[:2] for pt in pts}) == len(pts):
+        return GroebnerBasis(lazard_basis(pts, PrimeField(points.prime)), radical=True)
+    return fat_point_basis(points, [PLAIN_POINT] * len(pts))
 
 
 VANISHING_POINTS = "vanishing-points"

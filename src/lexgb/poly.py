@@ -7,7 +7,8 @@ tuples with no zero coefficients, so equal polynomials have identical
 representations.  Coefficients are canonical ints in [0, p): the kernel
 reduces with `% field.p` and inverts with `field.inv`.  `_images` is the
 one substitution kernel: it sets x or y to many values at once, and
-`substitute_x` and `substitute_y` are its one-value calls.
+`substitute_x` and `substitute_y` are its one-value calls.  The fiber walk
+sets only x in it, so `substitute_y` is its one caller along y.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ from typing import NamedTuple
 from .groebner import GroebnerBasis, is_groebner_basis, normal_form, structure_facts
 from .poly import MONOMIAL_ONE, Monomial, Polynomial, _images
 from .report import CheckReport, SKIPPED, gated_report
-from .univariate import _horner, _quo, _roots
+from .univariate import _horner, _quo, _roots, _trim
 
 
 class NonSplitError(RuntimeError):
@@ -32,11 +32,13 @@ def _dense(f: Polynomial, axis: int) -> list:
     if f.is_zero():
         raise ValueError("the zero polynomial has every point as a root")
     k = 2 - axis  # a Monomial stores its exponents as (c, b, a)
-    if any(sum(m) != m[k] for m, _ in f.terms):
-        raise ValueError(f"{f.text()} is not univariate in {'xyz'[axis]}")
+    # a mixed head raises first; past a pure power no term has a higher one
     out = [0] * (f.lm()[k] + 1)
     for m, c in f.terms:
-        out[m[k]] = c
+        e = m[k]
+        if sum(m) != e:
+            raise ValueError(f"{f.text()} is not univariate in {'xyz'[axis]}")
+        out[e] = c
     return out
 
 
@@ -47,39 +49,46 @@ def roots_univariate(f: Polynomial, axis: int = 0) -> list:
 
 
 def split_roots(f: Polynomial, axis: int = 0):
-    """Roots of a univariate polynomial plus the degree of its root-free part.
-
-    The cofactor degree is 0 exactly when f is a product of linear factors
-    over F_p (counted with multiplicity).
-    """
+    """Roots of a univariate polynomial plus the degree of its root-free
+    part, 0 exactly when f is a product of linear factors over F_p."""
     roots = roots_univariate(f, axis)
-    if len(roots) == f.lm()[2 - axis]:
+    return roots, _cofactor_degree(_dense(f, axis), roots, f.field.p)
+
+
+def _cofactor_degree(f: list, roots: list, p: int) -> int:
+    """The degree of a nonzero dense f (see `univariate`) with the linear
+    factors of all its roots divided out, with multiplicity."""
+    if len(roots) == len(f) - 1:
         # deg f distinct roots: f is their linear factors times a constant
-        return roots, 0
-    p = f.field.p
-    cofactor = _dense(f, axis)
+        return 0
     for r in roots:
         linear = [-r % p, 1]
-        while _horner(cofactor, r, p) == 0:
-            cofactor = _quo(cofactor, linear, p)
-    return roots, len(cofactor) - 1
+        while _horner(f, r, p) == 0:
+            f = _quo(f, linear, p)
+    return len(f) - 1
 
 
-def _common_roots(polys, axis: int):
-    """The common roots of polynomials in the one variable of an axis
-    (0=x, 1=y, 2=z).
+def _common_roots(polys: list, p: int):
+    """The common roots in F_p of dense univariate polys (see `univariate`):
+    the roots of the eliminant, the first shortest nonzero poly, at which
+    every other poly vanishes; a nonzero constant has none.  Returns (roots,
+    index of the eliminant, cofactor degree of the eliminant)."""
+    eliminant = min(filter(None, polys), key=len)
+    roots = _roots(eliminant, p)
+    others = [f for f in polys if f and f is not eliminant]
+    common = tuple(r for r in roots if not any(_horner(f, r, p) for f in others))
+    return common, polys.index(eliminant), _cofactor_degree(eliminant, roots, p)
 
-    They are the roots of the nonzero poly with the smallest head at which
-    every other nonzero poly vanishes; a nonzero constant has the smallest
-    head of all and no roots.  Returns (roots, eliminant, cofactor degree
-    of the eliminant), the eliminant being the poly whose roots were kept.
-    """
-    nonzero = [h for h in polys if not h.is_zero()]
-    eliminant = min(nonzero, key=Polynomial.lm)
-    roots, stuck = split_roots(eliminant, axis)
-    others = [h for h in nonzero if h is not eliminant]
-    common = tuple(r for r in roots if not any(h.evaluate((r, r, r)) for h in others))
-    return common, eliminant, stuck
+
+def _slice(image: Polynomial, beta: int, p: int) -> list:
+    """image(beta, z) as a dense z-list (see `univariate`), for an image in
+    k[y, z]: slot c sums k * beta^b over its terms k * y^b * z^c."""
+    if not image.terms:
+        return []
+    out = [0] * (image.terms[0][0][0] + 1)
+    for (c, b, _), k in image.terms:
+        out[c] += k * pow(beta, b, p)
+    return _trim([c % p for c in out])
 
 
 class _Fiber(NamedTuple):
@@ -105,10 +114,10 @@ def _fiber_view(G: GroebnerBasis) -> _FiberView:
     head and so a nonzero image.  The fiber checks and `solve_system` all
     read this view, so `verify_all` substitutes each alpha once, in one
     `_images` pass over every element.  The view holds no (alpha, beta)
-    slice: only `solve_system` builds them.  It needs a zero-dimensional
-    basis over F_p with every element in its band (see `structure_facts`),
-    so that the prefix images lie in k[y] and the slices in k[z]; on any
-    other basis, `skipped` says why.
+    slice: `solve_system` reads them off the alpha-images (`_slice`).  It
+    needs a zero-dimensional basis over F_p with every element in its band
+    (see `structure_facts`), so that the prefix images lie in k[y] and the
+    slices in k[z]; on any other basis, `skipped` says why.
 
     The roots of any lc_x(g_i) are the alphas at which it vanishes, because
     on a minimal lex Groebner basis every irreducible factor of
@@ -132,8 +141,9 @@ def _fiber_view(G: GroebnerBasis) -> _FiberView:
     for alpha, rest in zip(roots, _images(G.elements[1:], 0, roots)):
         # g_1 vanishes at each of its roots, so its image is zero unsubstituted
         images = (zero,) + rest
-        betas, eliminant, beta_stuck = _common_roots(images[:ell2], axis=1)
-        fibers.append(_Fiber(alpha, images, betas, eliminant, beta_stuck))
+        prefix = [_dense(img, 1) if img else [] for img in images[:ell2]]
+        betas, j, beta_stuck = _common_roots(prefix, G.field.p)
+        fibers.append(_Fiber(alpha, images, betas, images[j], beta_stuck))
     return _FiberView(None, stuck, ell2, tuple(fibers))
 
 
@@ -267,8 +277,9 @@ def solve_system(G: GroebnerBasis) -> tuple[tuple[int, int, int], ...]:
     """All F_p solutions of a zero-dimensional system, by back-substitution.
 
     Roots of g_1 give the x values.  At each, the betas come from the
-    elimination prefix; each (alpha, beta) slice is solved for z, and a
-    solution must satisfy every element of the slice.  Raises NonSplitError
+    elimination prefix; each (alpha, beta) slice, dense z-lists read off
+    the alpha-images, is solved for z, and a solution must satisfy every
+    element of the slice.  Raises NonSplitError
     when an eliminant has an irreducible factor of degree > 1 (solutions
     would then live in an extension field), and ValueError when the
     unit_ideal flag disagrees with the elements.
@@ -284,15 +295,19 @@ def solve_system(G: GroebnerBasis) -> tuple[tuple[int, int, int], ...]:
     if view.stuck:
         raise NonSplitError(G.elements[0], view.stuck)
 
+    p = G.field.p
     solutions = []
     for fiber in view.fibers:
         if fiber.stuck:
             raise NonSplitError(fiber.eliminant, fiber.stuck)
-        for beta, slice_z in zip(fiber.betas, _images(fiber.images[view.prefix :], 1, fiber.betas)):
+        past = fiber.images[view.prefix :]
+        for beta in fiber.betas:
             # the pure power of z heading g_n keeps a nonzero slice
-            gammas, eliminant, stuck = _common_roots(slice_z, axis=2)
+            slices = [_slice(img, beta, p) for img in past]
+            gammas, j, stuck = _common_roots(slices, p)
             if stuck:
-                raise NonSplitError(eliminant, stuck)
+                eliminant = [(Monomial(0, 0, c), k) for c, k in enumerate(slices[j])]
+                raise NonSplitError(Polynomial(G.field, eliminant), stuck)
             solutions.extend((fiber.alpha, beta, gamma) for gamma in gammas)
     solutions.sort()
     return tuple(solutions)

@@ -202,6 +202,14 @@ def test_solve_nonsplit_exits_one(tmp_path, capsys):
     assert "does not split" in capsys.readouterr().err
 
 
+def test_solve_nonsplit_slice_names_it(tmp_path, capsys):
+    # the slice z^3 + 99*z = z * (z^2 + 99) has a root and a factor without
+    gens = [P(t).to_dict() for t in ("x", "y", "z^3 + 99*z")]
+    src = write_json(tmp_path / "gens.json", {"p": 101, "generators": gens})
+    assert main(["solve", src]) == 1
+    assert capsys.readouterr().err == "error: z^3 + 99*z does not split: a degree-2 factor has no roots\n"
+
+
 def test_solve_nonsplit_small_prime(tmp_path, capsys):
     F7 = PrimeField(7)
     gens = [parse_polynomial(F7, t).to_dict() for t in ("x^2 + 1", "y", "z")]

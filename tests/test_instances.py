@@ -37,6 +37,12 @@ def test_pointset_dict_round_trip():
     assert pointset_from_dict(d) == ps
 
 
+def test_pointset_reduces_its_coordinates():
+    # so points equal mod p are duplicates (see test_lazard's dispatch test)
+    assert PointSet(7, ((8, -1, 13), (1, 2, 3))).points == ((1, 6, 6), (1, 2, 3))
+    assert PointSet(7, ((8, 2, 3),)) == PointSet(7, ((1, 2, 3),))
+
+
 def test_pointset_from_dict_reduces_mod_p():
     ps = pointset_from_dict({"p": 7, "points": [[8, -1, 14]]})
     assert ps.points == ((1, 6, 0),)

@@ -104,16 +104,15 @@ def test_lc_x_vanishes_exactly_on_the_larger_fibers():
 
 
 def test_dispatch_by_the_projection(monkeypatch):
-    """Sets with a shared (x mod p, y mod p) take the loop, duplicates mod p
-    included; the others take the fibers, unreduced coordinates included.
-    Either way the basis is the loop's."""
+    """Sets with a shared (x mod p, y mod p) take the loop, which rejects
+    duplicates mod p; the others take the fibers, unreduced coordinates
+    included.  Either way the basis is the loop's."""
     taken = []
     for name in ("fat_point_basis", "lazard_basis"):
         original = getattr(instances, name)
         monkeypatch.setattr(instances, name, lambda *a, f=original, n=name: taken.append(n) or f(*a))
     cases = {
         ((1, 2, 3), (1, 2, 4), (5, 6, 0)): "fat_point_basis",  # a shared (x, y)
-        ((1, 2, 3), (8, 2, 3)): "fat_point_basis",  # equal mod 7
         ((8, 2, 3), (1, 9, 4)): "fat_point_basis",  # unreduced, sharing (1, 2) mod 7
         ((8, 2, 3), (1, 10, 4), (-1, 0, 13)): "lazard_basis",  # unreduced, injective mod 7
     }
@@ -122,6 +121,11 @@ def test_dispatch_by_the_projection(monkeypatch):
         G = vanishing_basis(PointSet(7, pts))
         assert taken == [path]
         assert G == fat_point_basis(PointSet(7, pts), [PLAIN_POINT] * len(pts))
+    # equal mod 7: one point twice, which the loop rejects as a duplicate
+    taken.clear()
+    with pytest.raises(ValueError, match="points must be distinct"):
+        vanishing_basis(PointSet(7, ((1, 2, 3), (8, 2, 3))))
+    assert taken == ["fat_point_basis"]
 
 
 def test_bad_input_raises_as_before():

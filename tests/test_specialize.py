@@ -415,19 +415,33 @@ def test_solve_round_trip_random():
 
 
 def test_solve_raises_on_nonsplit_eliminant():
-    with pytest.raises(NonSplitError) as info:
-        solve_system(buchberger([P("x^2 + 99"), P("y"), P("z")]))
-    assert info.value.cofactor_degree == 2
-    assert "does not split" in str(info.value)
-
-    with pytest.raises(NonSplitError):
-        solve_system(buchberger([P("x"), P("y^2 + 99"), P("z")]))
-    with pytest.raises(NonSplitError):
-        solve_system(buchberger([P("x"), P("y"), P("z^2 + 99")]))
+    # the error names the eliminant whose factor has no roots: g_1, a
+    # prefix image and a slice in turn
+    for gens, text in (
+        (["x^2 + 99", "y", "z"], "x^2 + 99"),
+        (["x", "y^2 + 99", "z"], "y^2 + 99"),
+        (["x", "y", "z^2 + 99"], "z^2 + 99"),
+        # the slice has the root 0 as well as the factor z^2 + 99
+        (["x", "y", "z^3 + 99*z"], "z^3 + 99*z"),
+    ):
+        with pytest.raises(NonSplitError) as info:
+            solve_system(buchberger([P(g) for g in gens]))
+        assert (info.value.poly.text(), info.value.cofactor_degree) == (text, 2)
+        assert "does not split" in str(info.value)
     # the slice at (0, 0) is {1, z^2 + 99}: the constant has the smallest
     # head and no roots, so nothing is solved there and nothing raises
     G = GroebnerBasis((P("x"), P("y"), P("y*z + 1"), P("z^2 + 99")))
     assert solve_system(G) == ()
+
+
+def test_common_roots_keep_the_first_shortest_eliminant():
+    # (z - 1)(z - 2) and (z - 1)(z - 3) tie: the first gives the roots, and
+    # the zero list is skipped, not chosen
+    p = 101
+    polys = [[], [2, p - 3, 1], [3, p - 4, 1], [0, p - 1, 0, 1]]
+    assert specialize._common_roots(polys, p) == ((1,), 1, 0)
+    assert specialize._common_roots(polys[:1] + polys[2:], p) == ((1,), 1, 0)
+    assert specialize._common_roots([[], [5], [0, 1]], p) == ((), 1, 0)
 
 
 def test_solve_requires_zero_dimensional_prime_field():
@@ -521,18 +535,19 @@ def test_images_reach_the_slot_bound():
             assert row == (reference_substitute(f, axis, v), reference_substitute(g, axis, v))
 
 
-def test_fiber_view_slices_are_the_substituted_elements(monkeypatch):
-    # the slices solve_system builds, one `_images` call over each fiber's betas
-    built = []
-    images = specialize._images
+def z_list(f):
+    """The coefficients of f in k[z], lowest degree first, with no trailing
+    zeros."""
+    out = [0] * max((m.c + 1 for m, _ in f.terms), default=0)
+    for m, c in f.terms:
+        assert m.a == m.b == 0, f.text()
+        out[m.c] = c
+    return out
 
-    def recording(polys, axis, values):
-        out = images(polys, axis, values)
-        if axis == 1:
-            built.append((tuple(values), out))
-        return out
 
-    monkeypatch.setattr(specialize, "_images", recording)
+def test_fiber_view_slices_are_the_substituted_elements():
+    # the slices solve_system builds, one `_slice` per element past the
+    # prefix at each (alpha, beta) of the view
     config = CampaignConfig(seed=7)
     bases = [build_instance(r).basis for r in radical_recipes(config) + nonradical_recipes(config)]
     rng = random.Random(29)
@@ -542,19 +557,14 @@ def test_fiber_view_slices_are_the_substituted_elements(monkeypatch):
     for G in bases:
         if G.unit_ideal:
             continue
-        built.clear()
-        try:
-            solve_system(G)
-        except NonSplitError:
-            pass
         view = _fiber_view(G)
+        p = G.field.p
         past = G.elements[view.prefix :]
-        assert len(built) <= len(view.fibers)
-        for fiber, (betas, rows) in zip(view.fibers, built):
-            assert betas == fiber.betas and len(rows) == len(betas)
-            for beta, slice_z in zip(betas, rows):
-                expected = (reference_substitute(reference_substitute(g, 0, fiber.alpha), 1, beta) for g in past)
-                assert slice_z == tuple(expected)
+        for fiber in view.fibers:
+            for beta in fiber.betas:
+                for g, img in zip(past, fiber.images[view.prefix :]):
+                    expected = reference_substitute(reference_substitute(g, 0, fiber.alpha), 1, beta)
+                    assert specialize._slice(img, beta, p) == z_list(expected)
                 slices += 1
     assert slices >= 500
 
@@ -612,10 +622,10 @@ def test_fiber_slices_are_built_only_when_read(monkeypatch):
         counts[name] = {axis: sum(n for a, n in calls if a == axis) for axis in (0, 1)}
     # every run takes the alpha-images of g_2.. (g_1's image is zero
     # unsubstituted).  gianni_kalkbrener reads the slices' degrees off
-    # them and builds none; solve_system builds every (alpha, beta) slice
-    # up to the first eliminant that does not split
+    # them, and solve_system reads its (alpha, beta) slices off them one
+    # scalar pass at a time (`_slice`): no run substitutes y in the kernel
     assert counts == {
         "specialization_image": {0: 2188, 1: 0},
         "verify_all": {0: 2188, 1: 0},
-        "solve_system": {0: 2188, 1: 1055},
+        "solve_system": {0: 2188, 1: 0},
     }
