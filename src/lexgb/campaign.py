@@ -7,7 +7,6 @@ timestamps: the same configuration always produces identical output.
 
 from __future__ import annotations
 
-import concurrent.futures
 import os
 from dataclasses import dataclass
 
@@ -149,6 +148,10 @@ def run_campaign(config: CampaignConfig) -> dict:
     # workers than recipes or CPUs would only cost processes
     workers = min(config.jobs, len(recipes), os.cpu_count() or 1)
     if workers > 1:
+        # imported here: the pool pulls in logging and traceback, which a
+        # serial run never needs
+        import concurrent.futures
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(verify_recipe, recipes, [config.checks] * len(recipes)))
     else:

@@ -111,8 +111,9 @@ def _fiber_view(G: GroebnerBasis) -> _FiberView:
     """The fibers of G, walked once per basis down to the points: x = alpha
     at each root of g_1, then y = beta at each common root of the images of
     the elimination prefix g_1..g_ell2, whose last has a pure power of y as
-    head and so a nonzero image.  The fiber checks and `solve_system` all
-    read this view, so `verify_all` substitutes each alpha once, in one
+    head and so a nonzero image.  `solve_system` reads this view, and so
+    do the fiber checks on every basis whose heads do not settle them (see
+    `_pure_power_heads`), so `verify_all` builds it at most once, with one
     `_images` pass over every element.  The view holds no (alpha, beta)
     slice: `solve_system` reads them off the alpha-images (`_slice`).  It
     needs a zero-dimensional basis over F_p with every element in its band
@@ -147,6 +148,41 @@ def _fiber_view(G: GroebnerBasis) -> _FiberView:
     return _FiberView(None, stuck, ell2, tuple(fibers))
 
 
+def _pure_power_heads(G: GroebnerBasis) -> bool:
+    """Whether G, not flagged unit_ideal, has exactly three elements, headed
+    x^a, y^b and z^c with a, b, c >= 1.  The three fiber checks then need
+    no fiber view: their statements hold with no content.
+
+    Proof.  Such a basis is zero-dimensional with every element in its
+    band, and its prefix is g_1, g_2.  The order compares (y, z) parts
+    before x, so no term of g_2 or g_3 is the (y, z) part of its head times
+    a power of x: lc_x(g_2) and lc_x(g_3) are nonzero constants.  At every
+    root alpha of g_1 the images of g_2 and g_3 therefore keep the heads
+    y^b and z^c (see `_lc_x_vanishes`), so `specialization_image` finds no
+    image that loses its head, and the heads y^b and z^c are coprime, so
+    `is_groebner_basis` skips the only pair of the images.  At every
+    (alpha, beta) the image of g_3 keeps z^c, with a nonzero constant
+    coefficient, so `gianni_kalkbrener` finds no degree drop.  In
+    `fiber_membership` only i = 1 can qualify, since lc_x(g_2) is a unit;
+    it qualifies at every root alpha of g_1, whose image there is zero,
+    and g_2's head has no z, so its image is its own lc_xy and leaves no
+    remainder.  That check therefore passes (or is observed) with no
+    witness when g_1 has a root in F_p, and skips otherwise.
+
+    The heads are read in basis order and only while they match, so a zero
+    element raises ZeroPolynomialError exactly where `structure_facts`
+    would.
+    """
+    if G.unit_ideal or len(G.elements) != 3:
+        return False
+    # a Monomial stores its exponents as (c, b, a)
+    for k, g in zip((2, 1, 0), G.elements):
+        head = g.lm()
+        if not head[k] or sum(head) != head[k]:
+            return False
+    return True
+
+
 def _lc_x_vanishes(g: Polynomial, image: Polynomial) -> bool:
     """Whether lc_x(g) vanishes at the alpha where image = g(alpha, y, z).
 
@@ -165,8 +201,11 @@ def check_specialization_image(G: GroebnerBasis) -> CheckReport:
     keeps a nonvanishing leading x-coefficient, read off its image (see
     `_lc_x_vanishes`), and the nonzero images satisfy the S-pair criterion
     in k[y, z].  Like the other fiber checks, it assumes a basis that passes
-    basis_integrity, as `verify_all` guarantees."""
+    basis_integrity, as `verify_all` guarantees, and reads no image when the
+    heads are x^a, y^b, z^c (see `_pure_power_heads`)."""
     name = "specialization_image"
+    if _pure_power_heads(G):
+        return gated_report(name, G.radical, [])
     view = _fiber_view(G)
     if view.skipped:
         return CheckReport(name, SKIPPED, [], view.skipped)
@@ -195,8 +234,11 @@ def check_gianni_kalkbrener(G: GroebnerBasis) -> CheckReport:
     the alpha-images, with no slice built: the terms of an image descend in
     z, so its slice at beta has the degree of its first z block whose y part
     is nonzero at beta, and is zero, with no degree to lose, when none is.
-    An element with head z-degree c has no term above z^c."""
+    An element with head z-degree c has no term above z^c.  Heads x^a, y^b,
+    z^c settle it with no image (see `_pure_power_heads`)."""
     name = "gianni_kalkbrener"
+    if _pure_power_heads(G):
+        return gated_report(name, G.radical, [])
     view = _fiber_view(G)
     if view.skipped:
         return CheckReport(name, SKIPPED, [], view.skipped)
@@ -227,14 +269,22 @@ def check_gianni_kalkbrener(G: GroebnerBasis) -> CheckReport:
     return gated_report(name, G.radical, witnesses)
 
 
+_NONE_QUALIFIES = "no non-unit leading x-coefficient with the successor nonvanishing"
+
+
 def check_fiber_membership(G: GroebnerBasis) -> CheckReport:
     """Where lc_x(g_i) is not a unit and alpha is one of its roots missed by
     lc_x(g_{i+1}): g_i vanishes at x = alpha and g_{i+1} lies in the ideal
     generated by x - alpha and lc_xy(g_{i+1}) at x = alpha.  Assumes a basis
     that passes basis_integrity: the roots of lc_x(g_i) are then read off
     the roots of g_1 (see `_fiber_view`), and whether one of them is a root
-    is read off the image there (see `_lc_x_vanishes`)."""
+    is read off the image there (see `_lc_x_vanishes`).  Heads x^a, y^b,
+    z^c leave only whether g_1 has a root (see `_pure_power_heads`)."""
     name = "fiber_membership"
+    if _pure_power_heads(G):
+        if roots_univariate(G.elements[0]):
+            return gated_report(name, G.radical, [])
+        return CheckReport(name, SKIPPED, [], _NONE_QUALIFIES)
     view = _fiber_view(G)
     if view.skipped:
         return CheckReport(name, SKIPPED, [], view.skipped)
@@ -267,9 +317,7 @@ def check_fiber_membership(G: GroebnerBasis) -> CheckReport:
                 modulo = [linear.text(), fiber_gen.text()]
                 witnesses.append({"i": i + 2, "alpha": alpha, "normal_form": r.text(), "modulo": modulo})
     if not qualified:
-        return CheckReport(
-            name, SKIPPED, [], "no non-unit leading x-coefficient with the successor nonvanishing"
-        )
+        return CheckReport(name, SKIPPED, [], _NONE_QUALIFIES)
     return gated_report(name, G.radical, witnesses)
 
 

@@ -16,7 +16,7 @@ from heapq import heappop, heappush
 from lexgb import GroebnerBasis, Monomial, PointSet, Polynomial
 from lexgb.checks import _componentwise, _every_pair, _same_z
 from lexgb.field import PrimeField
-from lexgb.groebner import buchberger, elimination_basis, normal_form, structure_facts
+from lexgb.groebner import buchberger, elimination_basis, is_groebner_basis, normal_form, structure_facts
 from lexgb.instances import _checked_shape, _step_down
 from lexgb.poly import MONOMIAL_ONE, constant
 from lexgb.report import FAIL, PASS, SKIPPED, CheckReport, gated_report
@@ -313,6 +313,29 @@ def reference_membership_lc_xy(G) -> CheckReport:
     return gated_report(name, G.radical, witnesses)
 
 
+def reference_specialization_image(G) -> CheckReport:
+    """Builds the fiber view of every basis and runs the S-pair criterion on
+    the images at each alpha that keep their heads."""
+    name = "specialization_image"
+    view = _fiber_view(G)
+    if view.skipped:
+        return CheckReport(name, SKIPPED, [], view.skipped)
+    witnesses = []
+    for fiber in view.fibers:
+        kept = []
+        for idx, (g, img) in enumerate(zip(G.elements[1:], fiber.images[1:]), start=2):
+            if img.is_zero():
+                continue
+            if _lc_x_vanishes(g, img):
+                reason = "nonzero image though the leading x-coefficient vanishes"
+                witnesses.append({"alpha": fiber.alpha, "i": idx, "image": img.text(), "reason": reason})
+            else:
+                kept.append(img)
+        if kept and not is_groebner_basis(kept):
+            witnesses.append({"alpha": fiber.alpha, "reason": "specialized set fails the S-pair criterion"})
+    return gated_report(name, G.radical, witnesses)
+
+
 def reference_gianni_kalkbrener(G) -> CheckReport:
     """Builds every (alpha, beta) slice and reads its z degree."""
     name = "gianni_kalkbrener"
@@ -390,6 +413,7 @@ REFERENCE_CHECKS = {
         "lc_x_divides_poly", G.radical, _reference_content(G.elements, lambda g: g)
     ),
     "membership_lc_xy": reference_membership_lc_xy,
+    "specialization_image": reference_specialization_image,
     "gianni_kalkbrener": reference_gianni_kalkbrener,
     "fiber_membership": reference_fiber_membership,
 }

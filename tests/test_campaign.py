@@ -1,5 +1,6 @@
 """Campaign generation, verification summaries, determinism."""
 
+import concurrent.futures
 from dataclasses import replace
 
 import pytest
@@ -121,7 +122,7 @@ def test_campaign_pool_is_bounded_by_recipes_and_cpus(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(campaign.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     cfg = CampaignConfig(radical_count=4, nonradical_count=2, seed=33, jobs=100000)
     serial = run_campaign(replace(cfg, jobs=1))
     for cpus in (64, 3, None):

@@ -7,8 +7,11 @@ everything, and bases where the statements are refuted: vanishing and
 squared bases of point sets that share x- and (x, y)-coordinates, random
 triangular bases, and hand-built containers that are not Groebner bases.
 Each check must return witnesses somewhere in the corpus, so a shortcut
-that skipped real work would show as a missing witness."""
+that skipped real work would show as a missing witness.  Random triangular
+bases at primes from 2 to 1009 hold the fiber checks, which their heads
+settle, to both of `fiber_membership`'s outcomes there: pass and skip."""
 
+import dataclasses
 import random
 
 from lexgb import checks
@@ -21,6 +24,7 @@ from lexgb.instances import (
     squared_vanishing_basis,
     vanishing_basis,
 )
+from lexgb.report import OBSERVED, PASS, SKIPPED
 
 from helpers import (
     REFERENCE_CHECKS,
@@ -93,6 +97,24 @@ def test_shortcuts_match_the_references_where_the_statements_are_refuted():
     counts = _tally(bases, _runners(REFERENCE_CHECKS))
     for name in ("lc_x_divides_poly", "membership_lc_xy", "gianni_kalkbrener", "fiber_membership"):
         assert counts[name] >= 50, (name, counts)
+
+
+def test_fiber_checks_match_the_references_on_triangular_bases_at_every_prime():
+    # heads x^a, y^b, z^c settle the three fiber checks with no image; only
+    # fiber_membership still asks whether g_1 has a root in F_p, so it must
+    # both pass (or be observed) and skip at every prime
+    rng = random.Random(22)
+    pairs = _runners(("specialization_image", "gianni_kalkbrener", "fiber_membership"))
+    for p in (2, 3, 7, 101, 1009):
+        verdicts = set()
+        for seed in range(300):
+            G = random_triangular_basis([rng.randint(1, 3) for _ in range(3)], seed, p)
+            G = dataclasses.replace(G, radical=rng.random() < 0.5)
+            reports = {name: check(G) for name, (check, _) in pairs.items()}
+            for name, (_, reference) in pairs.items():
+                assert reports[name].to_dict() == reference(G).to_dict(), (name, G.to_dict(text=True))
+            verdicts.add(reports["fiber_membership"].verdict)
+        assert SKIPPED in verdicts and verdicts & {PASS, OBSERVED}, (p, verdicts)
 
 
 def test_shortcuts_match_the_references_on_hand_built_containers():

@@ -19,9 +19,12 @@ def test_every_exported_name_resolves():
 
 def test_import_loads_no_rational_arithmetic():
     # the coefficients are ints mod p, so importing the package should not
-    # pay for the standard library's fractions (and decimal, which it loads)
+    # pay for the standard library's fractions (and decimal, which it loads);
+    # nor should it load the process pool, and the logging it pulls in, which
+    # only a campaign with more than one job uses
     src = str(Path(lexgb.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    probe = "import sys, lexgb; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    unwanted = "{'fractions', 'decimal', 'concurrent.futures', 'logging'}"
+    probe = f"import sys, lexgb; print(sorted({unwanted} & set(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert out.stdout == "[]\n"

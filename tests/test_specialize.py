@@ -17,7 +17,7 @@ from lexgb.instances import (
     squared_vanishing_basis,
     vanishing_basis,
 )
-from lexgb.poly import MONOMIAL_ONE, Monomial, Polynomial, parse_polynomial
+from lexgb.poly import MONOMIAL_ONE, Monomial, Polynomial, ZeroPolynomialError, parse_polynomial
 from lexgb.report import FAIL, OBSERVED, PASS, SKIPPED
 from lexgb.specialize import (
     NonSplitError,
@@ -621,11 +621,50 @@ def test_fiber_slices_are_built_only_when_read(monkeypatch):
             run(G)
         counts[name] = {axis: sum(n for a, n in calls if a == axis) for axis in (0, 1)}
     # every run takes the alpha-images of g_2.. (g_1's image is zero
-    # unsubstituted).  gianni_kalkbrener reads the slices' degrees off
-    # them, and solve_system reads its (alpha, beta) slices off them one
+    # unsubstituted), but the checks only on the 54 bases not headed x^a,
+    # y^b, z^c.  gianni_kalkbrener reads the slices' degrees off the
+    # images, and solve_system reads its (alpha, beta) slices off them one
     # scalar pass at a time (`_slice`): no run substitutes y in the kernel
     assert counts == {
-        "specialization_image": {0: 2188, 1: 0},
-        "verify_all": {0: 2188, 1: 0},
+        "specialization_image": {0: 728, 1: 0},
+        "verify_all": {0: 728, 1: 0},
         "solve_system": {0: 2188, 1: 0},
     }
+
+
+def test_verify_all_takes_no_images_of_a_basis_headed_by_pure_powers(monkeypatch):
+    # heads x^a, y^b, z^c settle the fiber checks (`_pure_power_heads`), so
+    # verify_all builds no fiber view; solving still needs one
+    calls = []
+    images = specialize._images
+
+    def counting(polys, axis, values):
+        calls.append(axis)
+        return images(polys, axis, values)
+
+    monkeypatch.setattr(specialize, "_images", counting)
+    _fiber_view.cache_clear()
+    G = vanishing_basis(PointSet(101, ((1, 2, 3),)))  # x - 1, y - 2, z - 3
+    assert [g.lm() for g in G] == [Monomial(1, 0, 0), Monomial(0, 1, 0), Monomial(0, 0, 1)]
+    assert all(r.verdict == PASS for r in verify_all(G))
+    assert calls == []
+    assert solve_system(G) == ((1, 2, 3),)
+    assert calls == [0]
+
+
+def test_fiber_checks_walk_the_containers_their_heads_do_not_settle():
+    # the head test reads the heads in order and stops at the first
+    # mismatch, so these containers raise, or skip, as the fiber view does
+    x, y, z, zero = P("x + 1"), P("y"), P("z^2"), Polynomial(F101)
+    for check in (check_specialization_image, check_gianni_kalkbrener, check_fiber_membership):
+        for elems in ((x, y, zero), (zero, y, z), (x, zero, z)):
+            with pytest.raises(ZeroPolynomialError):
+                check(GroebnerBasis(elems))
+        with pytest.raises(ValueError, match="unit ideal"):
+            check(GroebnerBasis((x, y, z), unit_ideal=True))
+        for elems in ((y, zero, z), (x, P("x*y"), P("y*z"))):
+            assert check(GroebnerBasis(elems)).verdict == SKIPPED
+    # a fourth element is read: the images z^2 and z^3 + 1 fail the S-pair
+    # criterion, since together they generate the unit ideal
+    G = GroebnerBasis((x, y, z, P("z^3 + 1")), radical=True)
+    assert check_specialization_image(G).verdict == FAIL
