@@ -8,8 +8,9 @@ all the functionals annihilate.  Each such basis has two built-in oracles:
 every element has a zero Taylor coefficient at every (P, d), and the
 quotient dimension equals the sum of the |D_P|.  Vanishing ideals of point
 sets are the plain shape {0} at every point and radical by construction;
-when no two points share (x, y), `vanishing_basis` builds the same basis
-from the x-fibers by interpolation instead (`lazard`).
+`vanishing_basis` builds that basis from the x-fibers by interpolation
+instead (`lazard`), and the loop is the reference its tests compare
+against.
 The two non-radical recipes provide instances without the radicality
 guarantee: squared vanishing ideals, which are the first-order shape
 {0, e_x, e_y, e_z} at every point, and random triangular systems, whose
@@ -231,20 +232,19 @@ def fat_point_basis(points: PointSet, shapes) -> GroebnerBasis:
 
 
 def vanishing_basis(points: PointSet, field=None) -> GroebnerBasis:
-    """Reduced basis of the ideal of polynomials vanishing on the points.
-    The basis is over the point set's own field; `field` may name that
-    field or be None, and anything else raises ValueError.
-
-    When no two points share (x, y), the basis is built from
-    its fibers (`lazard.lazard_basis`).  Otherwise, and on empty input or
-    duplicate points, which the loop rejects, it is the fat-point basis
-    with the plain shape {0} at every point."""
+    """Reduced basis of the ideal of polynomials vanishing on the points,
+    built from their x-fibers (`lazard.lazard_basis`): the fat-point basis
+    with the plain shape {0} at every point.  The basis is over the point
+    set's own field; `field` may name that field or be None, and anything
+    else raises ValueError, as do empty input and duplicate points."""
     if field is not None and field != PrimeField(points.prime):
         raise ValueError(f"the points lie in F_{points.prime}, not in {field!r}")
     pts = points.points
-    if pts and len({pt[:2] for pt in pts}) == len(pts):
-        return GroebnerBasis(lazard_basis(pts, PrimeField(points.prime)), radical=True)
-    return fat_point_basis(points, [PLAIN_POINT] * len(pts))
+    if not pts:
+        raise ValueError("empty point set")
+    if len(set(pts)) != len(pts):
+        raise ValueError("points must be distinct")
+    return GroebnerBasis(lazard_basis(pts, PrimeField(points.prime)), radical=True)
 
 
 VANISHING_POINTS = "vanishing-points"

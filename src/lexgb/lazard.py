@@ -1,118 +1,220 @@
-"""Vanishing ideals of point sets whose (x, y) projection is injective,
-built from Lazard's structure by interpolating the x-fibers.
+"""Vanishing ideals of point sets, built from Lazard's structure (Lazard,
+"Ideal bases and primary decomposition: case of two variables", JSC 1,
+1985) by interpolating the x-fibers.
 
-When no two points share (x, y), z is a function Z(x, y) on the points,
-so I(S) is the ideal of the projection in k[x, y] plus z - Z(x, y): the
-shape lemma in z over Lazard's 2-variable structure (Lazard, "Ideal
-bases and primary decomposition: case of two variables", JSC 1, 1985).
-The staircase of the projection is read off the fiber sizes, the lex
-game of Cerlienco and Mureddu (Discrete Math. 139, 1995), and each
-element is combined from its fibers by interpolation in x (Marinari and
-Mora, "A remark on a remark by Macaulay, or enhancing Lazard structural
-theorem", Bull. Iranian Math. Soc. 29, 2003).  No linear system over
-the n point functionals is solved.
+The lex staircase of a point set is read off its fibers, the lex game of
+Cerlienco and Mureddu (Discrete Math. 139, 1995), and each basis element
+is combined from the fibers by interpolation in x, the recursion of
+Marinari and Mora ("A remark on a remark by Macaulay, or enhancing Lazard
+structural theorem", Bull. Iranian Math. Soc. 29, 2003) and of Lederer
+("The vanishing ideal of a finite set of closed points in affine space",
+J. Pure Appl. Algebra 212, 2008).  On each fiber the construction keeps
+normal forms modulo that fiber's own vanishing ideal, which it builds the
+same way one coordinate shorter, down to single points.  No linear system
+over the n point functionals is solved, and nothing is divided.
+
+Points and monomials are read in the stored exponent order (z, y, x), so
+a point's last coordinate is its x and a fiber's monomials are the
+prefixes of the set's.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left, bisect_right
 
 from .poly import Polynomial
 from .univariate import _Nodes
 
 
-def _residues_of_powers(Y: list, top: int, p: int) -> list:
-    """[y^b mod Y for b from deg Y to top], for a monic Y, each as deg Y
-    coefficients."""
-    r = len(Y) - 1
-    power = [-c % p for c in Y[:r]]
-    out = [power]
-    for _ in range(r, top):
-        t = power[-1]
-        power = [(c - t * d) % p for c, d in zip([0] + power[:-1], Y)]
-        out.append(power)
-    return out
+class _Point:
+    """A one-point set: its staircase is {1}, and the normal form of a
+    monomial is its value at the point."""
+
+    __slots__ = ("point", "p", "staircase")
+
+    def __init__(self, point: tuple, p: int, staircase: list):
+        self.point, self.p, self.staircase = point, p, staircase
+
+    def nf(self, m: tuple) -> list:
+        p, v = self.p, 1
+        for c, e in zip(self.point, m):
+            if e:
+                v = v * pow(c, e, p) % p
+        return [v]
+
+
+class _Fibers:
+    """A set of points grouped by its last coordinate, with the lex
+    staircase of its vanishing ideal and normal forms modulo it.
+
+    `staircase` lists the standard monomials ascending, and `nf(m)` gives
+    the normal form of the monomial m as coefficients on them.  Each fiber
+    is a `_Fibers` one coordinate shorter, or a `_Point`.  The fibers are
+    sorted largest first, so that when their staircases are nested every
+    A_m is a prefix of one packed table of the fiber values (`_Nodes`);
+    any other A_m gets a table of its own.
+    """
+
+    def __init__(self, points, p: int):
+        groups: dict = {}
+        for q in points:
+            groups.setdefault(q[-1], []).append(q[:-1])
+        alphas = sorted(groups, key=lambda a: -len(groups[a]))
+        self.p, self.alphas, self.k = p, alphas, len(alphas)
+        one = [(0,) * (len(points[0]) - 1)]  # the staircase of one point
+        self.fibers = [
+            _Point(g[0], p, one) if len(g) == 1 else _Fibers(g, p) for g in map(groups.get, alphas)
+        ]
+        self.nodes = _Nodes(alphas, p)
+        members: dict = {}  # m -> [(fiber, position of m on its staircase)]
+        for i, fiber in enumerate(self.fibers):
+            for j, m in enumerate(fiber.staircase):
+                members.setdefault(m, []).append((i, j))
+        # m -> (A_m, the positions of m on those staircases, the table that
+        # interpolates over A_m, the fibers outside A_m, the offset of m's
+        # block x^i m on the staircase), ascending in m
+        self.blocks, self.staircase, tables = {}, [], {}
+        for m in sorted(members):
+            on, positions = zip(*members[m])
+            if on[-1] == len(on) - 1:
+                nodes, outside = self.nodes, range(len(on), self.k)
+            else:
+                nodes = tables.get(on) or tables.setdefault(on, _Nodes([alphas[i] for i in on], p))
+                outside = [i for i in range(self.k) if i not in on]
+            self.blocks[m] = on, positions, nodes, outside, len(self.staircase)
+            self.staircase += [m + (e,) for e in range(len(on))]
+        self.union = list(self.blocks)
+        self.known: dict = {}  # m -> nf(m)
+        self.rows: dict = {}  # m -> the fibers' normal forms of m
+
+    def corners(self) -> list:
+        """The (y, z) monomials m, ascending, whose x^|A_m| m is a corner of
+        the staircase of a set in three coordinates: |A_m| is below
+        |A_(m / y)| and |A_(m / z)| where m has those divisors."""
+        a = {m: len(block[0]) for m, block in self.blocks.items()}
+        out = set()
+        for c, b in self.blocks:
+            for m in ((c, b), (c + 1, b), (c, b + 1)):
+                mc, mb, n = *m, a.get(m, 0)
+                if (not mc or a.get((mc - 1, mb), 0) > n) and (not mb or a.get((mc, mb - 1), 0) > n):
+                    out.add(m)
+        return sorted(out)
+
+    def element(self, m: tuple) -> dict:
+        """The terms of the basis element headed x^|A_m| m: P_m(x) m plus the
+        tail whose residue on fiber α starts at P_m(α) NF_α(m)."""
+        block = self.blocks.get(m)
+        if block is None:
+            P, scale = [1], None
+        else:
+            P = block[2].master(len(block[0]))
+            if len(P) > self.k:  # m = 1 and P_m vanishes on every fiber
+                return {m + (e,): c for e, c in enumerate(P)}
+            scale = self.nodes.evaluate(P)
+        tail = self._tail(scale, m, bisect_left(self.union, m))
+        terms = {s: -c for s, c in zip(self.staircase, tail) if c}
+        terms.update((m + (e,), c) for e, c in enumerate(P))
+        return terms
+
+    def nf(self, m: tuple) -> list:
+        """The normal form of the monomial m = x^e m_0, whose residue on
+        fiber α starts at α^e NF_α(m_0)."""
+        rest, e = m[:-1], m[-1]
+        block = self.blocks.get(rest)
+        if block is not None and e < len(block[0]):
+            out = [0] * len(self.staircase)
+            out[block[4] + e] = 1
+            return out
+        out = self.known.get(m)
+        if out is None:
+            scale = [pow(a, e, self.p) for a in self.alphas] if e else None
+            out = self.known[m] = self._tail(scale, rest, bisect_right(self.union, rest))
+        return out
+
+    def _row(self, m: tuple) -> list:
+        row = self.rows.get(m)
+        if row is None:
+            row = self.rows[m] = [fiber.nf(m) for fiber in self.fibers]
+        return row
+
+    def _tail(self, scale, m: tuple, stop: int) -> list:
+        """The normal form of the function that is scale[α] m on each fiber
+        α (m itself when scale is None), as coefficients on the staircase,
+        for a function whose residues have no term past the first `stop`
+        monomials m' of the fibers' staircases.  Down through those m',
+        c_m' interpolates the m' coefficient of the residues over A_m', and
+        every fiber α outside A_m' takes c_m'(α) NF_α(m') off its residue;
+        the normal form is the sum of the c_m'(x) m'."""
+        p, residues = self.p, self._row(m)
+        if scale is not None:
+            residues = [[s * c % p for c in r] for s, r in zip(scale, residues)]
+        else:
+            residues = list(residues)
+        out = [0] * len(self.staircase)
+        for u in range(stop - 1, -1, -1):
+            on, positions, nodes, outside, offset = self.blocks[self.union[u]]
+            c = nodes.interpolate([residues[i][j] for i, j in zip(on, positions)])
+            out[offset : offset + len(c)] = c
+            if outside:
+                at = self.nodes.evaluate(c)
+                row = self._row(self.union[u])
+                for i in outside:
+                    if at[i]:
+                        residues[i] = [(r - at[i] * t) % p for r, t in zip(residues[i], row[i])]
+        return out
 
 
 def lazard_basis(points, field) -> tuple:
-    """The reduced lex basis of I(S), ascending, for points reduced mod p
-    with no two sharing (x, y).
+    """The reduced lex basis of I(S), ascending, for distinct points reduced
+    mod p.
 
-    Group S by x.  Fiber a holds r_a points (b, c) with distinct b; let
-    Y_a = prod (y - b), let phi_a interpolate the c over the b (degree
-    below r_a), let A_j be the x-values with r_a > j and n_j = |A_j|.  The
-    staircase is {x^i y^j : i < n_j}, of size sum n_j = sum r_a = n.  Its
-    corners give the heads: x^(n_j) y^j for j = 0 and for each j with
-    n_j < n_(j-1) (which includes y^(r_max), as n_(r_max) = 0), and z.
+    Group S by x: fiber α holds the (y, z) of the points over α, a set S_α
+    with vanishing ideal I_α in k[y, z].  Let N_α be the lex staircase of
+    I_α, which has |S_α| monomials, and NF_α(f) the normal form of f
+    modulo I_α: the one combination of N_α that agrees with f on S_α.  For
+    a (y, z) monomial m, let A_m be the x-values whose N_α holds m, and
+    P_m = prod over A_m of (x - α).  Let N be the x^i m with i < |A_m|.
+    It has sum |A_m| = sum |N_α| = n monomials, and it is down-closed,
+    as every N_α is, so A_m is contained in A_(m / y) and A_(m / z).
 
-    The element headed x^(n_J) y^J is P(x) y^J + sum_(j<J) c_j(x) y^j with
-    P = prod over A_J of (x - a), and the z element is
-    z + sum_(j<r_max) c_j(x) y^j.  The c_j come down from j = J - 1 to 0
-    (J = r_max for z) on a residue kept at every a, modulo Y_a: it starts
-    at P(a) * (y^J mod Y_a), or at phi_a for z, and c_j interpolates, over
-    A_j, minus the y^j coefficient of the residues there.  Then every a
-    outside A_j adds c_j(a) * (y^j mod Y_a) to its residue.  On A_j, y^j
-    is already reduced, so c_j(a) y^j clears the y^j coefficient and no
-    other, and the coefficients above j stay clear.  So once j = 0 is done,
-    every residue is zero: each element vanishes at (a, b) for every root b
-    of Y_a, that is on all of S.  (P vanishes on A_J, so the residues
-    there start at zero.)
+    The normal form of f is NF(f) = sum c_m'(x) m' over the m' of the
+    N_α, computed as follows.  The residue on fiber α starts at
+    NF_α(f(α, y, z)).  Then, down through the m', c_m' interpolates the m'
+    coefficient of the residues over A_m', so deg c_m' < |A_m'|, and every
+    α outside A_m' takes c_m'(α) NF_α(m') off its residue.  NF_α(m') is m'
+    minus an element of I_α headed m', since m' is not in N_α, so it has
+    only terms below m'; the coefficients at m' and above, which are
+    already clear, stay clear.  On A_m', NF_α(m') = m', so taking off
+    c_m'(α) m' would clear the m' coefficient and touch no other; no
+    later step reads that coefficient, so it is left as it is.  Once the
+    smallest m' is done, every coefficient of every residue is clear:
+    f - NF(f) has normal form zero on every fiber, so it vanishes on S.
+    Every function on S is the value of some f, so the n monomials of N
+    take every value on S: they are a basis of k[x, y, z] / I(S).
 
-    Each element is monic, and its tail is standard: below its head
-    x^(n_J) y^J, P y^J has only x^i y^J with i < n_J, and deg c_j < n_j.
-    So the elements lie in I(S), their heads span a monomial ideal whose
-    complement has n monomials, and dim k[x, y, z] / I(S) = n; the leading
-    ideal of I(S) holds the heads' ideal and has a complement of the same
-    size, so the two are equal, the elements form a Groebner basis, and a
-    reduced one.
+    A corner of N, outside N with every divisor by x, y or z inside, is
+    x^a m with a = |A_m|: a >= |A_m| as it is outside, and a - 1 < |A_m|
+    when a > 0 as x^(a-1) m is inside.  Its element is g = x^a m -
+    NF(x^a m).  The residues of x^a m start at α^a NF_α(m), with no term
+    above m, so no c_m' above m is nonzero, and the m block is
+    c_m = x^a - P_m (it interpolates α^a over A_m).  So g = P_m(x) m -
+    sum over m' < m of c_m'(x) m' (with P_m = 1 when m is on no N_α), and
+    past the m block the residues are P_m(α) NF_α(m): g vanishes on S, it
+    is monic, and every tail term is in N and below x^a m.  The heads span a monomial ideal whose complement is N, of n
+    monomials; the leading ideal of I(S) holds it and also has a
+    complement of n = dim k[x, y, z] / I(S) monomials, so the two are
+    equal, the elements form a Groebner basis, and a reduced one.
 
-    This makes Lazard's theorem on the projection constructive: the
-    leading x-coefficient of the element headed y^J vanishes exactly on
-    A_J, the x-values whose fiber holds more than J points.
+    NF_α is the same normal form one coordinate shorter: S_α is grouped
+    by y into sets of z-values, whose fibers are single points, and a
+    one-point set has staircase {1} and NF(m) = m at the point.
+
+    This makes Lazard's theorem constructive in three variables: the
+    leading x-coefficient of the element headed x^a m is P_m, the product
+    of (x - α) over the x-values whose fiber staircase holds m.  On a set
+    with no two points on one (x, y), N_α = {1, y, ..., y^(r_α - 1)}, and
+    NF_α(y^j) is y^j mod prod (y - β): Lazard's two-variable structure
+    with z as an interpolant in y on each fiber.
     """
-    p = field.p
-    fibers: dict = {}
-    for a, b, c in points:
-        fibers.setdefault(a, []).append((b, c))
-    # largest fibers first, so every A_j is a prefix of the nodes
-    alphas = sorted(fibers, key=lambda a: -len(fibers[a]))
-    sizes = [len(fibers[a]) for a in alphas]
-    k, top = len(alphas), sizes[0]
-    count = [sum(1 for r in sizes if r > j) for j in range(top + 1)]
-    xs = _Nodes(alphas, p)
-
-    phi, powers = [], []
-    for a in alphas:
-        ys, zs = zip(*fibers[a])
-        if len(ys) == 1:  # most fibers of a random set: no table needed
-            Y, phi_a = [-ys[0] % p, 1], list(zs)
-        else:
-            on_fiber = _Nodes(ys, p)
-            Y, phi_a = on_fiber.master(len(ys)), on_fiber.interpolate(zs)
-        phi.append(phi_a)
-        powers.append(_residues_of_powers(Y, top, p))
-
-    def tail(residues: list, J: int, terms: dict) -> Polynomial:
-        for j in range(J - 1, -1, -1):
-            m = count[j]
-            c = xs.interpolate([-residues[i][j] % p for i in range(m)])
-            for e, ce in enumerate(c):
-                terms[0, j, e] = ce
-            if m < k:
-                at = xs.evaluate(c)
-                for i in range(m, k):
-                    if at[i]:
-                        pw = powers[i][j - sizes[i]]
-                        residues[i] = [(s + at[i] * t) % p for s, t in zip(residues[i], pw)]
-        return Polynomial._collect(field, terms)
-
-    basis = [Polynomial._collect(field, {(0, 0, e): c for e, c in enumerate(xs.master(k))})]
-    for J in range(1, top + 1):
-        m = count[J]
-        if m == count[J - 1]:
-            continue
-        P = xs.master(m)
-        at = xs.evaluate(P)
-        residues = [[0] * sizes[i] for i in range(m)]
-        residues += [[at[i] * t % p for t in powers[i][J - sizes[i]]] for i in range(m, k)]
-        basis.append(tail(residues, J, {(0, J, e): c for e, c in enumerate(P)}))
-    basis.append(tail(phi, top, {(1, 0, 0): 1}))
-    return tuple(basis)
+    S = _Fibers([(z, y, x) for x, y, z in points], field.p)
+    return tuple(Polynomial._collect(field, S.element(m)) for m in S.corners())

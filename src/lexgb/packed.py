@@ -20,6 +20,7 @@ one slot's bytes at a time.
 from __future__ import annotations
 
 import struct
+from functools import lru_cache
 
 _CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
@@ -58,10 +59,14 @@ def unpack(x: int, nb: int, n: int, p: int) -> list:
     return [int.from_bytes(data[i : i + nb], "little") % p for i in range(0, size, nb)]
 
 
+@lru_cache(maxsize=64)
 def halver(p: int, bound: int, n: int):
     """(nb, halve) for packed vectors of n slots whose values stay up to
     bound: the slot width in bytes, and the map that takes the first n
-    slots of x to values below 2p with the same residues mod p.
+    slots of x to values below 2p with the same residues mod p.  Both
+    depend on the arguments alone, so they are cached: the vanishing
+    bases of small point sets ask for the same few product lengths over
+    and over (`univariate._from_roots`).
 
     It makes one Barrett step in every slot at once.  For v <= bound < 2^k
     and r = 2^k // p, q = (v * r) >> k is floor(v / p) or one less, so

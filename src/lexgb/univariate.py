@@ -262,6 +262,8 @@ class _Nodes:
         """The f of degree below m = len(values) with f(a_i) = values[i]
         for i < m, as m coefficients."""
         p, nb, m = self.p, self.nb, len(values)
+        if m == 1:  # the constant through one node
+            return [values[0] % p]
         _, packed_m, weights = self._prefix(m)
         s = 0
         for v, u, col in zip(values, weights, self.cols):

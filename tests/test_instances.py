@@ -38,7 +38,7 @@ def test_pointset_dict_round_trip():
 
 
 def test_pointset_reduces_its_coordinates():
-    # so points equal mod p are duplicates (see test_lazard's dispatch test)
+    # so points equal mod p are duplicates (see test_lazard's one-path test)
     assert PointSet(7, ((8, -1, 13), (1, 2, 3))).points == ((1, 6, 6), (1, 2, 3))
     assert PointSet(7, ((8, 2, 3),)) == PointSet(7, ((1, 2, 3),))
 

@@ -1,20 +1,23 @@
 """Vanishing bases built from the x-fibers against the dual-functional loop.
 
-`vanishing_basis` builds the basis of a point set with no two points on
-one (x mod p, y mod p) by interpolating its x-fibers (`lazard`), and
-every other point set with `fat_point_basis`.  On every set here the
-two must give the same basis, flag included, and `solve_system` must give
-back exactly the points.  The lex game (`helpers.lex_game_staircase`)
-counts the staircase from the points alone, on sets that take either
-path.  The packed evaluation and interpolation under the construction
-are held to Horner's rule.
+`vanishing_basis` builds the basis of every point set by interpolating
+its x-fibers (`lazard`); `fat_point_basis` with the plain shape at every
+point is the reference.  On every set here the two must give the same
+basis, flag included, and `solve_system` must give back exactly the
+points.  The corpus holds (x, y)-injective sets, sets that share (x, y),
+sets whose fiber staircases are not nested, and sets at p = 2^31 - 1.
+The lex game (`helpers.lex_game_staircase`) counts the staircase, and
+each fiber's staircase, from the points alone.  The packed evaluation
+and interpolation under the construction are held to Horner's rule.
 """
 
+import json
 import random
 
 import pytest
 
 from lexgb import instances
+from lexgb.cli import main
 from lexgb.field import PrimeField
 from lexgb.groebner import quotient_dimension, standard_monomials
 from lexgb.instances import PLAIN_POINT, PointSet, fat_point_basis, vanishing_basis
@@ -46,6 +49,33 @@ def injective_points(rng, p, sizes) -> PointSet:
     return PointSet(p, tuple(pts))
 
 
+def fiber_staircases(points: PointSet) -> dict:
+    """x-value -> the (y, z) exponents of the lex staircase of the fiber
+    over it, from the lex game on that fiber's points alone."""
+    fibers: dict = {}
+    for pt in points.points:
+        fibers.setdefault(pt[0], []).append(pt)
+    return {
+        a: {(m.b, m.c) for m in lex_game_staircase(PointSet(points.prime, tuple(pts)))}
+        for a, pts in fibers.items()
+    }
+
+
+def nested(points: PointSet) -> bool:
+    """Whether the fiber staircases form a chain under inclusion."""
+    stairs = list(fiber_staircases(points).values())
+    return all(s <= t or t <= s for s in stairs for t in stairs)
+
+
+# the point set of the oldest FOUND line in CHANGES.md: its staircases at
+# x = 41 and x = 19 are {1, z, z^2} and {1, y}, so they are not nested
+FOUND_SET = PointSet(
+    101,
+    ((19, 6, 8), (19, 83, 72), (41, 83, 11), (41, 83, 70), (41, 83, 80))
+    + ((50, 9, 7), (50, 83, 46), (50, 83, 64)),
+)
+
+
 def _differential_sets() -> list:
     rng = random.Random(20)
     sets = []
@@ -62,6 +92,23 @@ def _differential_sets() -> list:
     for p in (2, 3):
         sets.append(PointSet(p, tuple((x, y, rng.randrange(p)) for x in range(p) for y in range(p))))
     sets.append(PointSet(2, tuple((x, y, z) for x in range(2) for y in range(2) for z in range(2))))
+    # sets that share (x, y): fibered and box sets, and subsets of F_7^3
+    # whose fiber staircases are not nested
+    sets += [fibered_points(random_pattern(rng), rng) for _ in range(40)]
+    sets += [box_points(rng, most=40) for _ in range(40)]
+    cube = [(x, y, z) for x in range(7) for y in range(7) for z in range(7)]
+    unnested = []
+    while len(unnested) < 30:
+        points = PointSet(7, tuple(rng.sample(cube, rng.randint(4, 60))))
+        if not nested(points):
+            unnested.append(points)
+    sets += unnested + [FOUND_SET]
+    # shared (x, y) at p = 2^31 - 1: 1-3 z-values on each (x, y)
+    for _ in range(6):
+        pattern = tuple(
+            tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 4))) for _ in range(rng.randint(1, 4))
+        )
+        sets.append(fibered_points(pattern, rng, 2**31 - 1))
     return sets
 
 
@@ -86,46 +133,50 @@ def test_solve_system_returns_the_points(p):
 
 
 def test_lc_x_vanishes_exactly_on_the_larger_fibers():
-    """Lazard's theorem on the projection: the element headed x^i y^j has
-    lc_x equal to the product of (x - a) over the x-values a whose fiber
-    holds more than j points, and the z element has lc_x = 1."""
-    rng = random.Random(3)
-    F = PrimeField(101)
-    for _ in range(40):
-        points = injective_points(rng, 101, [rng.randint(1, 5) for _ in range(rng.randint(1, 6))])
-        sizes = {}
-        for x, _, _ in points.points:
-            sizes[x] = sizes.get(x, 0) + 1
+    """Lazard's theorem on every plain point set: lc_x(g) is the product of
+    (x - a) over the x-values a whose fiber staircase holds lm_yz(g).  On
+    an (x, y)-injective set those are the fibers of more than j points, for
+    g headed x^i y^j, and none for the z element."""
+    for points in DIFFERENTIAL_SETS:
+        p, stairs = points.prime, fiber_staircases(points)
+        F = PrimeField(p)
         for g in vanishing_basis(points):
-            j = g.lm().b if not g.lm().c else -1
-            larger = sorted(x for x, r in sizes.items() if r > j) if j >= 0 else []
-            expected = Polynomial(F, [((0, 0, e), c) for e, c in enumerate(_from_roots(larger, 101))])
-            assert g.lc_x() == expected
+            head = g.lm()
+            holding = sorted(a for a, stair in stairs.items() if (head.b, head.c) in stair)
+            expected = Polynomial(F, [((0, 0, e), c) for e, c in enumerate(_from_roots(holding, p))])
+            assert g.lc_x() == expected, (points, g)
 
 
-def test_dispatch_by_the_projection(monkeypatch):
-    """Sets with a shared (x mod p, y mod p) take the loop, which rejects
-    duplicates mod p; the others take the fibers, unreduced coordinates
-    included.  Either way the basis is the loop's."""
-    taken = []
-    for name in ("fat_point_basis", "lazard_basis"):
-        original = getattr(instances, name)
-        monkeypatch.setattr(instances, name, lambda *a, f=original, n=name: taken.append(n) or f(*a))
-    cases = {
-        ((1, 2, 3), (1, 2, 4), (5, 6, 0)): "fat_point_basis",  # a shared (x, y)
-        ((8, 2, 3), (1, 9, 4)): "fat_point_basis",  # unreduced, sharing (1, 2) mod 7
-        ((8, 2, 3), (1, 10, 4), (-1, 0, 13)): "lazard_basis",  # unreduced, injective mod 7
-    }
-    for pts, path in cases.items():
-        taken.clear()
-        G = vanishing_basis(PointSet(7, pts))
-        assert taken == [path]
-        assert G == fat_point_basis(PointSet(7, pts), [PLAIN_POINT] * len(pts))
-    # equal mod 7: one point twice, which the loop rejects as a duplicate
-    taken.clear()
+def test_one_path_for_plain_points(monkeypatch, tmp_path, capsys):
+    """No plain point set reaches the loop: with `fat_point_basis` made to
+    raise, `vanishing_basis` still gives the loop's basis, computed
+    beforehand, on a shared (x, y), on unreduced coordinates sharing one
+    mod 7, and on unreduced injective ones; and it rejects duplicates mod p
+    and empty input itself, so the CLI still exits 2 on them."""
+    cases = (
+        ((1, 2, 3), (1, 2, 4), (5, 6, 0)),  # a shared (x, y)
+        ((8, 2, 3), (1, 9, 4)),  # unreduced, sharing (1, 2) mod 7
+        ((8, 2, 3), (1, 10, 4), (-1, 0, 13)),  # unreduced, injective mod 7
+    )
+    expected = [fat_point_basis(PointSet(7, pts), [PLAIN_POINT] * len(pts)) for pts in cases]
+
+    def refuse(*args):
+        raise AssertionError("vanishing_basis called fat_point_basis")
+
+    monkeypatch.setattr(instances, "fat_point_basis", refuse)
+    for pts, G in zip(cases, expected):
+        assert vanishing_basis(PointSet(7, pts)) == G
+    # equal mod 7: one point twice
     with pytest.raises(ValueError, match="points must be distinct"):
         vanishing_basis(PointSet(7, ((1, 2, 3), (8, 2, 3))))
-    assert taken == ["fat_point_basis"]
+    with pytest.raises(ValueError, match="empty point set"):
+        vanishing_basis(PointSet(7, ()))
+    for name, pts in (("duplicate", [[1, 2, 3], [8, 2, 3]]), ("empty", [])):
+        src = tmp_path / f"{name}.json"
+        src.write_text(json.dumps({"p": 7, "points": pts}))
+        assert main(["gb", str(src)]) == 2
+    err = capsys.readouterr().err
+    assert "points must be distinct" in err and "empty point set" in err
 
 
 def test_bad_input_raises_as_before():
@@ -142,8 +193,8 @@ def test_bad_input_raises_as_before():
 
 
 def test_lex_game_counts_the_staircase():
-    """The 300 fibered sets and 200 box sets of 1-40 points: 58 of them
-    take the fibers, the others share (x, y) and take the loop."""
+    """The 300 fibered sets and 200 box sets of 1-40 points: 58 of them are
+    (x, y)-injective, and the others share (x, y)."""
     rng = random.Random(7)
     sets = [fibered_points(random_pattern(rng), rng) for _ in range(300)]
     sets += [box_points(rng, most=40) for _ in range(200)]
