@@ -35,15 +35,20 @@ from .poly import Monomial, Polynomial
 @dataclass(frozen=True)
 class PointSet:
     """Distinct points of F_p^3, reduced mod p on construction, with the
-    seed that produced them."""
+    seed that produced them.  Construction raises ValueError unless the
+    modulus is prime and the reduced points are distinct; no points at all
+    is a legal set."""
 
     prime: int
     points: tuple[tuple[int, int, int], ...]
     seed: int | None = None
 
     def __post_init__(self):
-        p = self.prime
-        object.__setattr__(self, "points", tuple([(x % p, y % p, z % p) for x, y, z in self.points]))
+        p = PrimeField(self.prime).p
+        points = tuple([(x % p, y % p, z % p) for x, y, z in self.points])
+        if len(set(points)) != len(points):
+            raise ValueError("points must be distinct")
+        object.__setattr__(self, "points", points)
 
     def __len__(self):
         return len(self.points)
@@ -55,19 +60,12 @@ class PointSet:
 def pointset_from_dict(data: dict) -> PointSet:
     if "points" not in data or "p" not in data:
         raise ValueError("point set object must have 'p' and 'points'")
-    p = data["p"]
-    PrimeField(p)  # validates the modulus
     if not isinstance(data["points"], list):
         raise ValueError("'points' must be a list")
-    pts = []
     for pt in data["points"]:
         if not isinstance(pt, list) or len(pt) != 3 or not all(type(v) is int for v in pt):
             raise ValueError(f"point must be three integer coordinates, got {pt!r}")
-        pts.append(pt)
-    points = PointSet(p, pts, data.get("seed"))
-    if len(set(points.points)) != len(pts):
-        raise ValueError("points must be distinct")
-    return points
+    return PointSet(data["p"], data["points"], data.get("seed"))
 
 
 def random_points(n: int, seed: int, prime: int = 101) -> PointSet:
@@ -148,8 +146,6 @@ def fat_point_basis(points: PointSet, shapes) -> GroebnerBasis:
     """
     if not points.points:
         raise ValueError("empty point set")
-    if len(set(points.points)) != len(points.points):
-        raise ValueError("points must be distinct")
     # callers pass one shape object for many points: check each object once
     # (the list keeps every object alive, so no id is reused)
     shapes = list(shapes)
@@ -236,15 +232,13 @@ def vanishing_basis(points: PointSet, field=None) -> GroebnerBasis:
     built from their x-fibers (`lazard.lazard_basis`): the fat-point basis
     with the plain shape {0} at every point.  The basis is over the point
     set's own field; `field` may name that field or be None, and anything
-    else raises ValueError, as do empty input and duplicate points."""
+    else raises ValueError, as does an empty set (`PointSet` has already
+    checked the modulus and that the points are distinct)."""
     if field is not None and field != PrimeField(points.prime):
         raise ValueError(f"the points lie in F_{points.prime}, not in {field!r}")
-    pts = points.points
-    if not pts:
+    if not points.points:
         raise ValueError("empty point set")
-    if len(set(pts)) != len(pts):
-        raise ValueError("points must be distinct")
-    return GroebnerBasis(lazard_basis(pts, PrimeField(points.prime)), radical=True)
+    return GroebnerBasis(lazard_basis(points.points, PrimeField(points.prime)), radical=True)
 
 
 VANISHING_POINTS = "vanishing-points"

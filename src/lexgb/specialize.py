@@ -26,33 +26,35 @@ class NonSplitError(RuntimeError):
         )
 
 
-def _dense(f: Polynomial, axis: int) -> list:
-    """The coefficient list of f, a nonzero polynomial over F_p in the one
-    variable of the axis (0=x, 1=y, 2=z); raises ValueError otherwise."""
+def _dense(f: Polynomial) -> list:
+    """The coefficient list of f, a nonzero polynomial over F_p in one
+    variable, the one its head is a power of; raises ValueError otherwise."""
     if f.is_zero():
         raise ValueError("the zero polynomial has every point as a root")
-    k = 2 - axis  # a Monomial stores its exponents as (c, b, a)
+    c, b, a = f.lm()  # a Monomial stores its exponents as (c, b, a)
+    k = 2 if a else 1 if b else 0
     # a mixed head raises first; past a pure power no term has a higher one
-    out = [0] * (f.lm()[k] + 1)
-    for m, c in f.terms:
+    out = [0] * ((a or b or c) + 1)
+    for m, coefficient in f.terms:
         e = m[k]
         if sum(m) != e:
-            raise ValueError(f"{f.text()} is not univariate in {'xyz'[axis]}")
-        out[e] = c
+            raise ValueError(f"{f.text()} is not univariate in {'zyx'[k]}")
+        out[e] = coefficient
     return out
 
 
-def roots_univariate(f: Polynomial, axis: int = 0) -> list:
+def roots_univariate(f: Polynomial) -> list:
     """All roots of f in F_p, ascending; f must be a nonzero polynomial in
-    the given axis (0=x, 1=y, 2=z) alone."""
-    return _roots(_dense(f, axis), f.field.p)
+    one variable, whichever its head names (see `_dense`)."""
+    return _roots(_dense(f), f.field.p)
 
 
-def split_roots(f: Polynomial, axis: int = 0):
-    """Roots of a univariate polynomial plus the degree of its root-free
-    part, 0 exactly when f is a product of linear factors over F_p."""
-    roots = roots_univariate(f, axis)
-    return roots, _cofactor_degree(_dense(f, axis), roots, f.field.p)
+def split_roots(f: Polynomial):
+    """Roots of a univariate polynomial (see `roots_univariate`) plus the
+    degree of its root-free part, 0 exactly when f is a product of linear
+    factors over F_p."""
+    roots = roots_univariate(f)
+    return roots, _cofactor_degree(_dense(f), roots, f.field.p)
 
 
 def _cofactor_degree(f: list, roots: list, p: int) -> int:
@@ -115,10 +117,11 @@ def _fiber_view(G: GroebnerBasis) -> _FiberView:
     do the fiber checks on every basis whose heads do not settle them (see
     `_pure_power_heads`), so `verify_all` builds it at most once, with one
     `_images` pass over every element.  The view holds no (alpha, beta)
-    slice: `solve_system` reads them off the alpha-images (`_slice`).  It
-    needs a zero-dimensional basis over F_p with every element in its band
-    (see `structure_facts`), so that the prefix images lie in k[y] and the
-    slices in k[z]; on any other basis, `skipped` says why.
+    slice: `solve_system` and `gianni_kalkbrener` read them off the
+    alpha-images (`_slice`).  It needs a zero-dimensional basis over F_p
+    with every element in its band (see `structure_facts`), so that the
+    prefix images lie in k[y] and the slices in k[z]; on any other basis,
+    `skipped` says why.
 
     The roots of any lc_x(g_i) are the alphas at which it vanishes, because
     on a minimal lex Groebner basis every irreducible factor of
@@ -142,7 +145,7 @@ def _fiber_view(G: GroebnerBasis) -> _FiberView:
     for alpha, rest in zip(roots, _images(G.elements[1:], 0, roots)):
         # g_1 vanishes at each of its roots, so its image is zero unsubstituted
         images = (zero,) + rest
-        prefix = [_dense(img, 1) if img else [] for img in images[:ell2]]
+        prefix = [_dense(img) if img else [] for img in images[:ell2]]
         betas, j, beta_stuck = _common_roots(prefix, G.field.p)
         fibers.append(_Fiber(alpha, images, betas, images[j], beta_stuck))
     return _FiberView(None, stuck, ell2, tuple(fibers))
@@ -230,12 +233,10 @@ def check_specialization_image(G: GroebnerBasis) -> CheckReport:
 def check_gianni_kalkbrener(G: GroebnerBasis) -> CheckReport:
     """At every solution (alpha, beta) of the elimination prefix, each element
     past the prefix keeps its z degree after specialization (or vanishes).
-    Assumes a basis that passes basis_integrity.  The degrees are read off
-    the alpha-images, with no slice built: the terms of an image descend in
-    z, so its slice at beta has the degree of its first z block whose y part
-    is nonzero at beta, and is zero, with no degree to lose, when none is.
-    An element with head z-degree c has no term above z^c.  Heads x^a, y^b,
-    z^c settle it with no image (see `_pure_power_heads`)."""
+    Assumes a basis that passes basis_integrity.  Each degree is read off
+    the slice at beta of the element's alpha-image (`_slice`); a zero slice
+    has no degree to lose.  Heads x^a, y^b, z^c settle it with no image
+    (see `_pure_power_heads`)."""
     name = "gianni_kalkbrener"
     if _pure_power_heads(G):
         return gated_report(name, G.radical, [])
@@ -249,14 +250,8 @@ def check_gianni_kalkbrener(G: GroebnerBasis) -> CheckReport:
         images = fiber.images[view.prefix :]
         for beta in fiber.betas:
             for j, (img, c) in enumerate(zip(images, degrees)):
-                d, value = None, 0  # a z block's degree and its y part at beta
-                for (zc, yb, _), k in img.terms:
-                    if zc != d:
-                        if value % p:
-                            break
-                        d, value = zc, 0
-                    value += k * pow(beta, yb, p)
-                if value % p and d != c:
+                d = len(_slice(img, beta, p)) - 1
+                if d >= 0 and d != c:
                     witnesses.append(
                         {
                             "alpha": fiber.alpha,

@@ -43,6 +43,15 @@ def test_pointset_reduces_its_coordinates():
     assert PointSet(7, ((8, 2, 3),)) == PointSet(7, ((1, 2, 3),))
 
 
+def test_pointset_checks_itself():
+    # the one place a point set's modulus and distinctness are checked
+    with pytest.raises(ValueError, match="points must be distinct"):
+        PointSet(7, ((1, 2, 3), (8, 2, 3)))
+    with pytest.raises(ValueError, match="modulus must be prime"):
+        PointSet(8, ((1, 2, 3),))
+    assert PointSet(7, ()).points == ()
+
+
 def test_pointset_from_dict_reduces_mod_p():
     ps = pointset_from_dict({"p": 7, "points": [[8, -1, 14]]})
     assert ps.points == ((1, 6, 0),)

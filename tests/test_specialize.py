@@ -138,9 +138,9 @@ def test_split_roots_y_and_z_match_a_residue_scan():
     for _ in range(20):
         f = random_product(rng, F101)
         expected = scan_split(f)
-        for axis, var in ((1, "y"), (2, "z")):
+        for var in ("y", "z"):
             g = P(f.text().replace("x", var))
-            assert split_roots(g, axis=axis) == expected
+            assert split_roots(g) == expected
 
 
 def distinct_linear_product(field, roots):
@@ -264,12 +264,12 @@ def test_split_roots_handles_multiplicity():
 
 
 def test_split_roots_other_axes():
-    roots, cofactor_degree = split_roots(P("y^2 + 100*y"), axis=1)
+    roots, cofactor_degree = split_roots(P("y^2 + 100*y"))
     assert roots == [0, 1] and cofactor_degree == 0
-    roots, cofactor_degree = split_roots(P("z^3 + 100*z"), axis=2)
+    roots, cofactor_degree = split_roots(P("z^3 + 100*z"))
     assert roots == [0, 1, 100] and cofactor_degree == 0
     with pytest.raises(ValueError):
-        split_roots(P("x*y"), axis=0)
+        split_roots(P("x*y"))
 
 
 def test_specialization_image_pass():
@@ -572,19 +572,19 @@ def test_fiber_view_slices_are_the_substituted_elements():
 def test_verify_all_finds_the_roots_of_g1_once(monkeypatch):
     calls = []
 
-    def counting(f, axis=0):
-        calls.append((f, axis))
-        return split_roots(f, axis)
+    def counting(f):
+        calls.append(f)
+        return split_roots(f)
 
     monkeypatch.setattr(specialize, "split_roots", counting)
     _fiber_view.cache_clear()
     G = worked_basis()
     reports = verify_all(G)
     assert all(r.verdict == PASS for r in reports)
-    assert [f for f, axis in calls if axis == 0] == [G.elements[0]]
+    assert calls == [G.elements[0]]
     # solving the same basis next reuses the view
     assert solve_system(G) == ((0, 0, 0), (1, 0, 0), (1, 0, 1))
-    assert [f for f, axis in calls if axis == 0] == [G.elements[0]]
+    assert calls == [G.elements[0]]
 
 
 def test_fiber_slices_are_built_only_when_read(monkeypatch):
