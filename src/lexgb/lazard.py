@@ -49,39 +49,31 @@ class _Fibers:
 
     `staircase` lists the standard monomials ascending, and `nf(m)` gives
     the normal form of the monomial m as coefficients on them.  Each fiber
-    is a `_Fibers` one coordinate shorter, or a `_Point`.  The fibers are
-    sorted largest first, so that when their staircases are nested every
-    A_m is a prefix of one packed table of the fiber values (`_Nodes`);
-    any other A_m gets a table of its own.
+    is a `_Fibers` one coordinate shorter, or a `_Point`, in the order the
+    points give them.  One packed table of the fiber values (`_Nodes`)
+    interpolates over every A_m and evaluates at every fiber.
     """
 
     def __init__(self, points, p: int):
         groups: dict = {}
         for q in points:
             groups.setdefault(q[-1], []).append(q[:-1])
-        alphas = sorted(groups, key=lambda a: -len(groups[a]))
-        self.p, self.alphas, self.k = p, alphas, len(alphas)
+        self.p, self.alphas, self.k = p, list(groups), len(groups)
         one = [(0,) * (len(points[0]) - 1)]  # the staircase of one point
-        self.fibers = [
-            _Point(g[0], p, one) if len(g) == 1 else _Fibers(g, p) for g in map(groups.get, alphas)
-        ]
-        self.nodes = _Nodes(alphas, p)
+        self.fibers = [_Point(g[0], p, one) if len(g) == 1 else _Fibers(g, p) for g in groups.values()]
+        self.nodes = _Nodes(self.alphas, p)
         members: dict = {}  # m -> [(fiber, position of m on its staircase)]
         for i, fiber in enumerate(self.fibers):
             for j, m in enumerate(fiber.staircase):
                 members.setdefault(m, []).append((i, j))
-        # m -> (A_m, the positions of m on those staircases, the table that
-        # interpolates over A_m, the fibers outside A_m, the offset of m's
-        # block x^i m on the staircase), ascending in m
-        self.blocks, self.staircase, tables = {}, [], {}
+        # m -> (A_m, the positions of m on those staircases, the fibers
+        # outside A_m, the offset of m's block x^i m on the staircase),
+        # ascending in m
+        self.blocks, self.staircase = {}, []
         for m in sorted(members):
             on, positions = zip(*members[m])
-            if on[-1] == len(on) - 1:
-                nodes, outside = self.nodes, range(len(on), self.k)
-            else:
-                nodes = tables.get(on) or tables.setdefault(on, _Nodes([alphas[i] for i in on], p))
-                outside = [i for i in range(self.k) if i not in on]
-            self.blocks[m] = on, positions, nodes, outside, len(self.staircase)
+            outside = set(range(self.k)).difference(on) if len(on) < self.k else ()
+            self.blocks[m] = on, positions, outside, len(self.staircase)
             self.staircase += [m + (e,) for e in range(len(on))]
         self.union = list(self.blocks)
         self.known: dict = {}  # m -> nf(m)
@@ -107,7 +99,7 @@ class _Fibers:
         if block is None:
             P, scale = [1], None
         else:
-            P = block[2].master(len(block[0]))
+            P = self.nodes.master(block[0])
             if len(P) > self.k:  # m = 1 and P_m vanishes on every fiber
                 return {m + (e,): c for e, c in enumerate(P)}
             scale = self.nodes.evaluate(P)
@@ -123,7 +115,7 @@ class _Fibers:
         block = self.blocks.get(rest)
         if block is not None and e < len(block[0]):
             out = [0] * len(self.staircase)
-            out[block[4] + e] = 1
+            out[block[3] + e] = 1
             return out
         out = self.known.get(m)
         if out is None:
@@ -145,18 +137,18 @@ class _Fibers:
         c_m' interpolates the m' coefficient of the residues over A_m', and
         every fiber α outside A_m' takes c_m'(α) NF_α(m') off its residue;
         the normal form is the sum of the c_m'(x) m'."""
-        p, residues = self.p, self._row(m)
+        p, nodes, residues = self.p, self.nodes, self._row(m)
         if scale is not None:
             residues = [[s * c % p for c in r] for s, r in zip(scale, residues)]
         else:
             residues = list(residues)
         out = [0] * len(self.staircase)
         for u in range(stop - 1, -1, -1):
-            on, positions, nodes, outside, offset = self.blocks[self.union[u]]
-            c = nodes.interpolate([residues[i][j] for i, j in zip(on, positions)])
+            on, positions, outside, offset = self.blocks[self.union[u]]
+            c = nodes.interpolate([residues[i][j] for i, j in zip(on, positions)], on)
             out[offset : offset + len(c)] = c
             if outside:
-                at = self.nodes.evaluate(c)
+                at = nodes.evaluate(c)
                 row = self._row(self.union[u])
                 for i in outside:
                     if at[i]:

@@ -219,19 +219,19 @@ def _from_roots(roots, p: int) -> list:
 
 class _Nodes:
     """Distinct nodes a_0, ..., a_(k-1) of F_p and the packed table of
-    their powers, for evaluation at every node and interpolation over
-    every prefix of them.
+    their powers, for evaluation at every node and interpolation over any
+    subset of them.
 
     Row e packs a_i^e over the nodes i, column i packs a_i^t over t < k;
     building both takes k^2 products mod p, and each use after that is
     one big-int multiply-add per coefficient or per node.  Interpolation
-    over the first m nodes is Lagrange's: with M = prod (x - a_i) and
-    u_i = f(a_i) / M'(a_i), f = sum u_i M / (x - a_i), and as
+    over the nodes a_i, i in `on`, is Lagrange's: with M = prod (x - a_i)
+    and u_i = f(a_i) / M'(a_i), f = sum u_i M / (x - a_i), and as
     M / (x - a) = sum_j x^j sum_(t >= 0) M_(j+1+t) a^t, the coefficient f_j
     is sum_t M_(j+1+t) s_t with s_t = sum_i u_i a_i^t.  The s_t are the
-    columns' combination with weights u_i, and the f_j are slots m to
-    2m - 1 of M times the reversed s: one product.  A slot sums at most
-    k + 1 products below p^2.
+    combination of the columns i in `on` with weights u_i, and for
+    m = |on| the f_j are slots m to 2m - 1 of M times the reversed s: one
+    product.  A slot sums at most k + 1 products below p^2.
     """
 
     def __init__(self, nodes, p: int):
@@ -245,11 +245,11 @@ class _Nodes:
             table.append(power)
         self.rows = [pack(row, nb) for row in table]
         self.cols = [pack(col, nb) for col in zip(*table)]
-        self.prefixes: dict = {}
+        self.subsets: dict = {}
 
-    def master(self, m: int) -> list:
-        """prod (x - a_i) over the first m nodes."""
-        return self._prefix(m)[0]
+    def master(self, on: tuple) -> list:
+        """prod (x - a_i) over the nodes i in `on`."""
+        return (self.subsets.get(on) or self._subset(on))[0]
 
     def evaluate(self, f: list) -> list:
         """f, of degree below k, at every node."""
@@ -258,24 +258,25 @@ class _Nodes:
             acc += c * row
         return unpack(acc, self.nb, self.k, self.p)
 
-    def interpolate(self, values) -> list:
-        """The f of degree below m = len(values) with f(a_i) = values[i]
-        for i < m, as m coefficients."""
-        p, nb, m = self.p, self.nb, len(values)
+    def interpolate(self, values, on: tuple) -> list:
+        """The f of degree below m = len(on) with f(a_i) = values[j] for
+        i = on[j], as m coefficients."""
+        p, nb, m = self.p, self.nb, len(on)
         if m == 1:  # the constant through one node
             return [values[0] % p]
-        _, packed_m, weights = self._prefix(m)
+        _, packed_m, weights, cols = self.subsets.get(on) or self._subset(on)
         s = 0
-        for v, u, col in zip(values, weights, self.cols):
+        for v, u, col in zip(values, weights, cols):
             s += v * u % p * col
         s = unpack(s & (1 << 8 * nb * m) - 1, nb, m, p)
         return unpack(packed_m * pack(s[::-1], nb) >> 8 * nb * m, nb, m, p)
 
-    def _prefix(self, m: int) -> tuple:
-        """(M, M packed, the 1 / M'(a_i)) for the first m nodes."""
-        if m not in self.prefixes:
-            p = self.p
-            master = _from_roots(self.nodes[:m], p)
-            slopes = self.evaluate([e * c % p for e, c in enumerate(master) if e])[:m]
-            self.prefixes[m] = master, pack(master, self.nb), [pow(d, -1, p) for d in slopes]
-        return self.prefixes[m]
+    def _subset(self, on: tuple) -> tuple:
+        """(M, M packed, the 1 / M'(a_i), the columns i) for the nodes i in
+        `on`, cached."""
+        p = self.p
+        master = _from_roots([self.nodes[i] for i in on], p)
+        slopes = self.evaluate([e * c % p for e, c in enumerate(master) if e])
+        weights, cols = [pow(slopes[i], -1, p) for i in on], [self.cols[i] for i in on]
+        sub = self.subsets[on] = master, pack(master, self.nb), weights, cols
+        return sub

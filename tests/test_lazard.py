@@ -16,7 +16,7 @@ import random
 
 import pytest
 
-from lexgb import instances
+from lexgb import instances, lazard
 from lexgb.cli import main
 from lexgb.field import PrimeField
 from lexgb.groebner import quotient_dimension, standard_monomials
@@ -113,6 +113,8 @@ def _differential_sets() -> list:
 
 
 DIFFERENTIAL_SETS = _differential_sets()
+# the FOUND set and the subsets of F_7^3 whose fiber staircases are not nested
+UNNESTED_SETS = [FOUND_SET] + [s for s in DIFFERENTIAL_SETS if s.prime == 7 and not nested(s)]
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -121,6 +123,62 @@ def test_fibers_match_the_loop(p):
         G = vanishing_basis(points)
         assert G == fat_point_basis(points, [PLAIN_POINT] * len(points.points)), points
         assert G.radical
+
+
+def test_basis_ignores_the_order_of_the_points():
+    """The fibers follow the order the points give them, and the basis
+    does not: a seeded shuffle of every set gives the same basis."""
+    rng = random.Random(3)
+    for points in DIFFERENTIAL_SETS:
+        shuffled = list(points.points)
+        rng.shuffle(shuffled)
+        assert vanishing_basis(PointSet(points.prime, tuple(shuffled))) == vanishing_basis(points), points
+
+
+def test_one_node_table_per_fiber_level(monkeypatch):
+    """Every `_Fibers` level builds exactly one `_Nodes`, also where the
+    fiber staircases are not nested: six levels and six tables on the
+    FOUND set, and as many tables as levels on the non-nested subsets of
+    F_7^3."""
+    built = {lazard._Fibers: 0, _Nodes: 0}
+    init = lazard._Fibers.__init__
+
+    def level(self, *args):
+        built[lazard._Fibers] += 1
+        init(self, *args)
+
+    def table(*args):
+        built[_Nodes] += 1
+        return _Nodes(*args)
+
+    monkeypatch.setattr(lazard._Fibers, "__init__", level)
+    monkeypatch.setattr(lazard, "_Nodes", table)
+    vanishing_basis(FOUND_SET)
+    assert built == {lazard._Fibers: 6, _Nodes: 6}
+    assert len(UNNESTED_SETS) > 30
+    for points in UNNESTED_SETS:
+        built.update(dict.fromkeys(built, 0))
+        vanishing_basis(points)
+        assert built[_Nodes] == built[lazard._Fibers], points
+
+
+def test_blocks_split_the_fibers():
+    """At every level, the block of m holds A_m, the fibers whose staircase
+    holds m, with m's position on each, and `outside` is the rest: on the
+    FOUND set and on the non-nested subsets of F_7^3."""
+
+    def walk(level):
+        for m, (on, positions, outside, _) in level.blocks.items():
+            holding = [i for i, fiber in enumerate(level.fibers) if m in fiber.staircase]
+            assert list(on) == holding
+            assert list(positions) == [level.fibers[i].staircase.index(m) for i in on]
+            assert sorted(outside) == [i for i in range(level.k) if i not in on]
+        for fiber in level.fibers:
+            if isinstance(fiber, lazard._Fibers):
+                walk(fiber)
+
+    for points in UNNESTED_SETS:
+        walk(lazard._Fibers([(z, y, x) for x, y, z in points.points], points.prime))
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -203,9 +261,22 @@ def test_lex_game_counts_the_staircase():
         assert standard_monomials(vanishing_basis(points)) == lex_game_staircase(points), points
 
 
+def _check_subset(table, on, values):
+    nodes, p, m = table.nodes, table.p, len(on)
+    g = table.interpolate(values, on)
+    assert len(g) == m and [_horner(g, nodes[i], p) for i in on] == values
+    master = table.master(on)
+    assert master[-1] == 1 and len(master) == m + 1
+    assert all(_horner(master, nodes[i], p) == 0 for i in on)
+
+
 @pytest.mark.parametrize("p", PRIMES)
 def test_packed_nodes_follow_horner(p):
-    rng = random.Random(p)
+    """Evaluation at every node, and interpolation and the master product
+    over every prefix of the nodes (the empty and the full one included),
+    over every singleton, over the nodes reversed and without the first,
+    and over random subsets in random order."""
+    rng, pick = random.Random(p), random.Random(-p)
     for _ in range(20):
         nodes = _draw(rng, p, rng.randint(1, min(p, 30)))
         k = len(nodes)
@@ -213,9 +284,8 @@ def test_packed_nodes_follow_horner(p):
         f = [rng.randrange(p) for _ in range(k)]
         assert table.evaluate(f) == [_horner(f, a, p) for a in nodes]
         for m in range(k + 1):
-            values = [rng.randrange(p) for _ in range(m)]
-            g = table.interpolate(values)
-            assert len(g) == m and [_horner(g, a, p) for a in nodes[:m]] == values
-            master = table.master(m)
-            assert master[-1] == 1 and len(master) == m + 1
-            assert all(_horner(master, a, p) == 0 for a in nodes[:m])
+            _check_subset(table, tuple(range(m)), [rng.randrange(p) for _ in range(m)])
+        subsets = [(i,) for i in range(k)] + [tuple(range(k - 1, -1, -1)), tuple(range(1, k))]
+        subsets += [tuple(pick.sample(range(k), pick.randint(0, k))) for _ in range(10)]
+        for on in subsets:
+            _check_subset(table, on, [pick.randrange(p) for _ in on])
