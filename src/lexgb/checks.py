@@ -15,6 +15,8 @@ past the two gatekeepers live in the one runner table `_RUNNERS`.
 
 from __future__ import annotations
 
+from itertools import groupby
+
 from .groebner import (
     GroebnerBasis,
     buchberger,
@@ -25,6 +27,7 @@ from .groebner import (
 )
 from .poly import Monomial, Polynomial
 from .report import FAIL, PASS, SKIPPED, CheckReport, gated_report
+from .univariate import _rem
 from . import specialize
 
 
@@ -90,24 +93,36 @@ def _componentwise(hi, hj) -> bool:
     return hj.b <= hi.b and hj.c <= hi.c
 
 
+def _dense_x(terms) -> list:
+    """The dense x-list (see `univariate`) of terms that share a (y, z) part."""
+    out = [0] * (terms[0][0][2] + 1)
+    for m, k in terms:
+        out[m[2]] = k
+    return out
+
+
 def _chain_witnesses(elems, related) -> list[dict]:
     """The pairs j < i whose heads satisfy related(lm g_i, lm g_j) but where
     lc_x(g_i) does not divide lc_x(g_j), ordered by i and then j.
 
     The terms of lc_x(g_i) are the terms of g_i at lm_yz(g_i), whose top is
     the head, so a head with no x makes lc_x(g_i) a nonzero constant, which
-    divides everything: only the other divisors take a division."""
+    divides everything: only the other divisors take a division, one
+    remainder in k[x] on dense lists."""
     heads = [g.lm() for g in elems]
+    p = elems[0].field.p
     lcs = None
     witnesses = []
     for i in range(1, len(elems)):
         if not heads[i].a:
             continue
-        lcs = lcs or [g.lc_x() for g in elems]
+        if lcs is None:
+            lcs = [g.lc_x() for g in elems]
+            dense = [_dense_x(f.terms) for f in lcs]
         witnesses += [
             {"i": i + 1, "j": j + 1, "divisor": lcs[i].text(), "dividend": lcs[j].text()}
             for j in range(i)
-            if related(heads[i], heads[j]) and not lcs[j].divide([lcs[i]])[1].is_zero()
+            if related(heads[i], heads[j]) and _rem(dense[j], dense[i], p)
         ]
     return witnesses
 
@@ -116,26 +131,25 @@ def _content_witnesses(elems, part, first: int = 1) -> list[dict]:
     """For each g_i from index `first` on, the highest k[x] block of part(g_i)
     that lc_x(g_i) does not divide; part(g) is g or lc_xy(g).
 
-    One division per element finds it.  lc_x(g_i) lies in k[x], so every
-    reduction step stays inside one (y, z) block, and the remainder is zero
-    exactly when each block is divisible.  The order compares (y, z) before
-    x, so the remainder's head lies in the highest block that does not
-    divide.  The heads settle two cases with no division: a head with no x
-    makes lc_x(g_i) a nonzero constant (see `_chain_witnesses`), and a head
-    with no y or z puts all of g_i in k[x], so that part(g_i) = g_i is its
-    own lc_x."""
+    The terms descend in (z, y) before x, so the blocks are runs of them,
+    highest first, and each takes one remainder in k[x] on dense lists.
+    The heads settle two cases with no division: a head with no x makes
+    lc_x(g_i) a nonzero constant (see `_chain_witnesses`), and a head with
+    no y or z puts all of g_i in k[x], so that part(g_i) = g_i is its own
+    lc_x."""
     witnesses = []
     for i in range(first, len(elems)):
         head = elems[i].lm()
         if not head.a or not (head.b or head.c):
             continue
-        p = part(elems[i])
-        _, r = p.divide([elems[i].lc_x()])
-        if not r.is_zero():
-            yz = r.lm_yz()
-            block = [(Monomial(m.a, 0, 0), c) for m, c in p.terms if m.b == yz.b and m.c == yz.c]
-            coefficient = Polynomial(p.field, block).text()
-            witnesses.append({"i": i + 1, "block": yz.text(), "coefficient": coefficient})
+        f = part(elems[i])
+        divisor = _dense_x(elems[i].lc_x().terms)
+        for (c, b), run in groupby(f.terms, key=lambda t: t[0][:2]):
+            block = list(run)
+            if _rem(_dense_x(block), divisor, f.field.p):
+                coefficient = Polynomial(f.field, [(Monomial(m.a, 0, 0), k) for m, k in block]).text()
+                witnesses.append({"i": i + 1, "block": Monomial(0, b, c).text(), "coefficient": coefficient})
+                break
     return witnesses
 
 

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from heapq import heappop, heappush
 
-from .poly import Monomial, Polynomial, constant, poly_from_dict
+from .poly import Monomial, Polynomial, _negated, _prepare, _reduce, constant, poly_from_dict
 
 
 @dataclass(frozen=True)
@@ -33,6 +34,10 @@ class GroebnerBasis:
 
     def __getitem__(self, i):
         return self.elements[i]
+
+    @cached_property
+    def _facts(self) -> "StructureFacts":
+        return _structure_facts(self)
 
     def to_dict(self, text: bool = False) -> dict:
         facts = None
@@ -81,8 +86,25 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
 
 def normal_form(p: Polynomial, basis) -> Polynomial:
     """Remainder of p on division by the basis; zero iff p is in the ideal."""
-    _, r = p.divide(basis)
-    return r
+    rem = _reduce(_negated(p.terms), _prepare(p, basis), p.field.p)
+    return Polynomial._make(p.field, tuple(rem))
+
+
+def _s_work(f, g, p: int) -> dict:
+    """`s_polynomial` of two prepared divisors (see `poly._prepare`) as a work
+    dict for `poly._reduce`, from their tails alone.  The exponents are
+    negated, so the lcm of the heads is their componentwise minimum."""
+    (f0, f1, f2), finv, ftail = f
+    (g0, g1, g2), ginv, gtail = g
+    l0, l1, l2 = min(f0, g0), min(f1, g1), min(f2, g2)
+    acc: dict[tuple, int] = {}
+    get = acc.get
+    for (h0, h1, h2), c, tail in (((f0, f1, f2), finv, ftail), ((g0, g1, g2), -ginv, gtail)):
+        s0, s1, s2 = l0 - h0, l1 - h1, l2 - h2
+        for (t0, t1, t2), k in tail:
+            m = (t0 + s0, t1 + s1, t2 + s2)
+            acc[m] = get(m, 0) + c * k
+    return {m: r for m, c in acc.items() if (r := c % p)}
 
 
 def is_groebner_basis(basis) -> bool:
@@ -91,18 +113,22 @@ def is_groebner_basis(basis) -> bool:
     Every pair with non-coprime heads is reduced, with none of the pair
     criteria `buchberger` prunes by: the `basis_integrity` check verifies
     the bases `buchberger` builds through this test, so it must not rely
-    on the pruning it verifies.
+    on the pruning it verifies.  The elements are prepared as divisors at
+    the first such pair, so pairwise coprime heads never prepare them.
     """
     elems = list(basis)
     for g in elems:
         if g.is_zero():
             raise ValueError("zero polynomial in candidate basis")
+    heads = [g.lm() for g in elems]
+    prepared = None
     for i in range(len(elems)):
         for j in range(i + 1, len(elems)):
-            if elems[i].lm().is_coprime(elems[j].lm()):
+            if heads[i].is_coprime(heads[j]):
                 continue
-            _, r = s_polynomial(elems[i], elems[j]).divide(elems)
-            if not r.is_zero():
+            if prepared is None:
+                prepared, p = _prepare(elems[0], elems), elems[0].field.p
+            if _reduce(_s_work(prepared[i], prepared[j], p), prepared, p):
                 return False
     return True
 
@@ -170,7 +196,7 @@ def buchberger(generators) -> GroebnerBasis:
         _, i, j = heappop(pairs)
         if queued.pop((i, j), None) is None:
             continue
-        _, r = s_polynomial(basis[i], basis[j]).divide(basis)
+        r = normal_form(s_polynomial(basis[i], basis[j]), basis)
         if r.is_zero():
             continue
         if r.is_constant():
@@ -189,7 +215,7 @@ def buchberger(generators) -> GroebnerBasis:
     # coefficient 1, and a reduced tail stays reduced because the heads it
     # was reduced against never change; one pass therefore suffices
     for i in range(len(kept)):
-        kept[i] = kept[i].divide(kept[:i] + kept[i + 1 :])[1]
+        kept[i] = normal_form(kept[i], kept[:i] + kept[i + 1 :])
 
     return GroebnerBasis(tuple(kept))
 
@@ -211,8 +237,13 @@ class StructureFacts:
 
 
 def structure_facts(G: GroebnerBasis) -> StructureFacts:
+    """The staircase shape of G, worked out once per basis and kept on it."""
     if G.unit_ideal:
         raise ValueError("unit ideal has no staircase structure")
+    return G._facts
+
+
+def _structure_facts(G: GroebnerBasis) -> StructureFacts:
     elems = G.elements
     missing = None
     if not elems[0].in_kx():

@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 import sys
 from functools import partial
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from operator import itemgetter
 
 from .packed import pack, slot_bytes, unpack
@@ -266,57 +266,13 @@ class Polynomial:
         no remainder monomial divisible by any divisor's leading monomial,
         and lm(q_i * d_i) <= lm(self) for every nonzero quotient.  When
         several leading monomials divide the current term the lowest-index
-        divisor wins.
-
-        The working terms sit in a dict and a heap keyed by negated exponent
-        tuples, so the heap pops the leading term; a cancelled term's key is
-        skipped when popped.  Terms leave in descending order.
+        divisor wins.  The loop is `_reduce`, which `groebner` runs for
+        remainders alone.
         """
         divisors = list(divisors)
-        for d in divisors:
-            self._same_field(d)
-            if d.is_zero():
-                raise ZeroDivisionError("zero polynomial used as a divisor")
         field = self.field
-        p = field.p
-        inv = field.inv
-        # negated head exponents: h divides m when -h >= -m componentwise
-        heads = [((-z, -y, -x), hc) for (z, y, x), hc in (d.terms[0] for d in divisors)]
-        work = {(-c, -b, -a): k for (c, b, a), k in self.terms}
-        heap = list(work)  # ascending, so already a heap
         quots: list[list] = [[] for _ in divisors]
-        rem = []
-        while heap:
-            n = heappop(heap)
-            c = work.pop(n, None)
-            if c is None:
-                continue
-            n0, n1, n2 = n
-            for i, ((h0, h1, h2), hc) in enumerate(heads):
-                if h0 >= n0 and h1 >= n1 and h2 >= n2:
-                    qc = c if hc == 1 else c * inv(hc) % p
-                    quots[i].append((_mono((h0 - n0, h1 - n1, h2 - n2)), qc))
-                    # subtract q * d_i: its head term cancels c exactly, and
-                    # (q0, q1, q2) is q's exponent triple, negated
-                    q0, q1, q2 = n0 - h0, n1 - h1, n2 - h2
-                    qc = -qc
-                    tail = iter(divisors[i].terms)
-                    next(tail)
-                    for (t0, t1, t2), tc in tail:
-                        mm = (q0 - t0, q1 - t1, q2 - t2)
-                        old = work.get(mm)
-                        if old is None:
-                            work[mm] = qc * tc % p
-                            heappush(heap, mm)
-                        else:
-                            nc = (old + qc * tc) % p
-                            if nc:
-                                work[mm] = nc
-                            else:
-                                del work[mm]
-                    break
-            else:
-                rem.append((_mono((-n0, -n1, -n2)), c))
+        rem = _reduce(_negated(self.terms), _prepare(self, divisors), field.p, quots)
         return [self._make(field, tuple(q)) for q in quots], self._make(field, tuple(rem))
 
     # -- serialization ----------------------------------------------------------
@@ -359,6 +315,70 @@ def _canonical(p: int, acc: dict) -> tuple:
         if c:
             out.append((_mono(m), c))
     return tuple(out)
+
+
+def _negated(terms) -> dict:
+    """The work dict of canonical terms (see `_reduce`)."""
+    return {(-c, -b, -a): k for (c, b, a), k in terms}
+
+
+def _prepare(f: Polynomial, divisors) -> list:
+    """Per divisor of f, what a reduction step by it reads: its head exponents
+    negated, the inverse of its leading coefficient, and its tail terms with
+    negated exponents.  Raises on a divisor over another field or zero."""
+    field = f.field
+    prepared = []
+    for d in divisors:
+        f._same_field(d)
+        if not d.terms:
+            raise ZeroDivisionError("zero polynomial used as a divisor")
+        (z, y, x), hc = d.terms[0]
+        inv = 1 if hc == 1 else field.inv(hc)
+        prepared.append(((-z, -y, -x), inv, tuple(((-c, -b, -a), k) for (c, b, a), k in d.terms[1:])))
+    return prepared
+
+
+def _reduce(work: dict, prepared, p: int, quots=None) -> list:
+    """The remainder terms, descending, of `work` ({negated exponent tuple:
+    coefficient in [1, p)}, consumed) on division by the `prepared` divisors
+    (see `_prepare`): the lowest-index divisor whose head divides the
+    leading term reduces it, and adds its quotient term to quots[i] if
+    given.  The heap of the keys pops the leading term, and skips keys that
+    cancelled.  A head h divides m exactly when -h >= -m componentwise."""
+    heap = list(work)
+    heapify(heap)
+    rem = []
+    while heap:
+        n = heappop(heap)
+        c = work.pop(n, None)
+        if c is None:
+            continue
+        n0, n1, n2 = n
+        for i, ((h0, h1, h2), inv, tail) in enumerate(prepared):
+            if h0 >= n0 and h1 >= n1 and h2 >= n2:
+                qc = c if inv == 1 else c * inv % p
+                if quots is not None:
+                    quots[i].append((_mono((h0 - n0, h1 - n1, h2 - n2)), qc))
+                # subtract q * d_i: its head term cancels c exactly, and
+                # (q0, q1, q2) is q's exponent triple, negated
+                q0, q1, q2 = n0 - h0, n1 - h1, n2 - h2
+                qc = -qc
+                for (t0, t1, t2), tc in tail:
+                    mm = (q0 + t0, q1 + t1, q2 + t2)
+                    old = work.get(mm)
+                    if old is None:
+                        work[mm] = qc * tc % p
+                        heappush(heap, mm)
+                    else:
+                        nc = (old + qc * tc) % p
+                        if nc:
+                            work[mm] = nc
+                        else:
+                            del work[mm]
+                break
+        else:
+            rem.append((_mono((-n0, -n1, -n2)), c))
+    return rem
 
 
 def _images(polys, axis: int, values) -> tuple:

@@ -8,7 +8,9 @@ powering mod a univariate modulus for the packed
 dicts for the packed `fat_point_basis`, a slot-by-slot byte-string
 codec for `packed.pack` and `packed.unpack`, and the checks that divide,
 complete or substitute on every element, for the checks that first read
-the heads (`REFERENCE_CHECKS`)."""
+the heads (`REFERENCE_CHECKS`), and the S-pair criterion on S-polynomials
+built by `term_mul` and reduced by `Polynomial.divide`, for
+`is_groebner_basis`."""
 
 from collections import Counter
 from heapq import heappop, heappush
@@ -147,6 +149,22 @@ def reference_buchberger(generators) -> GroebnerBasis:
     for i in range(len(kept)):
         kept[i] = kept[i].divide(kept[:i] + kept[i + 1 :])[1]
     return GroebnerBasis(tuple(kept))
+
+
+def reference_is_groebner_basis(elems) -> bool:
+    """Buchberger's criterion over every pair of non-coprime heads, with each
+    S-polynomial built by `term_mul` and subtraction, as in
+    `reference_buchberger`, and reduced by `Polynomial.divide`.  The
+    elements need not be monic."""
+    for i, f in enumerate(elems):
+        for g in elems[i + 1 :]:
+            if f.lm().is_coprime(g.lm()):
+                continue
+            lcm, inv = f.lm().lcm(g.lm()), f.field.inv
+            s = f.term_mul(lcm // f.lm(), inv(f.lc())) - g.term_mul(lcm // g.lm(), inv(g.lc()))
+            if not s.divide(elems)[1].is_zero():
+                return False
+    return True
 
 
 def reference_substitute(f, axis: int, value) -> Polynomial:

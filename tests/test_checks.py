@@ -6,10 +6,12 @@ containers need not hold genuine Groebner bases.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
-from lexgb import checks, specialize
+from lexgb import checks, groebner, specialize
+from lexgb.campaign import CampaignConfig, nonradical_recipes, radical_recipes
 from lexgb.checks import (
     CHECK_ORDER,
     _componentwise,
@@ -28,7 +30,7 @@ from lexgb.checks import (
 )
 from lexgb.field import PrimeField
 from lexgb.groebner import GroebnerBasis, buchberger
-from lexgb.instances import PointSet, squared_vanishing_basis, vanishing_basis
+from lexgb.instances import PointSet, build_instance, squared_vanishing_basis, vanishing_basis
 from lexgb.poly import Monomial, Polynomial, parse_polynomial
 from lexgb.report import FAIL, OBSERVED, PASS, SKIPPED, CheckReport, gated_report
 
@@ -353,6 +355,25 @@ def test_verify_all_looks_checks_up_at_call_time(monkeypatch):
     reports = verify_all(worked_basis())
     assert calls == {"same_zdeg": 1, "fiber": 1}
     assert all(r.verdict == PASS for r in reports)
+
+
+def test_verify_all_works_out_the_structure_facts_once_per_basis(monkeypatch):
+    # `structure`, `elimination_basis`, `membership_lc_xy` and the fiber
+    # view each ask for them; the basis keeps them from the first ask on
+    computed = Counter()
+    compute = groebner._structure_facts
+
+    def counted(G):
+        computed[id(G)] += 1
+        return compute(G)
+
+    monkeypatch.setattr(groebner, "_structure_facts", counted)
+    config = CampaignConfig(seed=7)
+    bases = [build_instance(r).basis for r in radical_recipes(config) + nonradical_recipes(config)]
+    for G in bases:
+        assert all_ok(verify_all(G))
+    assert len(bases) == 250
+    assert computed == Counter(id(G) for G in bases)
 
 
 def test_verify_all_observed_on_non_radical():

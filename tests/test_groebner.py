@@ -28,6 +28,7 @@ from lexgb.instances import (
     vanishing_basis,
 )
 from lexgb.poly import Monomial, Polynomial, parse_polynomial
+from lexgb.specialize import roots_univariate
 
 from helpers import (
     FIBERED_PATTERNS,
@@ -35,6 +36,8 @@ from helpers import (
     random_monomial,
     random_poly,
     reference_buchberger,
+    reference_is_groebner_basis,
+    reference_substitute,
     squared_products,
 )
 
@@ -197,8 +200,49 @@ def test_pair_criteria_pin_the_reduction_count(monkeypatch):
 def test_is_groebner_basis_detects_missing_element():
     assert not is_groebner_basis([P("x*y + 100"), P("y^2 + 100")])
     assert is_groebner_basis([P("x^2 + 100"), P("y + 100*x")])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="zero polynomial in candidate basis"):
         is_groebner_basis([Polynomial(F101)])
+    with pytest.raises(ValueError, match="different coefficient fields"):
+        is_groebner_basis([P("x*y + 1"), parse_polynomial(PrimeField(7), "y^2 + 1")])
+    with pytest.raises(ZeroDivisionError):
+        normal_form(P("x"), [P("y"), Polynomial(F101)])
+
+
+def _s_pair_corpus() -> list:
+    """Element lists: the vanishing and squared bases of the fibered sets,
+    and at every root alpha of g_1 the alpha-images that keep their heads,
+    which are not monic (what `specialization_image` tests)."""
+    rng = random.Random(26)
+    out = []
+    for pattern in FIBERED_PATTERNS:
+        points = fibered_points(pattern, rng)
+        for G in (vanishing_basis(points), squared_vanishing_basis(points)):
+            out.append(list(G.elements))
+            for alpha in roots_univariate(G[0]):
+                images = [(g, reference_substitute(g, 0, alpha)) for g in G.elements[1:]]
+                out.append([img for g, img in images if img and img.lm() == g.lm_yz()])
+    return out
+
+
+def test_is_groebner_basis_matches_the_reference_on_bases_images_and_corruptions():
+    rng = random.Random(5)
+    candidates = []
+    for elems in _s_pair_corpus():
+        candidates.append(elems)
+        if len(elems) > 1:
+            k = rng.randrange(len(elems))
+            candidates.append(elems[:k] + elems[k + 1 :])
+        tails = [k for k, g in enumerate(elems) if len(g.terms) > 1]
+        if tails:
+            k = rng.choice(tails)
+            terms = list(elems[k].terms)
+            t = rng.randrange(1, len(terms))
+            terms[t] = (terms[t][0], terms[t][1] % 100 + 1)  # another nonzero coefficient
+            candidates.append(elems[:k] + [Polynomial(F101, terms)] + elems[k + 1 :])
+    verdicts = [is_groebner_basis(elems) for elems in candidates]
+    assert verdicts == [reference_is_groebner_basis(elems) for elems in candidates]
+    assert not all(g.lc() == 1 for elems in candidates for g in elems)
+    assert 40 <= verdicts.count(True) and 40 <= verdicts.count(False)
 
 
 def test_normal_form():

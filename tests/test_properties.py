@@ -1,6 +1,7 @@
-"""Property tests for the kernel: ring axioms, the division contract and
-Buchberger idempotence and independence of generator order, over F_p,
-and the packed-slot codec's round trip."""
+"""Property tests for the kernel: ring axioms, the division contract, normal
+forms against `divide` and under scaled divisors, and Buchberger
+idempotence and independence of generator order, over F_p, and the
+packed-slot codec's round trip."""
 
 import pytest
 
@@ -9,7 +10,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from lexgb.field import PrimeField  # noqa: E402
-from lexgb.groebner import buchberger  # noqa: E402
+from lexgb.groebner import buchberger, normal_form  # noqa: E402
 from lexgb.instances import PointSet, vanishing_basis  # noqa: E402
 from lexgb.packed import pack, unpack  # noqa: E402
 from lexgb.poly import Monomial, Polynomial  # noqa: E402
@@ -95,6 +96,19 @@ def test_divide_contract(problem):
             reduced = m * heads[i]
             assert reduced <= p.lm()
             assert not any(h.divides(reduced) for h in heads[:i])
+
+
+@FEW
+@given(division_problems(), st.data())
+def test_normal_form_is_the_remainder_for_any_divisor_scale(problem, data):
+    p, divisors = problem
+    r = normal_form(p, divisors)
+    assert r == p.divide(divisors)[1]
+    # a reduction step scales each divisor by the inverse of its leading
+    # coefficient, so scaling a divisor changes no step
+    units = st.integers(1, p.field.p - 1)
+    scaled = [d.scale(data.draw(units)) for d in divisors]
+    assert normal_form(p, scaled) == r
 
 
 @FEW
