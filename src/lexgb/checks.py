@@ -27,7 +27,7 @@ from .groebner import (
 )
 from .poly import Monomial, Polynomial
 from .report import FAIL, PASS, SKIPPED, CheckReport, gated_report
-from .univariate import _rem
+from .univariate import _dense_length, _rem
 from . import specialize
 
 
@@ -95,7 +95,7 @@ def _componentwise(hi, hj) -> bool:
 
 def _dense_x(terms) -> list:
     """The dense x-list (see `univariate`) of terms that share a (y, z) part."""
-    out = [0] * (terms[0][0][2] + 1)
+    out = [0] * _dense_length(terms[0][0][2])
     for m, k in terms:
         out[m[2]] = k
     return out

@@ -1,16 +1,16 @@
 """Zero-dimensional instance generators: fat-point ideals and probe ideals.
 
 Ideals of fat points come from one dual-functional elimination loop
-(Marinari, Möller and Mora, AAECC 4, 1993): a point P with a down-closed
-shape D_P of exponent triples contributes one functional per d in D_P, the
-Taylor coefficient at P for d, and the basis is that of the polynomials
-all the functionals annihilate.  Each such basis has two built-in oracles:
-every element has a zero Taylor coefficient at every (P, d), and the
-quotient dimension equals the sum of the |D_P|.  Vanishing ideals of point
-sets are the plain shape {0} at every point and radical by construction;
+(Marinari, Möller and Mora, AAECC 4, 1993), walked along the lex staircase
+one (y, z) block at a time: a point P with a down-closed shape D_P of
+exponent triples contributes one functional per d in D_P, the Taylor
+coefficient at P for d, and the basis is that of the polynomials all the
+functionals annihilate.  Each such basis has two built-in oracles: every
+element has a zero Taylor coefficient at every (P, d), and the quotient
+dimension equals the sum of the |D_P|.  Vanishing ideals of point sets are
+the plain shape {0} at every point and radical by construction;
 `vanishing_basis` builds that basis from the x-fibers by interpolation
-instead (`lazard`), and the loop is the reference its tests compare
-against.
+instead (`lazard`), and the loop is the reference its tests compare against.
 The two non-radical recipes provide instances without the radicality
 guarantee: squared vanishing ideals, which are the first-order shape
 {0, e_x, e_y, e_z} at every point, and random triangular systems, whose
@@ -22,14 +22,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from itertools import product
 
 from .field import PrimeField
 from .groebner import GroebnerBasis
 from .lazard import lazard_basis
 from .packed import pack, slot_bytes, unpack
-from .poly import Monomial, Polynomial
+from .poly import Monomial, Polynomial, _mono
 
 
 @dataclass(frozen=True)
@@ -133,9 +132,21 @@ def fat_point_basis(points: PointSet, shapes) -> GroebnerBasis:
     those of the standard monomials found so far yields a basis element
     (the dependency certificate), an independent one is standard.  Each
     basis element is monic with all tail monomials standard, so the output
-    is the unique reduced basis.  The vector of a child x_k * m comes from
-    m's by the product rule: (P, d)(x_k f) = P_k (P, d)(f) + (P, d - e_k)(f),
-    the second term only where d_k > 0.
+    is the unique reduced basis.  The vector of x_k * t comes from t's by
+    the product rule: (P, d)(x_k f) = P_k (P, d)(f) + (P, d - e_k)(f), the
+    second term only where d_k > 0.
+
+    The visit takes the (y, z) blocks m = y^b z^c in ascending order, and
+    x^0 m, x^1 m, ... inside each.  The staircase is down-closed, so it
+    holds x^i m exactly for i below a run a_m <= a_(m/y), a_(m/z) (the lex
+    game of Cerlienco and Mureddu, Discrete Math. 139, 1995), and a head
+    of an earlier block divides x^i m exactly when i reaches the bound
+    min(a_(m/y), a_(m/z)) over the parents m has, 0 for one never reached.
+    A block stops at its first dependent monomial or at that bound, so the
+    walk reduces exactly the standard and the minimal nonstandard
+    monomials, ascending, against the same rows as a heap of children that
+    skips those an earlier head divides; each block yields at most one
+    element, so the basis comes out sorted.
 
     A row is one packed vector (see `packed`): the n functional values,
     then the combination over the standard monomials, slot n + j holding
@@ -173,55 +184,52 @@ def fat_point_basis(points: PointSet, shapes) -> GroebnerBasis:
         columns.append([points.points[i][k] for i, _ in index])
         shifts.append([(j, index[i, _step_down(d, k)]) for (i, d), j in index.items() if d[k]])
 
+    def step(values, axis):
+        out = [v * x % p for v, x in zip(values, columns[axis])]
+        for j, source in shifts[axis]:
+            out[j] = (out[j] + values[source]) % p
+        return out
+
     nb = slot_bytes(n * p * p + p)
     w = 8 * nb
     mask = (1 << w) - 1
     rows: list[tuple[int, int]] = []  # (bit offset of the pivot slot, row)
-    standard: list[tuple] = []  # the exponent tuple of each standard slot
+    standard: list[Monomial] = []  # one per row, ascending
     basis: list[Polynomial] = []
-    heads: list[tuple] = []
-
-    def covered(t) -> bool:
-        return any(Monomial.divides(h, t) for h in heads)
-
-    # a heap of exponent tuples (c, b, a), so the smallest in lex pops
-    # first, and the functional vector of each
-    candidates = [(0, 0, 0)]
-    evals = {(0, 0, 0): [0 if any(d) else 1 for _, d in index]}
-
-    while candidates:
-        m = heappop(candidates)
-        values = evals.pop(m)
-        if covered(m):
-            continue
-        r = len(rows)
-        acc = pack(values, nb) | 1 << (n + r) * w
-        for offset, row in rows:
-            c = (acc >> offset & mask) % p
-            if c:
-                acc += (p - c) * row
-        vec = unpack(acc, nb, n + r + 1, p)
-        pivot = next((i for i in range(n) if vec[i]), None)
-        if pivot is None:
-            # visited in ascending order, so the basis comes out sorted
-            comb = dict(zip(standard, vec[n:]))
-            comb[m] = 1
-            basis.append(Polynomial._collect(field, comb))
-            heads.append(m)
-            continue
-        scale = pow(vec[pivot], p - 2, p)
-        rows.append((pivot * w, pack([v * scale % p for v in vec], nb)))
-        standard.append(m)
-        for axis, column in enumerate(columns):
-            child = m[:axis] + (m[axis] + 1,) + m[axis + 1 :]
-            # every monomial popped so far is below m < child, so a child
-            # not waiting in the heap has never been visited
-            if child not in evals and not covered(child):
-                child_values = [v * x % p for v, x in zip(values, column)]
-                for j, source in shifts[axis]:
-                    child_values[j] = (child_values[j] + values[source]) % p
-                evals[child] = child_values
-                heappush(candidates, child)
+    # (c, b) -> a_m for every block reached; the staircase has n monomials,
+    # so b, c and a_m stay within n, and n + 1 bounds nothing
+    runs = {}
+    below = [0 if any(d) else 1 for _, d in index]  # the vector of x^0 y^0 z^c
+    for c in range(n + 1):
+        for b in range(n + 1):
+            bound = min(runs.get((c - 1, b), 0) if c else n + 1, runs.get((c, b - 1), 0) if b else n + 1)
+            if not bound:
+                break
+            # x^0 m from a parent's x^0 vector: along y, or along z at b = 0
+            seed = values = step(seed, 1) if b else step(below, 0) if c else below
+            if not b:
+                below = seed
+            runs[c, b] = bound
+            for a in range(bound):
+                if a:
+                    values = step(values, 2)
+                r = len(rows)
+                acc = pack(values, nb) | 1 << (n + r) * w
+                for offset, row in rows:
+                    k = (acc >> offset & mask) % p
+                    if k:
+                        acc += (p - k) * row
+                vec = unpack(acc, nb, n + r + 1, p)
+                pivot = next((i for i in range(n) if vec[i]), None)
+                if pivot is None:
+                    # the head, then the standard monomials descending
+                    tail = [(s, k) for s, k in zip(reversed(standard), reversed(vec[n:-1])) if k]
+                    basis.append(Polynomial._make(field, ((_mono((c, b, a)), 1), *tail)))
+                    runs[c, b] = a
+                    break
+                scale = pow(vec[pivot], p - 2, p)
+                rows.append((pivot * w, pack([v * scale % p for v in vec], nb)))
+                standard.append(_mono((c, b, a)))
 
     radical = all(shape == PLAIN_POINT for shape in shapes)
     return GroebnerBasis(tuple(basis), radical=radical)

@@ -20,6 +20,7 @@ from heapq import heapify, heappop, heappush
 from operator import itemgetter
 
 from .packed import pack, slot_bytes, unpack
+from .univariate import _dense_length
 
 
 class ZeroPolynomialError(ValueError):
@@ -406,7 +407,7 @@ def _images(polys, axis: int, values) -> tuple:
     nb = slot_bytes(max([1] + [len(f.terms) for f in polys]) * (p - 1) ** 2)
     power = [1] * n
     rows = [pack(power, nb)]
-    for _ in range(max([m[k] for f in polys for m, _ in f.terms], default=0)):
+    for _ in range(1, _dense_length(max([m[k] for f in polys for m, _ in f.terms], default=0))):
         power = [c * v % p for c, v in zip(power, values)]
         rows.append(pack(power, nb))
     out = []

@@ -12,7 +12,7 @@ from typing import NamedTuple
 from .groebner import GroebnerBasis, is_groebner_basis, normal_form, structure_facts
 from .poly import MONOMIAL_ONE, Monomial, Polynomial, _images
 from .report import CheckReport, SKIPPED, gated_report
-from .univariate import _horner, _quo, _roots, _trim
+from .univariate import _dense_length, _horner, _quo, _roots, _trim
 
 
 class NonSplitError(RuntimeError):
@@ -34,7 +34,7 @@ def _dense(f: Polynomial) -> list:
     c, b, a = f.lm()  # a Monomial stores its exponents as (c, b, a)
     k = 2 if a else 1 if b else 0
     # a mixed head raises first; past a pure power no term has a higher one
-    out = [0] * ((a or b or c) + 1)
+    out = [0] * _dense_length(a or b or c)
     for m, coefficient in f.terms:
         e = m[k]
         if sum(m) != e:
@@ -87,7 +87,7 @@ def _slice(image: Polynomial, beta: int, p: int) -> list:
     k[y, z]: slot c sums k * beta^b over its terms k * y^b * z^c."""
     if not image.terms:
         return []
-    out = [0] * (image.terms[0][0][0] + 1)
+    out = [0] * _dense_length(image.terms[0][0][0])
     for (c, b, _), k in image.terms:
         out[c] += k * pow(beta, b, p)
     return _trim([c % p for c in out])

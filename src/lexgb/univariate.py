@@ -19,6 +19,17 @@ from itertools import count
 
 from .packed import halver, pack, slot_bytes, unpack
 
+# the most slots of a dense list or power table sized by an exponent:
+# `_dense_length` raises past it, before anything is allocated
+DENSE_CAP = 1 << 20
+
+
+def _dense_length(degree: int) -> int:
+    """degree + 1, the slots of a dense list up to degree, within DENSE_CAP."""
+    if degree >= DENSE_CAP:
+        raise ValueError(f"exponent {degree} is too large to make dense (at most {DENSE_CAP} slots)")
+    return degree + 1
+
 
 def _trim(f: list) -> list:
     while f and not f[-1]:

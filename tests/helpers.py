@@ -4,12 +4,13 @@ a point set for `standard_monomials`, and references to compare the
 kernels against: an unpruned Buchberger completion for `buchberger`, a
 term-by-term substitution loop for the packed `poly._images`, schoolbook
 powering mod a univariate modulus for the packed
-`univariate._pow_linear`, the dual-functional loop on plain lists and
-dicts for the packed `fat_point_basis`, a slot-by-slot byte-string
+`univariate._pow_linear`, the dual-functional loop as a heap walk on
+plain lists and dicts for the packed block walk of `fat_point_basis`, a
+random down-closed shape for it, a slot-by-slot byte-string
 codec for `packed.pack` and `packed.unpack`, and the checks that divide,
 complete or substitute on every element, for the checks that first read
 the heads (`REFERENCE_CHECKS`), and the S-pair criterion on S-polynomials
-built by `term_mul` and reduced by `Polynomial.divide`, for
+built by `term_mul` and reduced by a division loop of its own, for
 `is_groebner_basis`."""
 
 from collections import Counter
@@ -77,6 +78,18 @@ def box_points(rng, most=20, prime=101) -> PointSet:
     q = rng.choice((3, 5, 7))
     box = [(x, y, z) for x in range(q) for y in range(q) for z in range(q)]
     return PointSet(prime, tuple(rng.sample(box, rng.randint(1, min(most, len(box))))))
+
+
+def random_shape(rng, size):
+    """A down-closed shape of up to `size` exponent triples."""
+    shape = {(0, 0, 0)}
+    for _ in range(size - 1):
+        d = list(rng.choice(sorted(shape)))
+        d[rng.randrange(3)] += 1
+        d = tuple(d)
+        if all(not d[k] or d[:k] + (d[k] - 1,) + d[k + 1 :] in shape for k in range(3)):
+            shape.add(d)
+    return tuple(sorted(shape))
 
 
 def lex_game_staircase(points: PointSet) -> list:
@@ -151,10 +164,28 @@ def reference_buchberger(generators) -> GroebnerBasis:
     return GroebnerBasis(tuple(kept))
 
 
+def reference_remainder(f, divisors) -> Polynomial:
+    """The remainder of f on division by the divisors, the lowest-index
+    divisor whose head divides the leading term reducing it, each step one
+    `term_mul` and one subtraction: no code shared with `poly._prepare` or
+    `poly._reduce`."""
+    field = f.field
+    rem = []
+    while not f.is_zero():
+        m, c = f.terms[0]
+        d = next((d for d in divisors if d.lm().divides(m)), None)
+        if d is None:
+            rem.append((m, c))
+            f = f - Polynomial(field, [(m, c)])
+        else:
+            f = f - d.term_mul(m // d.lm(), c * field.inv(d.lc()))
+    return Polynomial(field, rem)
+
+
 def reference_is_groebner_basis(elems) -> bool:
     """Buchberger's criterion over every pair of non-coprime heads, with each
     S-polynomial built by `term_mul` and subtraction, as in
-    `reference_buchberger`, and reduced by `Polynomial.divide`.  The
+    `reference_buchberger`, and reduced by `reference_remainder`.  The
     elements need not be monic."""
     for i, f in enumerate(elems):
         for g in elems[i + 1 :]:
@@ -162,7 +193,7 @@ def reference_is_groebner_basis(elems) -> bool:
                 continue
             lcm, inv = f.lm().lcm(g.lm()), f.field.inv
             s = f.term_mul(lcm // f.lm(), inv(f.lc())) - g.term_mul(lcm // g.lm(), inv(g.lc()))
-            if not s.divide(elems)[1].is_zero():
+            if not reference_remainder(s, elems).is_zero():
                 return False
     return True
 
@@ -209,9 +240,13 @@ def reference_powmod(base: list, e: int, m: list, p: int) -> list:
 
 
 def reference_fat_point_basis(points: PointSet, shapes) -> tuple:
-    """The elements of the fat-point basis by the dual-functional loop of
-    `fat_point_basis` on lists and dicts: each row is a reduced functional
-    vector plus its combination over the standard monomials as a dict."""
+    """The elements of the fat-point basis by the dual-functional loop as a
+    heap walk on lists and dicts: it pops every child of a standard
+    monomial from a heap of monomials, smallest first, skips those an
+    earlier head divides, and keeps each row as a reduced functional vector
+    plus its combination over the standard monomials as a dict.  It is
+    kept as an oracle that walks differently from `fat_point_basis`, which
+    takes the staircase one (y, z) block at a time."""
     field = PrimeField(points.prime)
     mod, inv = field.p, field.inv
     shapes = [_checked_shape(shape) for shape in shapes]

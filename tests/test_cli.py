@@ -352,6 +352,33 @@ def test_malformed_input_exits_two(tmp_path, capsys, case):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+# exponents that fit an index but not a dense list: each basis, and the
+# exit code of verify and of solve on it; no dense list or power table
+# passes univariate.DENSE_CAP slots, so nothing of that size is allocated
+TOO_DENSE = {
+    # g_1's coefficient list, for its roots
+    "dense-g1": (["x^1000000000", "y", "z"], 2, 2),
+    # the power table of the roots of g_1; verify stops at the tail x^(10^9),
+    # which x^2 divides, so the basis fails basis_integrity
+    "power-table": (["x^2 - 1", "y + x^1000000000", "z"], 1, 2),
+    # the dense z-list of the slice at (1, 1); verify settles it from the heads
+    "slice": (["x - 1", "y - 1", "z^1000000000"], 0, 2),
+    # lc_x(g_1)'s coefficient list in the chain checks
+    "chain": (["x^1000000000", "x*y", "y^2", "z"], 2, 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TOO_DENSE))
+def test_an_exponent_too_large_to_make_dense_exits_at_once(tmp_path, capsys, case):
+    texts, verify_code, solve_code = TOO_DENSE[case]
+    src = write_json(tmp_path / "basis.json", {"p": 101, "basis": [P(t).to_dict() for t in texts]})
+    for command, code in (("verify", verify_code), ("solve", solve_code)):
+        assert main([command, src]) == code, command
+        err = capsys.readouterr().err
+        if code == 2:
+            assert err == "error: exponent 1000000000 is too large to make dense (at most 1048576 slots)\n"
+
+
 def test_deeply_nested_json_exits_two(tmp_path, capsys):
     # json.load raises RecursionError on nesting this deep
     src = tmp_path / "deep.json"

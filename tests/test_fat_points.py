@@ -29,7 +29,7 @@ from lexgb.instances import (
     vanishing_basis,
 )
 
-from helpers import FIBERED_PATTERNS, fibered_points, squared_products
+from helpers import FIBERED_PATTERNS, fibered_points, random_shape, squared_products
 
 SHAPES = {
     "along-z": ((0, 0, 0), (0, 0, 1)),
@@ -95,6 +95,23 @@ def test_fat_point_basis_matches_buchberger_on_squared_products():
         G = fat_point_basis(points, [FIRST_ORDER] * len(points))
         assert G.elements == squared.elements
         assert G.elements == squared_vanishing_basis(points).elements
+
+
+@pytest.mark.parametrize("prime", [2, 7, 101])
+def test_fat_point_basis_ignores_the_order_of_the_points(prime):
+    """The rows are made in the order the points give their functionals,
+    and the basis does not follow it: a seeded shuffle of each set, every
+    point keeping its shape, gives the same elements."""
+    rng = random.Random(prime)
+    sets = [fibered_points(pattern, rng, prime) for pattern in FIBERED_PATTERNS] if prime > 2 else []
+    sets += [random_points(rng.randint(1, min(7, prime**3)), rng.randrange(10**6), prime) for _ in range(8)]
+    for points in sets:
+        for shapes in ([FIRST_ORDER] * len(points), [random_shape(rng, rng.randint(1, 6)) for _ in points.points]):
+            pairs = list(zip(points.points, shapes))
+            rng.shuffle(pairs)
+            shuffled = PointSet(prime, tuple(pt for pt, _ in pairs))
+            G = fat_point_basis(shuffled, [shape for _, shape in pairs])
+            assert G.elements == fat_point_basis(points, shapes).elements, (points, shapes)
 
 
 def test_squared_vanishing_basis_calls_no_buchberger(monkeypatch):

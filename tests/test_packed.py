@@ -13,7 +13,7 @@ from lexgb.packed import halver, pack, slot_bytes, unpack
 from lexgb.specialize import solve_system
 from lexgb.univariate import _pow_linear, _roots
 
-from helpers import reference_fat_point_basis, reference_pack, reference_powmod, reference_unpack
+from helpers import random_shape, reference_fat_point_basis, reference_pack, reference_powmod, reference_unpack
 
 PRIMES = (2, 3, 7, 101, 1009, 2**31 - 1, 2**61 - 1)
 DEGREES = (1, 2, 3, 4, 5, 6, 7, 8, 13, 29, 80)
@@ -105,18 +105,6 @@ def test_roots_of_a_non_monic_f_are_those_of_its_monic_form(p):
         f = [rng.randrange(p) for _ in range(rng.randint(2, 12))] + [rng.randrange(2, p)]
         inv = pow(f[-1], p - 2, p)
         assert _roots(f, p) == _roots([c * inv % p for c in f], p)
-
-
-def random_shape(rng, size):
-    """A down-closed shape of up to `size` exponent triples."""
-    shape = {(0, 0, 0)}
-    for _ in range(size - 1):
-        d = list(rng.choice(sorted(shape)))
-        d[rng.randrange(3)] += 1
-        d = tuple(d)
-        if all(not d[k] or d[:k] + (d[k] - 1,) + d[k + 1 :] in shape for k in range(3)):
-            shape.add(d)
-    return tuple(sorted(shape))
 
 
 def single_axis(rng):

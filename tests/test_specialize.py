@@ -248,6 +248,20 @@ def test_roots_univariate_errors():
         roots_univariate(P("x*y"))
 
 
+def test_dense_lists_and_power_tables_stop_at_the_cap():
+    cap = univariate.DENSE_CAP
+    assert len(specialize._dense(P(f"x^{cap - 1} + 1"))) == cap
+    assert specialize._slice(P(f"y*z^{cap - 1}"), 2, 101)[-1] == 2
+    too_large = f"exponent {cap} is too large to make dense"
+    for run in (
+        lambda: specialize._dense(P(f"z^{cap}")),
+        lambda: specialize._slice(P(f"z^{cap} + y"), 2, 101),
+        lambda: P(f"x^{cap}*y + 1").substitute_x(3),
+    ):
+        with pytest.raises(ValueError, match=too_large):
+            run()
+
+
 def test_split_roots_detects_rootless_cofactor():
     # 2 is not a square mod 101, so x^2 + 99 contributes no roots
     f = P("x + 98") * P("x^2 + 99")
