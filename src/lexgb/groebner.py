@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
 
-from .poly import Monomial, Polynomial, _negated, _prepare, _reduce, constant, poly_from_dict
+from .poly import MONOMIAL_ONE, Monomial, Polynomial, _negated, _prepare, _reduce, constant, poly_from_dict
 
 
 @dataclass(frozen=True)
@@ -67,21 +67,12 @@ def basis_from_dict(field, data: dict) -> GroebnerBasis:
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
-    """lcm(lm f, lm g)/lt(f) * f - lcm(lm f, lm g)/lt(g) * g."""
+    """lcm(lm f, lm g)/lt(f) * f - lcm(lm f, lm g)/lt(g) * g: `_s_work` of the
+    two, its terms read back in order by `poly._reduce` with no divisors."""
     f._same_field(g)
-    field = f.field
-    lz, ly, lx = f.lm().lcm(g.lm())
-    # the two head terms cancel exactly, so only the tails are collected
-    acc: dict[tuple, int] = {}
-    get = acc.get
-    for p, sign in ((f, 1), (g, -1)):
-        (hz, hy, hx), hc = p.terms[0]
-        mz, my, mx = lz - hz, ly - hy, lx - hx
-        c = sign * field.inv(hc)
-        for (z, y, x), k in p.terms[1:]:
-            m = (z + mz, y + my, x + mx)
-            acc[m] = get(m, 0) + c * k
-    return Polynomial._collect(field, acc)
+    f.lm(), g.lm()  # ZeroPolynomialError on a zero input
+    p = f.field.p
+    return Polynomial._make(f.field, tuple(_reduce(_s_work(*_prepare(f, (f, g)), p), (), p)))
 
 
 def normal_form(p: Polynomial, basis) -> Polynomial:
@@ -91,7 +82,7 @@ def normal_form(p: Polynomial, basis) -> Polynomial:
 
 
 def _s_work(f, g, p: int) -> dict:
-    """`s_polynomial` of two prepared divisors (see `poly._prepare`) as a work
+    """The S-polynomial of two prepared divisors (see `poly._prepare`) as a work
     dict for `poly._reduce`, from their tails alone.  The exponents are
     negated, so the lcm of the heads is their componentwise minimum."""
     (f0, f1, f2), finv, ftail = f
@@ -161,6 +152,7 @@ def buchberger(generators) -> GroebnerBasis:
     unit = GroebnerBasis((constant(field, 1),), unit_ideal=True)
 
     basis: list[Polynomial] = []
+    prepared: list = []  # basis[i] as a divisor (see `poly._prepare`)
     pairs: list[tuple] = []  # heap of (lcm of the heads, i, j)
     queued: dict[tuple[int, int], Monomial] = {}  # live pairs and their lcms
 
@@ -185,23 +177,27 @@ def buchberger(generators) -> GroebnerBasis:
         for lcm, k in fresh.items():
             queued[k, t] = lcm
             heappush(pairs, (lcm, k, t))
-        basis.append(p.monic())
+        p = p.monic()
+        basis.append(p)
+        prepared.extend(_prepare(p, (p,)))
 
     for g in gens:
         if g.is_constant():
             return unit
         admit(g)
+    for g in gens:  # prepared divisors carry no field to compare
+        gens[0]._same_field(g)
 
     while pairs:
         _, i, j = heappop(pairs)
         if queued.pop((i, j), None) is None:
             continue
-        r = normal_form(s_polynomial(basis[i], basis[j]), basis)
-        if r.is_zero():
+        rem = _reduce(_s_work(prepared[i], prepared[j], field.p), prepared, field.p)
+        if not rem:
             continue
-        if r.is_constant():
+        if rem[0][0] == MONOMIAL_ONE:  # the lowest monomial leads: a nonzero constant
             return unit
-        admit(r)
+        admit(Polynomial._make(field, tuple(rem)))
 
     # minimal generators: drop heads divisible by an earlier kept head
     order = sorted(range(len(basis)), key=lambda i: (basis[i].lm(), i))

@@ -234,19 +234,11 @@ class Polynomial:
     def evaluate(self, point):
         """Value at (x, y, z); coordinates may be ints or field elements.  The
         value is a plain coefficient, an int in [0, p)."""
-        field = self.field
-        p = field.p
-        px, py, pz = map(field.coerce, point)
-        xs, ys, zs = [1], [1], [1]  # powers reduced mod p, grown as the terms ask
+        p = self.field.p
+        px, py, pz = map(self.field.coerce, point)
         total = 0
         for (c, b, a), k in self.terms:
-            while len(xs) <= a:
-                xs.append(xs[-1] * px % p)
-            while len(ys) <= b:
-                ys.append(ys[-1] * py % p)
-            while len(zs) <= c:
-                zs.append(zs[-1] * pz % p)
-            total += k * xs[a] * ys[b] * zs[c]
+            total += k * pow(px, a, p) * pow(py, b, p) * pow(pz, c, p)
         return total % p
 
     def substitute_x(self, value) -> "Polynomial":
@@ -268,7 +260,8 @@ class Polynomial:
         and lm(q_i * d_i) <= lm(self) for every nonzero quotient.  When
         several leading monomials divide the current term the lowest-index
         divisor wins.  The loop is `_reduce`, which `groebner` runs for
-        remainders alone.
+        remainders alone (`normal_form`, and the S-pairs of `buchberger`
+        and `is_groebner_basis`).
         """
         divisors = list(divisors)
         field = self.field
@@ -345,7 +338,9 @@ def _reduce(work: dict, prepared, p: int, quots=None) -> list:
     (see `_prepare`): the lowest-index divisor whose head divides the
     leading term reduces it, and adds its quotient term to quots[i] if
     given.  The heap of the keys pops the leading term, and skips keys that
-    cancelled.  A head h divides m exactly when -h >= -m componentwise."""
+    cancelled.  A head h divides m exactly when -h >= -m componentwise.
+    With no divisors it returns the terms of `work` in order, which is how
+    `groebner.s_polynomial` reads an S-polynomial's work dict."""
     heap = list(work)
     heapify(heap)
     rem = []

@@ -9,9 +9,9 @@ plain lists and dicts for the packed block walk of `fat_point_basis`, a
 random down-closed shape for it, a slot-by-slot byte-string
 codec for `packed.pack` and `packed.unpack`, and the checks that divide,
 complete or substitute on every element, for the checks that first read
-the heads (`REFERENCE_CHECKS`), and the S-pair criterion on S-polynomials
-built by `term_mul` and reduced by a division loop of its own, for
-`is_groebner_basis`."""
+the heads (`REFERENCE_CHECKS`), and S-polynomials built by `term_mul`
+and subtraction and reduced by a division loop of their own, for
+`s_polynomial` and `is_groebner_basis`."""
 
 from collections import Counter
 from heapq import heappop, heappush
@@ -118,8 +118,9 @@ def squared_products(V) -> list:
 def reference_buchberger(generators) -> GroebnerBasis:
     """Buchberger completion with no pair criterion but the coprime-head one:
     every other pair of heads is queued and its S-polynomial reduced.  It
-    builds S-polynomials by `term_mul` and subtraction, not by `s_polynomial`,
-    and shares no pair logic with `buchberger`, which must agree with it."""
+    builds S-polynomials by `reference_s_polynomial` and reduces them by
+    `reference_remainder`, and shares no pair logic with `buchberger`, which
+    must agree with it."""
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
         raise ValueError("no nonzero generators")
@@ -142,10 +143,8 @@ def reference_buchberger(generators) -> GroebnerBasis:
         admit(g)
 
     while pairs:
-        lcm, i, j = heappop(pairs)
-        f, g = basis[i], basis[j]  # monic, so the heads cancel as they are
-        s = f.term_mul(lcm // f.lm(), 1) - g.term_mul(lcm // g.lm(), 1)
-        _, r = s.divide(basis)
+        _, i, j = heappop(pairs)
+        r = reference_remainder(reference_s_polynomial(basis[i], basis[j]), basis)
         if r.is_zero():
             continue
         if r.is_constant():
@@ -160,8 +159,16 @@ def reference_buchberger(generators) -> GroebnerBasis:
         if not any(h.lm().divides(basis[i].lm()) for h in kept):
             kept.append(basis[i])
     for i in range(len(kept)):
-        kept[i] = kept[i].divide(kept[:i] + kept[i + 1 :])[1]
+        kept[i] = reference_remainder(kept[i], kept[:i] + kept[i + 1 :])
     return GroebnerBasis(tuple(kept))
+
+
+def reference_s_polynomial(f, g) -> Polynomial:
+    """lcm(lm f, lm g)/lt(f) * f - lcm(lm f, lm g)/lt(g) * g, each side one
+    `term_mul`, then one subtraction: no code shared with `groebner._s_work`,
+    `poly._prepare` or `poly._reduce`."""
+    lcm, inv = f.lm().lcm(g.lm()), f.field.inv
+    return f.term_mul(lcm // f.lm(), inv(f.lc())) - g.term_mul(lcm // g.lm(), inv(g.lc()))
 
 
 def reference_remainder(f, divisors) -> Polynomial:
@@ -184,16 +191,14 @@ def reference_remainder(f, divisors) -> Polynomial:
 
 def reference_is_groebner_basis(elems) -> bool:
     """Buchberger's criterion over every pair of non-coprime heads, with each
-    S-polynomial built by `term_mul` and subtraction, as in
-    `reference_buchberger`, and reduced by `reference_remainder`.  The
-    elements need not be monic."""
+    S-polynomial built by `reference_s_polynomial` and reduced by
+    `reference_remainder`, as in `reference_buchberger`.  The elements need
+    not be monic."""
     for i, f in enumerate(elems):
         for g in elems[i + 1 :]:
             if f.lm().is_coprime(g.lm()):
                 continue
-            lcm, inv = f.lm().lcm(g.lm()), f.field.inv
-            s = f.term_mul(lcm // f.lm(), inv(f.lc())) - g.term_mul(lcm // g.lm(), inv(g.lc()))
-            if not reference_remainder(s, elems).is_zero():
+            if not reference_remainder(reference_s_polynomial(f, g), elems).is_zero():
                 return False
     return True
 

@@ -27,7 +27,7 @@ from lexgb.instances import (
     squared_vanishing_basis,
     vanishing_basis,
 )
-from lexgb.poly import Monomial, Polynomial, parse_polynomial
+from lexgb.poly import Monomial, Polynomial, ZeroPolynomialError, parse_polynomial
 from lexgb.specialize import roots_univariate
 
 from helpers import (
@@ -37,6 +37,7 @@ from helpers import (
     random_poly,
     reference_buchberger,
     reference_is_groebner_basis,
+    reference_s_polynomial,
     reference_substitute,
     squared_products,
 )
@@ -54,6 +55,39 @@ def test_s_polynomial_frozen():
     # lcm of heads is x^2*z; the cross terms cancel to x^3 - z
     assert s_polynomial(f, g) == P("x^3 + 100*z")
     assert s_polynomial(f, f).is_zero()
+
+
+@pytest.mark.parametrize("prime", [7, 101])
+def test_s_polynomial_matches_the_reference(prime):
+    field = PrimeField(prime)
+    rng = random.Random(prime)
+    polys = [random_poly(field, rng, nonzero=True) for _ in range(200)]
+    pairs = list(zip(polys, polys[1:]))
+    pairs += [(f, f) for f in polys] + [(f, f.scale(1 + rng.randrange(prime - 1))) for f in polys]
+    pairs += [(f, g) for f in polys for g in polys if f.lm().is_coprime(g.lm())][:100]
+    if prime == 101:
+        pairs += [(f, g) for elems in _s_pair_corpus() for f in elems for g in elems]
+    zero = coprime = not_monic = 0
+    for f, g in pairs:
+        s = s_polynomial(f, g)
+        assert s == reference_s_polynomial(f, g)
+        zero += s.is_zero()
+        coprime += f.lm().is_coprime(g.lm())
+        not_monic += f.lc() != 1 and g.lc() != 1
+    # the draws reach zero S-polynomials, coprime heads and two non-monic heads
+    assert min(zero, coprime, not_monic) >= 50
+
+
+def test_s_polynomial_errors():
+    # the field check comes first, then the zero check
+    F7 = PrimeField(7)
+    with pytest.raises(ValueError, match="different coefficient fields"):
+        s_polynomial(Polynomial(F101), parse_polynomial(F7, "x"))
+    with pytest.raises(ValueError, match="different coefficient fields"):
+        s_polynomial(P("x"), Polynomial(F7))
+    for f, g in ((Polynomial(F101), P("x")), (P("x"), Polynomial(F101))):
+        with pytest.raises(ZeroPolynomialError, match="zero polynomial has no leading monomial"):
+            s_polynomial(f, g)
 
 
 def test_buchberger_two_generators():
@@ -183,18 +217,30 @@ def test_buchberger_matches_reference_on_random_generators(field, draw):
 
 
 def test_pair_criteria_pin_the_reduction_count(monkeypatch):
+    # `buchberger` forms each S-pair it reduces with one `_s_work` call
     calls = []
-    s_polynomial = groebner.s_polynomial
+    s_work = groebner._s_work
 
-    def counted(f, g):
+    def counted(f, g, p):
         calls.append((f, g))
-        return s_polynomial(f, g)
+        return s_work(f, g, p)
 
-    monkeypatch.setattr(groebner, "s_polynomial", counted)
+    monkeypatch.setattr(groebner, "_s_work", counted)
     V = vanishing_basis(fibered_points(FIBERED_PATTERNS[7], random.Random(5)))
     buchberger(squared_products(V))
     # the unpruned queue reduces 571 S-pairs here
     assert len(calls) == 46
+
+
+def test_buchberger_errors():
+    for gens in ([], [Polynomial(F101)]):
+        with pytest.raises(ValueError, match="no nonzero generators"):
+            buchberger(gens)
+    # mixed fields raise whether or not a pair of heads needs reducing
+    F7 = PrimeField(7)
+    for gens in ([P("x*y + 1"), parse_polynomial(F7, "y^2 + 1")], [P("x + 1"), parse_polynomial(F7, "y")]):
+        with pytest.raises(ValueError, match="different coefficient fields"):
+            buchberger(gens)
 
 
 def test_is_groebner_basis_detects_missing_element():

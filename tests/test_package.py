@@ -1,5 +1,6 @@
 """The package's public surface."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -28,3 +29,53 @@ def test_import_loads_no_rational_arithmetic():
     probe = f"import sys, lexgb; print(sorted({unwanted} & set(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert out.stdout == "[]\n"
+
+
+def _modules() -> dict:
+    src = Path(lexgb.__file__).resolve().parent
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+
+
+def _loads(tree) -> set:
+    """The names a tree reads, as bare names or as attributes."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+    return out
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    unused = []
+    for name, tree in _modules().items():
+        if name == "__init__":  # it imports to re-export
+            continue
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {alias.asname or alias.name for alias in node.names}
+        unused += [f"{name}.{n}" for n in sorted(imported - _loads(tree))]
+    assert not unused
+
+
+def test_every_private_module_level_name_is_used():
+    # a private name counts as used when some other top-level statement of
+    # the package reads it, so a helper that only calls itself does not
+    defined, reads = [], []
+    for name, tree in _modules().items():
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names = {stmt.name}
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            else:
+                names = set()
+            defined += [(name, n) for n in names if n.startswith("_") and not n.startswith("__")]
+            reads.append((names, _loads(stmt)))
+    unused = [f"{module}.{n}" for module, n in defined if not any(n in r and n not in own for own, r in reads)]
+    assert not unused

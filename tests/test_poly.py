@@ -185,6 +185,16 @@ def test_evaluate_matches_modular_powers():
         assert f.evaluate(point) == expected
 
 
+def test_evaluate_takes_huge_exponents_at_once():
+    # each power is one modular exponentiation, with no table up to the
+    # exponent (which here would hold 10^9 entries)
+    e = 10**9
+    f = P(f"x^{e} + 1")
+    assert f.evaluate((2, 0, 0)) == (pow(2, e, 101) + 1) % 101
+    g = Polynomial(F101, [(Monomial(e, e + 7, 3 * e), 1), (MONOMIAL_ONE, 1)])
+    assert g.evaluate((2, 3, 5)) == (pow(2, e, 101) * pow(3, e + 7, 101) * pow(5, 3 * e, 101) + 1) % 101
+
+
 def test_lex_head_drop_under_specialization():
     # substituting x can only lower or kill terms, never create new monomials;
     # the image keeps the head lm_yz(p), with coefficient lc_x(p)(alpha),
