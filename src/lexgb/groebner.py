@@ -181,12 +181,12 @@ def buchberger(generators) -> GroebnerBasis:
         basis.append(p)
         prepared.extend(_prepare(p, (p,)))
 
+    for g in gens:  # prepared divisors carry no field to compare
+        gens[0]._same_field(g)
     for g in gens:
         if g.is_constant():
             return unit
         admit(g)
-    for g in gens:  # prepared divisors carry no field to compare
-        gens[0]._same_field(g)
 
     while pairs:
         _, i, j = heappop(pairs)

@@ -27,7 +27,7 @@ from itertools import product
 from .field import PrimeField
 from .groebner import GroebnerBasis
 from .lazard import lazard_basis
-from .packed import pack, slot_bytes, unpack
+from .packed import lowest_slot, pack, residuer, unpack
 from .poly import Monomial, Polynomial, _mono
 
 
@@ -150,10 +150,20 @@ def fat_point_basis(points: PointSet, shapes) -> GroebnerBasis:
 
     A row is one packed vector (see `packed`): the n functional values,
     then the combination over the standard monomials, slot n + j holding
-    the j-th standard monomial's coefficient.  A candidate starts as its
-    values and a 1 in the slot its monomial would take, every slot below
-    p, and each row adds (p - c) times slots below p, so with at most n
-    rows no slot exceeds n * p^2 + p.
+    the j-th standard monomial's coefficient, every slot an exact residue.
+    A candidate stays packed from its parent's vector to its row; only an
+    element's tail is unpacked.  A step of the product rule is one masked
+    multiply-add per nonzero coordinate value and one shifted mask per
+    distance from d - e_k to d, on slots below 2p with at most one d - e_k
+    per entry, so it is below 2p(p - 1) + 2p before `halve` takes it back
+    below 2p.  A candidate starts as such slots and a 1 in the slot its
+    monomial would take, and each of at most n rows adds (p - c) < p times
+    residues, so it reduces to below n p^2 + 2p.  Its residues
+    (`packed.residuer`) are 0 in the low n slots exactly when it is
+    dependent; else its lowest nonzero one is the pivot, and the row is the
+    residues of it times the pivot's inverse, a product below p^2.  So
+    max(n, 2) p^2 + 2p bounds every slot of the 2n + 1 a candidate can take
+    (the step's 2p^2 + 2p at n = 1).
     """
     if not points.points:
         raise ValueError("empty point set")
@@ -176,30 +186,42 @@ def fat_point_basis(points: PointSet, shapes) -> GroebnerBasis:
         for d in shape:
             index[i, d] = len(index)
     n = len(index)
-    # per axis, in the order of the stored exponents (c, b, a): the point
-    # coordinate of every entry, and the (entry, entry of d - e_k) pairs
-    # of the product rule's shift term
-    columns, shifts = [], []
-    for k in (2, 1, 0):
-        columns.append([points.points[i][k] for i, _ in index])
-        shifts.append([(j, index[i, _step_down(d, k)]) for (i, d), j in index.items() if d[k]])
-
-    def step(values, axis):
-        out = [v * x % p for v, x in zip(values, columns[axis])]
-        for j, source in shifts[axis]:
-            out[j] = (out[j] + values[source]) % p
-        return out
-
-    nb = slot_bytes(n * p * p + p)
+    # slots up to the docstring's bound, and the product rule per axis, in
+    # the order (c, b, a) of the stored exponents: a (value, mask of its
+    # entries) per nonzero coordinate and a (shift, mask of the sources)
+    # per distance from d - e_k to d
+    nb, halve, residues = residuer(p, max(n, 2) * p * p + 2 * p, 2 * n + 1)
     w = 8 * nb
     mask = (1 << w) - 1
+    scales, shifts = [], []
+    for k in (2, 1, 0):
+        by_value, by_shift = {}, {}
+        for (i, d), j in index.items():
+            v = points.points[i][k]
+            by_value[v] = by_value.get(v, 0) | mask << j * w
+            if d[k]:
+                source = index[i, _step_down(d, k)]
+                shift = (j - source) * w
+                by_shift[shift] = by_shift.get(shift, 0) | mask << source * w
+        scales.append([(v, m) for v, m in by_value.items() if v])
+        shifts.append(list(by_shift.items()))
+
+    def step(x, axis):
+        out = 0
+        for v, m in scales[axis]:
+            out += v * (x & m)
+        for shift, m in shifts[axis]:
+            out += (x & m) << shift
+        return halve(out)
+
+    values_mask = (1 << n * w) - 1
     rows: list[tuple[int, int]] = []  # (bit offset of the pivot slot, row)
     standard: list[Monomial] = []  # one per row, ascending
     basis: list[Polynomial] = []
     # (c, b) -> a_m for every block reached; the staircase has n monomials,
     # so b, c and a_m stay within n, and n + 1 bounds nothing
     runs = {}
-    below = [0 if any(d) else 1 for _, d in index]  # the vector of x^0 y^0 z^c
+    below = pack([0 if any(d) else 1 for _, d in index], nb)  # the vector of x^0 y^0 z^c
     for c in range(n + 1):
         for b in range(n + 1):
             bound = min(runs.get((c - 1, b), 0) if c else n + 1, runs.get((c, b - 1), 0) if b else n + 1)
@@ -214,21 +236,21 @@ def fat_point_basis(points: PointSet, shapes) -> GroebnerBasis:
                 if a:
                     values = step(values, 2)
                 r = len(rows)
-                acc = pack(values, nb) | 1 << (n + r) * w
+                acc = values | 1 << (n + r) * w
                 for offset, row in rows:
                     k = (acc >> offset & mask) % p
                     if k:
                         acc += (p - k) * row
-                vec = unpack(acc, nb, n + r + 1, p)
-                pivot = next((i for i in range(n) if vec[i]), None)
-                if pivot is None:
+                acc = residues(acc)
+                if not acc & values_mask:
                     # the head, then the standard monomials descending
-                    tail = [(s, k) for s, k in zip(reversed(standard), reversed(vec[n:-1])) if k]
+                    vec = unpack(acc >> n * w, nb, r + 1, p)
+                    tail = [(s, k) for s, k in zip(reversed(standard), reversed(vec[:-1])) if k]
                     basis.append(Polynomial._make(field, ((_mono((c, b, a)), 1), *tail)))
                     runs[c, b] = a
                     break
-                scale = pow(vec[pivot], p - 2, p)
-                rows.append((pivot * w, pack([v * scale % p for v in vec], nb)))
+                offset = lowest_slot(acc & values_mask, nb) * w
+                rows.append((offset, residues(acc * pow(acc >> offset & mask, p - 2, p))))
                 standard.append(_mono((c, b, a)))
 
     radical = all(shape == PLAIN_POINT for shape in shapes)

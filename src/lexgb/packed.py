@@ -15,6 +15,15 @@ and one of 5 to 7 up to 8, so a slot of up to 8 bytes is one B, H, I or Q
 item and `pack` and `unpack` convert the whole vector with one `struct`
 call (format `<`).  A wider slot keeps its exact width and is converted
 one slot's bytes at a time.
+
+`halver` takes slots back below 2p by one Barrett step; `residuer` adds
+one conditional subtract that leaves the exact residues in [0, p), so a
+loop can test, scale and read a vector with no unpack.  The subtract is
+exact: `halver` makes the slot width w at least 2k - bitlen(p) + 1 bits
+for a bound of k >= bitlen(p) bits, so p < 2^bitlen(p) <= 2^(w-1).  A slot
+h < 2p then gives h + 2^(w-1) - p < 2^(w-1) + p <= 2^w, which stays in
+its slot and has its top bit set exactly when h >= p; that bit, shifted
+down to the bottom of its slot and multiplied by p, is what to subtract.
 """
 
 from __future__ import annotations
@@ -85,3 +94,26 @@ def halver(p: int, bound: int, n: int):
         return x - (x * r >> k & q_mask) * p
 
     return nb, halve
+
+
+@lru_cache(maxsize=64)
+def residuer(p: int, bound: int, n: int):
+    """(nb, halve, residues) for packed vectors of n slots whose values stay
+    up to bound, bound >= p: `halver`'s width and map, and the map that
+    takes the first n slots of x to their residues in [0, p), one `halve`
+    and one conditional subtract (see the module docstring)."""
+    nb, halve = halver(p, bound, n)
+    w = 8 * nb
+    ones = pack([1] * n, nb)
+    lift, tops = ((1 << w - 1) - p) * ones, ones << w - 1
+
+    def residues(x: int) -> int:
+        x = halve(x)
+        return x - ((x + lift & tops) >> w - 1) * p
+
+    return nb, halve, residues
+
+
+def lowest_slot(x: int, nb: int) -> int:
+    """The index of the lowest nonzero slot of a nonzero packed x."""
+    return ((x & -x).bit_length() - 1) // (8 * nb)

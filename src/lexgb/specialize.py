@@ -12,7 +12,7 @@ from typing import NamedTuple
 from .groebner import GroebnerBasis, is_groebner_basis, normal_form, structure_facts
 from .poly import MONOMIAL_ONE, Monomial, Polynomial, _images
 from .report import CheckReport, SKIPPED, gated_report
-from .univariate import _dense_length, _horner, _quo, _roots, _trim
+from .univariate import _dense_length, _has_root, _horner, _quo, _roots, _trim
 
 
 class NonSplitError(RuntimeError):
@@ -277,7 +277,7 @@ def check_fiber_membership(G: GroebnerBasis) -> CheckReport:
     z^c leave only whether g_1 has a root (see `_pure_power_heads`)."""
     name = "fiber_membership"
     if _pure_power_heads(G):
-        if roots_univariate(G.elements[0]):
+        if _has_root(_dense(G.elements[0]), G.field.p):
             return gated_report(name, G.radical, [])
         return CheckReport(name, SKIPPED, [], _NONE_QUALIFIES)
     view = _fiber_view(G)

@@ -2,7 +2,8 @@
 
 A polynomial is a list of plain ints in [0, p), lowest degree first, with
 no trailing zeros; [] is the zero polynomial.  Its roots in F_p come from
-one of two finders, chosen by p and the degree alone (see `_roots`).
+one of two finders, chosen by p and the degree alone (`_takes_chirp`);
+`_has_root` follows the same rule and stops short of any split.
 When p is small against the degree, one packed product gives f at every
 point of F_p^* (Bluestein's chirp), at a cost linear in p.  Otherwise
 they come from gcd(f, x^p - x), split by equal-degree factorization
@@ -136,16 +137,20 @@ def _split(g: list, p: int, out: list, first_shift: int = 1) -> None:
                 return
 
 
-def _cz_roots(f: list, p: int) -> list:
-    """The distinct roots in F_p of f, of degree >= 1, ascending, by
-    Cantor-Zassenhaus: one power per node of the split tree."""
-    # gcd(f, x^p - x) is the product of the distinct linear factors of f;
+def _linear_part(f: list, p: int) -> list:
+    """gcd(f, x^p - x) for f of degree >= 1, monic: the product of the
+    distinct linear factors of f."""
     # when f divides x^p - x the remainder x^p mod f - x is zero
     inv = pow(f[-1], p - 2, p)
     f = [c * inv % p for c in f]
-    g = _monic_gcd(f, _sub_xpow(_pow_linear(0, p, f, p), 1, p), p)
+    return _monic_gcd(f, _sub_xpow(_pow_linear(0, p, f, p), 1, p), p)
+
+
+def _cz_roots(f: list, p: int) -> list:
+    """The distinct roots in F_p of f, of degree >= 1, ascending, by
+    Cantor-Zassenhaus: one power per node of the split tree."""
     out: list = []
-    _split(g, p, out)
+    _split(_linear_part(f, p), p, out)
     return sorted(out)
 
 
@@ -188,6 +193,19 @@ def _chirp_roots(f: list, p: int) -> list:
     return sorted(roots)
 
 
+def _takes_chirp(d: int, p: int) -> bool:
+    """Whether `_roots` and `_has_root` take the chirp for an f of degree
+    d >= 2.  On Python 3.11 (Xeon) the chirp costs about 0.2 us * p, and CZ
+    about 2 us * d * bitlen(p) when f has few roots and 8 when it splits, as
+    the g_1 of a vanishing ideal does.  The chirp wins from degree 2 at
+    p = 101, from 4 (split) or 12 (few roots) at 1009, and from 20 (split)
+    at 10007.  The rule sits between the two break-evens, 10 and
+    40 * d * bitlen(p): it takes the chirp from degree 2 at 101, 6 at 1009,
+    44 at 10007 and 133 at 32003, and at 2^31 - 1 only past degree 4 million.
+    """
+    return 2 < p < 16 * (d + 1) * p.bit_length() and d < p
+
+
 def _roots(f: list, p: int) -> list:
     """The distinct roots of a nonzero f in F_p, ascending."""
     d = len(f) - 1
@@ -195,16 +213,17 @@ def _roots(f: list, p: int) -> list:
         return []
     if d == 1:
         return [-f[0] * pow(f[1], p - 2, p) % p]
-    # On Python 3.11 (Xeon) the chirp costs about 0.2 us * p, and CZ about
-    # 2 us * d * bitlen(p) when f has few roots and 8 when it splits, as the
-    # g_1 of a vanishing ideal does.  The chirp wins from degree 2 at
-    # p = 101, from 4 (split) or 12 (few roots) at 1009, and from 20 (split)
-    # at 10007.  The rule below sits between the two break-evens, 10 and
-    # 40 * d * bitlen(p): it takes the chirp from degree 2 at 101, 6 at 1009,
-    # 44 at 10007 and 133 at 32003, and at 2^31 - 1 only past degree 4 million.
-    if 2 < p < 16 * (d + 1) * p.bit_length() and d < p:
-        return _chirp_roots(f, p)
-    return _cz_roots(f, p)
+    return _chirp_roots(f, p) if _takes_chirp(d, p) else _cz_roots(f, p)
+
+
+def _has_root(f: list, p: int) -> bool:
+    """Whether a nonzero f has a root in F_p, with no split: by the chirp
+    where `_roots` takes it, which beats the gcd at small p too, otherwise
+    by deg gcd(f, x^p - x) > 0, the first step of `_cz_roots`."""
+    d = len(f) - 1
+    if d < 2:
+        return d == 1
+    return bool(_chirp_roots(f, p)) if _takes_chirp(d, p) else len(_linear_part(f, p)) > 1
 
 
 def _horner(f: list, v: int, p: int) -> int:

@@ -14,7 +14,7 @@ and subtraction and reduced by a division loop of their own, for
 `s_polynomial` and `is_groebner_basis`."""
 
 from collections import Counter
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 
 from lexgb import GroebnerBasis, Monomial, PointSet, Polynomial
 from lexgb.checks import _componentwise, _every_pair, _same_z
@@ -173,20 +173,33 @@ def reference_s_polynomial(f, g) -> Polynomial:
 
 def reference_remainder(f, divisors) -> Polynomial:
     """The remainder of f on division by the divisors, the lowest-index
-    divisor whose head divides the leading term reducing it, each step one
-    `term_mul` and one subtraction: no code shared with `poly._prepare` or
-    `poly._reduce`."""
+    divisor whose head divides the leading term reducing it.  A dict of
+    the terms left and a heap of their negated exponents give the leading
+    term; each step scales the divisor's tail by the term over its leading
+    term: no code shared with `poly._prepare` or `poly._reduce`."""
     field = f.field
-    rem = []
-    while not f.is_zero():
-        m, c = f.terms[0]
+    p = field.p
+    work = dict(f.terms)
+    heap = [(tuple(-e for e in m), m) for m in work]
+    heapify(heap)
+    rem = {}
+    while heap:
+        m = heappop(heap)[1]
+        c = work.pop(m)
+        if not c:
+            continue
         d = next((d for d in divisors if d.lm().divides(m)), None)
         if d is None:
-            rem.append((m, c))
-            f = f - Polynomial(field, [(m, c)])
-        else:
-            f = f - d.term_mul(m // d.lm(), c * field.inv(d.lc()))
-    return Polynomial(field, rem)
+            rem[m] = c
+            continue
+        q, factor = m // d.lm(), c * field.inv(d.lc()) % p
+        for t, k in d.terms[1:]:
+            t = t * q
+            if t not in work:
+                work[t] = 0
+                heappush(heap, (tuple(-e for e in t), t))
+            work[t] = (work[t] - factor * k) % p
+    return Polynomial._collect(field, rem)
 
 
 def reference_is_groebner_basis(elems) -> bool:

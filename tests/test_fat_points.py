@@ -13,7 +13,7 @@ from math import comb
 
 import pytest
 
-from lexgb import groebner, instances
+from lexgb import groebner, instances, packed
 from lexgb.groebner import buchberger, is_groebner_basis, quotient_dimension
 from lexgb.instances import (
     FIRST_ORDER,
@@ -112,6 +112,41 @@ def test_fat_point_basis_ignores_the_order_of_the_points(prime):
             shuffled = PointSet(prime, tuple(pt for pt, _ in pairs))
             G = fat_point_basis(shuffled, [shape for _, shape in pairs])
             assert G.elements == fat_point_basis(points, shapes).elements, (points, shapes)
+
+
+@pytest.mark.parametrize("prime", [2, 101, 10007, 2**31 - 1])
+def test_fat_point_loop_keeps_every_slot_within_its_bound(prime, monkeypatch):
+    """The loop asks for the bound its docstring proves, max(n, 2) p^2 + 2p
+    over 2n + 1 slots, and every vector it hands to `halve` or `residues`
+    fits those slots within that bound, on one plain point, first-order,
+    single-axis and mixed shapes."""
+    seen = []
+
+    def guarded(p, bound, slots):
+        nb, halve, residues = packed.residuer(p, bound, slots)
+        seen.append((p, bound, slots))
+
+        def within(x):
+            # raises OverflowError past the last slot
+            assert max(packed.unpack(x, nb, slots, 1 << 8 * nb)) <= bound
+            return x
+
+        return nb, lambda x: halve(within(x)), lambda x: residues(within(x))
+
+    monkeypatch.setattr(instances, "residuer", guarded)
+    rng = random.Random(prime)
+    cases = []
+    for _ in range(6):
+        points = random_points(rng.randint(1, min(8, prime**3)), rng.randrange(10**6), prime)
+        cases.append((points, [FIRST_ORDER] * len(points)))
+        cases.append((points, [random_shape(rng, rng.randint(1, 6)) for _ in points.points]))
+        point = PointSet(prime, (points.points[0],))
+        cases += [(point, [PLAIN_POINT]), (point, [rng.choice((SHAPES["z-squared"], SHAPES["along-x"]))])]
+    for points, shapes in cases:
+        seen.clear()
+        fat_point_basis(points, shapes)
+        n = sum(len(set(shape)) for shape in shapes)
+        assert seen == [(prime, max(n, 2) * prime**2 + 2 * prime, 2 * n + 1)]
 
 
 def test_squared_vanishing_basis_calls_no_buchberger(monkeypatch):

@@ -236,9 +236,14 @@ def test_buchberger_errors():
     for gens in ([], [Polynomial(F101)]):
         with pytest.raises(ValueError, match="no nonzero generators"):
             buchberger(gens)
-    # mixed fields raise whether or not a pair of heads needs reducing
+    # mixed fields raise whether or not a pair of heads needs reducing, and
+    # before a constant generator could make the ideal the unit ideal
     F7 = PrimeField(7)
-    for gens in ([P("x*y + 1"), parse_polynomial(F7, "y^2 + 1")], [P("x + 1"), parse_polynomial(F7, "y")]):
+    for gens in (
+        [P("x*y + 1"), parse_polynomial(F7, "y^2 + 1")],
+        [P("x + 1"), parse_polynomial(F7, "y")],
+        [P("x"), parse_polynomial(F7, "y"), P("1")],
+    ):
         with pytest.raises(ValueError, match="different coefficient fields"):
             buchberger(gens)
 

@@ -9,7 +9,7 @@ import pytest
 
 from lexgb.field import PrimeField
 from lexgb.instances import FIRST_ORDER, PLAIN_POINT, PointSet, fat_point_basis, random_points, vanishing_basis
-from lexgb.packed import halver, pack, slot_bytes, unpack
+from lexgb.packed import halver, lowest_slot, pack, residuer, slot_bytes, unpack
 from lexgb.specialize import solve_system
 from lexgb.univariate import _pow_linear, _roots
 
@@ -81,6 +81,28 @@ def test_pack_round_trip_and_halve():
         assert all(h < 2 * p and h % p == v % p for h, v in zip(halved, values))
 
 
+@pytest.mark.parametrize("p", [2, 3, 101, 1009, 2**31 - 1, 2**61 - 1])
+def test_residues_are_exact_and_the_lowest_slot_is_the_first_nonzero(p):
+    # at the fat-point loop's bound for n functionals over its 2n + 1 slots
+    rng = random.Random(p)
+    for n in (1, 2, 5, 40):
+        bound = max(n, 2) * p * p + 2 * p
+        nb, _, residues = residuer(p, bound, 2 * n + 1)
+        assert nb == halver(p, bound, 2 * n + 1)[0]
+        special = [0, 1, p - 1, p, p + 1, 2 * p - 1, 2 * p, p * p, bound - 1, bound]
+        for _ in range(30):
+            values = [rng.choice(special) if rng.random() < 0.5 else rng.randint(0, bound) for _ in range(2 * n + 1)]
+            for zeros in (0, rng.randint(1, 2 * n + 1)):
+                values[:zeros] = [0] * zeros
+                x, reduced = pack(values, nb), [v % p for v in values]
+                exact = residues(x)
+                # the slots as they are, with no reduction on reading
+                assert unpack(exact, nb, 2 * n + 1, 1 << 8 * nb) == reduced
+                for y, slots in ((x, values), (exact, reduced)):
+                    if any(slots):
+                        assert lowest_slot(y, nb) == next(i for i, v in enumerate(slots) if v)
+
+
 @pytest.mark.parametrize("p", PRIMES + (251,))
 def test_pow_linear_matches_schoolbook(p):
     rng = random.Random(p)
@@ -112,12 +134,12 @@ def single_axis(rng):
     return tuple(tuple(j if k == axis else 0 for k in range(3)) for j in range(length))
 
 
-@pytest.mark.parametrize("p", [2, 7, 101, 2**61 - 1])
+@pytest.mark.parametrize("p", [2, 3, 7, 101, 10007, 2**61 - 1])
 def test_fat_point_basis_matches_the_list_loop(p):
     rng = random.Random(p)
     for kind in ("plain", "first-order", "single-axis", "mixed"):
         for _ in range(3):
-            points = random_points(rng.randint(1, min(8, p**3)), rng.randrange(10**6), p)
+            points = random_points(rng.randint(1, min(20, p**3)), rng.randrange(10**6), p)
             shapes = {
                 "plain": lambda: PLAIN_POINT,
                 "first-order": lambda: FIRST_ORDER,

@@ -221,6 +221,35 @@ def test_both_root_finders_match_a_residue_scan(p):
             assert univariate._chirp_roots(f, p) == expected, f
 
 
+@pytest.mark.parametrize("p", [2, 3, 101, 1009, 10007, 2**31 - 1])
+def test_has_root_matches_roots_without_a_split(p, monkeypatch):
+    # degree 1, then products of irreducible quadratics with no root, with
+    # root 0 and with one other root, and random f, on both sides of the
+    # chirp rule: at 1009 it takes the chirp from degree 6, at 10007 from 44
+    field = PrimeField(p)
+    rng = random.Random(300 + p)
+
+    def irreducible():  # x^2 - a for a non-square a; x^2 + x + 1 at p = 2
+        while p > 2:
+            a = rng.randrange(1, p)
+            if pow(a, (p - 1) // 2, p) == p - 1:
+                return kx(field, [-a, 0, 1])
+        return kx(field, [1, 1, 1])
+
+    cases = [kx(field, [rng.randrange(p), rng.randrange(1, p)])]
+    for k in (1, 2, 3, 24):
+        none = kx(field, [rng.randrange(1, p)])
+        for _ in range(k):
+            none = none * irreducible()
+        cases += [none, none * kx(field, [0, 1]), none * linear(field, rng.randrange(1, p))]
+    cases += [kx(field, [rng.randrange(p) for _ in range(d)] + [rng.randrange(1, p)]) for d in (2, 3, 5, 9, 50)]
+    for f in map(coefficient_list, cases):
+        expected = bool(univariate._roots(f, p))
+        with monkeypatch.context() as patch:
+            patch.setattr(univariate, "_split", None)  # whether, never which
+            assert univariate._has_root(f, p) == expected, f
+
+
 def test_root_finder_choice(monkeypatch):
     taken = []
     monkeypatch.setattr(univariate, "_chirp_roots", lambda f, p: taken.append("chirp") or [])
