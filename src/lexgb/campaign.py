@@ -52,6 +52,9 @@ class CampaignConfig:
             raise ValueError("instance counts must be nonnegative")
         if not 1 <= self.points_min <= self.points_max <= 12:
             raise ValueError("point-count range must sit inside [1, 12]")
+        if self.points_max > self.prime**3:
+            bound = f"the {self.prime**3} points of F_{self.prime}^3"
+            raise ValueError(f"point-count range [{self.points_min}, {self.points_max}] exceeds {bound}")
         if self.jobs < 1:
             raise ValueError("jobs must be positive")
         if self.checks is not None:

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field as dataclass_field
 from heapq import heappop, heappush
 
 from .poly import MONOMIAL_ONE, Monomial, Polynomial, _negated, _prepare, _reduce, constant, poly_from_dict
@@ -15,12 +14,16 @@ class GroebnerBasis:
 
     `radical` is provenance: true only when the ideal is radical by
     construction (vanishing ideal of a point set).  The unit ideal is
-    flagged rather than given staircase structure.
+    flagged rather than given staircase structure.  What is worked out
+    from a basis once (its structure facts, its fiber view) is kept on it
+    by `_memoized`, in a memo outside `==`, `hash` and `repr` that
+    `dataclasses.replace` starts afresh.
     """
 
     elements: tuple[Polynomial, ...]
     radical: bool = False
     unit_ideal: bool = False
+    _memo: dict = dataclass_field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def field(self):
@@ -35,9 +38,11 @@ class GroebnerBasis:
     def __getitem__(self, i):
         return self.elements[i]
 
-    @cached_property
-    def _facts(self) -> "StructureFacts":
-        return _structure_facts(self)
+    def _memoized(self, compute):
+        """compute(self), worked out at the first ask and kept on this basis."""
+        if compute not in self._memo:
+            self._memo[compute] = compute(self)
+        return self._memo[compute]
 
     def to_dict(self, text: bool = False) -> dict:
         facts = None
@@ -236,7 +241,7 @@ def structure_facts(G: GroebnerBasis) -> StructureFacts:
     """The staircase shape of G, worked out once per basis and kept on it."""
     if G.unit_ideal:
         raise ValueError("unit ideal has no staircase structure")
-    return G._facts
+    return G._memoized(_structure_facts)
 
 
 def _structure_facts(G: GroebnerBasis) -> StructureFacts:

@@ -76,7 +76,6 @@ class _Fibers:
             self.blocks[m] = on, positions, outside, len(self.staircase)
             self.staircase += [m + (e,) for e in range(len(on))]
         self.union = list(self.blocks)
-        self.known: dict = {}  # m -> nf(m)
         self.rows: dict = {}  # m -> the fibers' normal forms of m
 
     def corners(self) -> list:
@@ -117,11 +116,8 @@ class _Fibers:
             out = [0] * len(self.staircase)
             out[block[3] + e] = 1
             return out
-        out = self.known.get(m)
-        if out is None:
-            scale = [pow(a, e, self.p) for a in self.alphas] if e else None
-            out = self.known[m] = self._tail(scale, rest, bisect_right(self.union, rest))
-        return out
+        scale = [pow(a, e, self.p) for a in self.alphas] if e else None
+        return self._tail(scale, rest, bisect_right(self.union, rest))
 
     def _row(self, m: tuple) -> list:
         row = self.rows.get(m)

@@ -6,7 +6,6 @@ them without a pass over every residue of F_p.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import NamedTuple
 
 from .groebner import GroebnerBasis, is_groebner_basis, normal_form, structure_facts
@@ -108,17 +107,16 @@ class _FiberView(NamedTuple):
     fibers: tuple[_Fiber, ...]  # one per root alpha of g_1, ascending
 
 
-@lru_cache(maxsize=1)
 def _fiber_view(G: GroebnerBasis) -> _FiberView:
-    """The fibers of G, walked once per basis down to the points: x = alpha
-    at each root of g_1, then y = beta at each common root of the images of
-    the elimination prefix g_1..g_ell2, whose last has a pure power of y as
-    head and so a nonzero image.  `solve_system` reads this view, and so
-    do the fiber checks on every basis whose heads do not settle them (see
-    `_pure_power_heads`), so `verify_all` builds it at most once, with one
-    `_images` pass over every element.  The view holds no (alpha, beta)
-    slice: `solve_system` and `gianni_kalkbrener` read them off the
-    alpha-images (`_slice`).  It needs a zero-dimensional basis over F_p
+    """The fibers of G, walked down to the points once per basis and kept
+    on it (see `GroebnerBasis`): x = alpha at each root of g_1, then y =
+    beta at each common root of the images of the elimination prefix
+    g_1..g_ell2, whose last has a pure power of y as head and so a nonzero
+    image.  `solve_system` reads this view, and so do the fiber checks on
+    every basis whose heads do not settle them (see `_pure_power_heads`),
+    with one `_images` pass over every element.  The view holds no
+    (alpha, beta) slice: `solve_system` and `gianni_kalkbrener` read them
+    off the alpha-images (`_slice`).  It needs a zero-dimensional basis over F_p
     with every element in its band (see `structure_facts`), so that the
     prefix images lie in k[y] and the slices in k[z]; on any other basis,
     `skipped` says why.
@@ -133,6 +131,10 @@ def _fiber_view(G: GroebnerBasis) -> _FiberView:
     x^(deg h) * m, which some lm(g_j) divides.  If u' were not constant,
     that head would properly divide lm(g_i), against minimality.
     """
+    return G._memoized(_walk_fibers)
+
+
+def _walk_fibers(G: GroebnerBasis) -> _FiberView:
     facts = structure_facts(G)
     if not facts.zero_dim:
         return _FiberView(f"not zero-dimensional: {facts.missing}", 0, 0, ())
@@ -152,17 +154,19 @@ def _fiber_view(G: GroebnerBasis) -> _FiberView:
 
 
 def _pure_power_heads(G: GroebnerBasis) -> bool:
-    """Whether G, not flagged unit_ideal, has exactly three elements, headed
-    x^a, y^b and z^c with a, b, c >= 1.  The three fiber checks then need
-    no fiber view: their statements hold with no content.
+    """Whether G has three elements and is zero-dimensional (see
+    `structure_facts`): then g_1 in k[x] is headed x^a, g_2 y^b and g_3 z^c
+    with b, c >= 1, and the prefix is g_1, g_2.  The three fiber checks
+    then need no fiber view: their statements hold with no content.
 
-    Proof.  Such a basis is zero-dimensional with every element in its
-    band, and its prefix is g_1, g_2.  The order compares (y, z) parts
-    before x, so no term of g_2 or g_3 is the (y, z) part of its head times
-    a power of x: lc_x(g_2) and lc_x(g_3) are nonzero constants.  At every
-    root alpha of g_1 the images of g_2 and g_3 therefore keep the heads
-    y^b and z^c (see `_lc_x_vanishes`), so `specialization_image` finds no
-    image that loses its head, and the heads y^b and z^c are coprime, so
+    Proof.  If a = 0, g_1 is a nonzero constant with no root, so there is
+    no fiber, and the view gives what the reports here give.  Let a >= 1.
+    The order compares (y, z) parts before x, so no term of g_2 or g_3 is
+    the (y, z) part of its head times a power of x: lc_x(g_2) and
+    lc_x(g_3) are nonzero constants.  At every root alpha of g_1 the images
+    of g_2 and g_3 therefore keep the heads y^b and z^c (see
+    `_lc_x_vanishes`), so `specialization_image` finds no image that loses
+    its head, and the heads y^b and z^c are coprime, so
     `is_groebner_basis` skips the only pair of the images.  At every
     (alpha, beta) the image of g_3 keeps z^c, with a nonzero constant
     coefficient, so `gianni_kalkbrener` finds no degree drop.  In
@@ -171,19 +175,8 @@ def _pure_power_heads(G: GroebnerBasis) -> bool:
     and g_2's head has no z, so its image is its own lc_xy and leaves no
     remainder.  That check therefore passes (or is observed) with no
     witness when g_1 has a root in F_p, and skips otherwise.
-
-    The heads are read in basis order and only while they match, so a zero
-    element raises ZeroPolynomialError exactly where `structure_facts`
-    would.
     """
-    if G.unit_ideal or len(G.elements) != 3:
-        return False
-    # a Monomial stores its exponents as (c, b, a)
-    for k, g in zip((2, 1, 0), G.elements):
-        head = g.lm()
-        if not head[k] or sum(head) != head[k]:
-            return False
-    return True
+    return len(G.elements) == 3 and structure_facts(G).zero_dim
 
 
 def _lc_x_vanishes(g: Polynomial, image: Polynomial) -> bool:

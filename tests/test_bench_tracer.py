@@ -31,8 +31,6 @@ def test_tracer_counts_each_check_once_and_restores_everything(monkeypatch):
 
     G = vanishing_basis(PointSet(101, ((0, 0, 0), (1, 0, 0), (1, 0, 1))))
     before = lexgb_bindings()
-    # an earlier test may have left this basis's fiber view in the cache
-    specialize._fiber_view.cache_clear()
     t = tracer.Tracer()
     t.install()
     try:

@@ -26,6 +26,9 @@ def test_config_validation():
         CampaignConfig(points_min=3, points_max=2)
     with pytest.raises(ValueError):
         CampaignConfig(points_max=50)
+    with pytest.raises(ValueError, match=r"\[2, 9\] exceeds the 8 points of F_2\^3"):
+        CampaignConfig(prime=2, points_min=2, points_max=9)
+    assert CampaignConfig(prime=2, points_max=8).points_max == 8
     with pytest.raises(ValueError):
         CampaignConfig(jobs=0)
     with pytest.raises(ValueError):

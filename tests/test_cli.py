@@ -300,6 +300,15 @@ def test_campaign_rejects_bad_config(capsys):
     assert captured.out == ""
 
 
+def test_campaign_rejects_more_points_than_the_prime_holds(capsys):
+    # F_2^3 has 8 points: the range is refused before any instance is built
+    argv = ["campaign", "--prime", "2", "--points-max", "9", "--radical", "20", "--nonradical", "0"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: point-count range [1, 9] exceeds the 8 points of F_2^3\n"
+    assert captured.out == ""
+
+
 def test_missing_input_file(capsys):
     assert main(["verify", "/no/such/file.json"]) == 2
     assert "error:" in capsys.readouterr().err

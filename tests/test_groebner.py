@@ -1,5 +1,6 @@
 """Buchberger completion, reduced bases, staircase structure."""
 
+import dataclasses
 import random
 
 import pytest
@@ -336,6 +337,16 @@ def test_structure_facts_band_violations():
     G = GroebnerBasis((P("x^2"), P("y"), P("x^3*y^2"), P("z")))
     facts = structure_facts(G)
     assert facts.band_violations == (3,)
+
+
+def test_the_facts_kept_on_a_basis_stay_out_of_its_value():
+    G = buchberger([P("x^2 + 100*x"), P("y"), P("x*z + 100*z"), P("z^2 + 100*z")])
+    H = GroebnerBasis(G.elements)
+    facts = structure_facts(G)
+    assert structure_facts(G) is facts
+    assert (G, hash(G), repr(G)) == (H, hash(H), repr(H))
+    # a replaced basis works its facts out afresh
+    assert structure_facts(dataclasses.replace(G, radical=True)) is not facts
 
 
 def test_structure_facts_rejects_unit_ideal():

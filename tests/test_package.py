@@ -79,3 +79,22 @@ def test_every_private_module_level_name_is_used():
             reads.append((names, _loads(stmt)))
     unused = [f"{module}.{n}" for module, n in defined if not any(n in r and n not in own for own, r in reads)]
     assert not unused
+
+
+def test_no_function_of_a_basis_keeps_a_module_level_cache():
+    # what is worked out from a basis is kept on it (`GroebnerBasis._memoized`),
+    # not in a cache keyed by the basis's value, which hashes every term on
+    # each call and keeps the last bases alive
+    cached = []
+    for name, tree in _modules().items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or not node.args.args:
+                continue
+            first = node.args.args[0].annotation
+            if not (isinstance(first, ast.Name) and first.id == "GroebnerBasis"):
+                continue
+            for decorator in node.decorator_list:
+                target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                if (target.attr if isinstance(target, ast.Attribute) else target.id) in ("lru_cache", "cache"):
+                    cached.append(f"{name}.{node.name}")
+    assert not cached

@@ -1,7 +1,9 @@
 """Root finding, specialized images, and solving by back-substitution."""
 
 import dataclasses
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -620,7 +622,6 @@ def test_verify_all_finds_the_roots_of_g1_once(monkeypatch):
         return split_roots(f)
 
     monkeypatch.setattr(specialize, "split_roots", counting)
-    _fiber_view.cache_clear()
     G = worked_basis()
     reports = verify_all(G)
     assert all(r.verdict == PASS for r in reports)
@@ -649,8 +650,8 @@ def test_fiber_slices_are_built_only_when_read(monkeypatch):
 
     monkeypatch.setattr(specialize, "_images", counting)
     config = CampaignConfig(seed=7)
-    bases = [build_instance(r).basis for r in radical_recipes(config) + nonradical_recipes(config)]
-    assert len(bases) == 250
+    recipes = radical_recipes(config) + nonradical_recipes(config)
+    assert len(recipes) == 250
     counts = {}
     runs = {
         "specialization_image": lambda G: verify_all(G, checks=["specialization_image"]),
@@ -658,8 +659,9 @@ def test_fiber_slices_are_built_only_when_read(monkeypatch):
         "solve_system": solve,
     }
     for name, run in runs.items():
+        # fresh bases, since each basis keeps the fiber view it was given
+        bases = [build_instance(r).basis for r in recipes]
         calls.clear()
-        _fiber_view.cache_clear()
         for G in bases:
             run(G)
         counts[name] = {axis: sum(n for a, n in calls if a == axis) for axis in (0, 1)}
@@ -686,7 +688,6 @@ def test_verify_all_takes_no_images_of_a_basis_headed_by_pure_powers(monkeypatch
         return images(polys, axis, values)
 
     monkeypatch.setattr(specialize, "_images", counting)
-    _fiber_view.cache_clear()
     G = vanishing_basis(PointSet(101, ((1, 2, 3),)))  # x - 1, y - 2, z - 3
     assert [g.lm() for g in G] == [Monomial(1, 0, 0), Monomial(0, 1, 0), Monomial(0, 0, 1)]
     assert all(r.verdict == PASS for r in verify_all(G))
@@ -695,11 +696,46 @@ def test_verify_all_takes_no_images_of_a_basis_headed_by_pure_powers(monkeypatch
     assert calls == [0]
 
 
+def test_each_basis_keeps_its_own_fiber_view(monkeypatch):
+    # checking a second basis in between does not make the first walk its
+    # fibers again when it is solved
+    calls = []
+    images = specialize._images
+
+    def counting(polys, axis, values):
+        calls.append(axis)
+        return images(polys, axis, values)
+
+    monkeypatch.setattr(specialize, "_images", counting)
+    G1, G2 = worked_basis(), vanishing_basis(PointSet(101, ((2, 0, 0), (2, 1, 0), (3, 0, 5))))
+    assert not any(specialize._pure_power_heads(G) for G in (G1, G2))
+    assert all(r.verdict == PASS for r in verify_all(G1) + verify_all(G2))
+    assert solve_system(G1) == ((0, 0, 0), (1, 0, 0), (1, 0, 1))
+    assert calls == [0, 0]
+
+
+def test_a_fiber_view_lives_as_long_as_its_basis(monkeypatch):
+    # dropping the last reference to a basis frees it and the view kept on
+    # it; the view is swapped for a class that takes weak references
+    class View:
+        def __init__(self, *fields):
+            self.fields = fields
+
+    monkeypatch.setattr(specialize, "_FiberView", View)
+    G = worked_basis()
+    refs = weakref.ref(G), weakref.ref(_fiber_view(G))
+    assert _fiber_view(G) is refs[1]()
+    del G
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+
+
 def test_fiber_checks_walk_the_containers_their_heads_do_not_settle():
-    # the head test reads the heads in order and stops at the first
-    # mismatch, so these containers raise, or skip, as the fiber view does
+    # the head test reads the structure facts, so these containers raise,
+    # or skip, as the fiber view does
     x, y, z, zero = P("x + 1"), P("y"), P("z^2"), Polynomial(F101)
-    for check in (check_specialization_image, check_gianni_kalkbrener, check_fiber_membership):
+    checks = (check_specialization_image, check_gianni_kalkbrener, check_fiber_membership)
+    for check in checks:
         for elems in ((x, y, zero), (zero, y, z), (x, zero, z)):
             with pytest.raises(ZeroPolynomialError):
                 check(GroebnerBasis(elems))
@@ -707,6 +743,13 @@ def test_fiber_checks_walk_the_containers_their_heads_do_not_settle():
             check(GroebnerBasis((x, y, z), unit_ideal=True))
         for elems in ((y, zero, z), (x, P("x*y"), P("y*z"))):
             assert check(GroebnerBasis(elems)).verdict == SKIPPED
+    # a constant g_1 has no root and so no fiber: the heads settle the
+    # checks as the view would
+    G = GroebnerBasis((P("1"), P("y + 1"), P("z + 2")))
+    assert specialize._pure_power_heads(G)
+    reports = [check(G) for check in checks]
+    assert [(r.verdict, r.witnesses) for r in reports] == [(OBSERVED, []), (OBSERVED, []), (SKIPPED, [])]
+    assert reports[2].notes == specialize._NONE_QUALIFIES
     # a fourth element is read: the images z^2 and z^3 + 1 fail the S-pair
     # criterion, since together they generate the unit ideal
     G = GroebnerBasis((x, y, z, P("z^3 + 1")), radical=True)
