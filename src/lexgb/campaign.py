@@ -108,7 +108,7 @@ def verify_recipe(recipe_data: dict, checks=None) -> dict:
     call can cross a process boundary."""
     recipe = recipe_from_dict(recipe_data)
     instance = build_instance(recipe)
-    reports = verify_all(instance.basis, checks=list(checks) if checks else None)
+    reports = verify_all(instance.basis, checks=checks)
     return {
         "instance": recipe.to_dict(),
         "checks": [r.to_dict() for r in reports],
@@ -171,7 +171,7 @@ def run_campaign(config: CampaignConfig) -> dict:
             "points_min": config.points_min,
             "points_max": config.points_max,
             "seed": config.seed,
-            "checks": list(config.checks) if config.checks else None,
+            "checks": None if config.checks is None else list(config.checks),
         },
         "radical": radical,
         "nonradical": nonradical,

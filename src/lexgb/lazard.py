@@ -76,7 +76,9 @@ class _Fibers:
             self.blocks[m] = on, positions, outside, len(self.staircase)
             self.staircase += [m + (e,) for e in range(len(on))]
         self.union = list(self.blocks)
-        self.rows: dict = {}  # m -> the fibers' normal forms of m
+        # m -> the fibers' normal forms of m: few are read twice, but building
+        # those again costs small sets that share (x, y) half again the time
+        self.rows: dict = {}
 
     def corners(self) -> list:
         """The (y, z) monomials m, ascending, whose x^|A_m| m is a corner of

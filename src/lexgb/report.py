@@ -1,4 +1,9 @@
-"""Verdict records for verification checks."""
+"""Verdict records for verification checks.
+
+A record says what each verdict means.  Which verdict a check earns is
+decided in `checks.py` alone: by `_report` for every check of the runner
+table, and by the two gatekeepers for themselves.
+"""
 
 from __future__ import annotations
 
@@ -45,14 +50,3 @@ class CheckReport:
             "notes": self.notes,
         }
 
-
-def gated_report(name: str, radical: bool, witnesses: list) -> CheckReport:
-    """Build the verdict for a radicality-gated check.
-
-    Asserted (pass/fail) when the instance is radical by construction,
-    recorded as observed otherwise.
-    """
-    if radical:
-        return CheckReport(name, FAIL if witnesses else PASS, witnesses)
-    notes = "radicality not guaranteed; outcome recorded, not asserted"
-    return CheckReport(name, OBSERVED, witnesses, notes)

@@ -10,7 +10,6 @@ from typing import NamedTuple
 
 from .groebner import GroebnerBasis, is_groebner_basis, normal_form, structure_facts
 from .poly import MONOMIAL_ONE, Monomial, Polynomial, _images
-from .report import CheckReport, SKIPPED, gated_report
 from .univariate import _dense_length, _has_root, _horner, _quo, _roots, _trim
 
 
@@ -103,7 +102,6 @@ class _Fiber(NamedTuple):
 class _FiberView(NamedTuple):
     skipped: str | None  # why the fibers cannot be walked, else None
     stuck: int  # cofactor degree of g_1
-    prefix: int  # ell2, the length of the elimination prefix
     fibers: tuple[_Fiber, ...]  # one per root alpha of g_1, ascending
 
 
@@ -137,20 +135,19 @@ def _fiber_view(G: GroebnerBasis) -> _FiberView:
 def _walk_fibers(G: GroebnerBasis) -> _FiberView:
     facts = structure_facts(G)
     if not facts.zero_dim:
-        return _FiberView(f"not zero-dimensional: {facts.missing}", 0, 0, ())
+        return _FiberView(f"not zero-dimensional: {facts.missing}", 0, ())
     if facts.band_violations:
-        return _FiberView(f"elements outside their bands: {list(facts.band_violations)}", 0, 0, ())
-    ell2 = facts.ell2
+        return _FiberView(f"elements outside their bands: {list(facts.band_violations)}", 0, ())
     roots, stuck = split_roots(G.elements[0])
     zero = Polynomial(G.field)
     fibers = []
     for alpha, rest in zip(roots, _images(G.elements[1:], 0, roots)):
         # g_1 vanishes at each of its roots, so its image is zero unsubstituted
         images = (zero,) + rest
-        prefix = [_dense(img) if img else [] for img in images[:ell2]]
+        prefix = [_dense(img) if img else [] for img in images[: facts.ell2]]
         betas, j, beta_stuck = _common_roots(prefix, G.field.p)
         fibers.append(_Fiber(alpha, images, betas, images[j], beta_stuck))
-    return _FiberView(None, stuck, ell2, tuple(fibers))
+    return _FiberView(None, stuck, tuple(fibers))
 
 
 def _pure_power_heads(G: GroebnerBasis) -> bool:
@@ -160,7 +157,7 @@ def _pure_power_heads(G: GroebnerBasis) -> bool:
     then need no fiber view: their statements hold with no content.
 
     Proof.  If a = 0, g_1 is a nonzero constant with no root, so there is
-    no fiber, and the view gives what the reports here give.  Let a >= 1.
+    no fiber, and the view gives what the checks return here.  Let a >= 1.
     The order compares (y, z) parts before x, so no term of g_2 or g_3 is
     the (y, z) part of its head times a power of x: lc_x(g_2) and
     lc_x(g_3) are nonzero constants.  At every root alpha of g_1 the images
@@ -173,8 +170,8 @@ def _pure_power_heads(G: GroebnerBasis) -> bool:
     `fiber_membership` only i = 1 can qualify, since lc_x(g_2) is a unit;
     it qualifies at every root alpha of g_1, whose image there is zero,
     and g_2's head has no z, so its image is its own lc_xy and leaves no
-    remainder.  That check therefore passes (or is observed) with no
-    witness when g_1 has a root in F_p, and skips otherwise.
+    remainder.  That check therefore returns no witness when g_1 has a root
+    in F_p, and its note that none qualifies otherwise.
     """
     return len(G.elements) == 3 and structure_facts(G).zero_dim
 
@@ -192,19 +189,18 @@ def _lc_x_vanishes(g: Polynomial, image: Polynomial) -> bool:
     return image.is_zero() or image.lm() != g.lm_yz()
 
 
-def check_specialization_image(G: GroebnerBasis) -> CheckReport:
+def check_specialization_image(G: GroebnerBasis) -> list[dict] | str:
     """At every root alpha of g_1, each remaining element either vanishes or
     keeps a nonvanishing leading x-coefficient, read off its image (see
     `_lc_x_vanishes`), and the nonzero images satisfy the S-pair criterion
     in k[y, z].  Like the other fiber checks, it assumes a basis that passes
     basis_integrity, as `verify_all` guarantees, and reads no image when the
     heads are x^a, y^b, z^c (see `_pure_power_heads`)."""
-    name = "specialization_image"
     if _pure_power_heads(G):
-        return gated_report(name, G.radical, [])
+        return []
     view = _fiber_view(G)
     if view.skipped:
-        return CheckReport(name, SKIPPED, [], view.skipped)
+        return view.skipped
     witnesses = []
     for fiber in view.fibers:
         alpha, images = fiber.alpha, []
@@ -220,27 +216,27 @@ def check_specialization_image(G: GroebnerBasis) -> CheckReport:
             witnesses.append(
                 {"alpha": alpha, "reason": "specialized set fails the S-pair criterion"}
             )
-    return gated_report(name, G.radical, witnesses)
+    return witnesses
 
 
-def check_gianni_kalkbrener(G: GroebnerBasis) -> CheckReport:
+def check_gianni_kalkbrener(G: GroebnerBasis) -> list[dict] | str:
     """At every solution (alpha, beta) of the elimination prefix, each element
     past the prefix keeps its z degree after specialization (or vanishes).
     Assumes a basis that passes basis_integrity.  Each degree is read off
     the slice at beta of the element's alpha-image (`_slice`); a zero slice
     has no degree to lose.  Heads x^a, y^b, z^c settle it with no image
     (see `_pure_power_heads`)."""
-    name = "gianni_kalkbrener"
     if _pure_power_heads(G):
-        return gated_report(name, G.radical, [])
+        return []
     view = _fiber_view(G)
     if view.skipped:
-        return CheckReport(name, SKIPPED, [], view.skipped)
+        return view.skipped
     p = G.field.p
-    degrees = [g.lm().c for g in G.elements[view.prefix :]]
+    ell2 = structure_facts(G).ell2
+    degrees = [g.lm().c for g in G.elements[ell2:]]
     witnesses = []
     for fiber in view.fibers:
-        images = fiber.images[view.prefix :]
+        images = fiber.images[ell2:]
         for beta in fiber.betas:
             for j, (img, c) in enumerate(zip(images, degrees)):
                 d = len(_slice(img, beta, p)) - 1
@@ -249,18 +245,18 @@ def check_gianni_kalkbrener(G: GroebnerBasis) -> CheckReport:
                         {
                             "alpha": fiber.alpha,
                             "beta": beta,
-                            "i": view.prefix + 1 + j,
+                            "i": ell2 + 1 + j,
                             "image_z_degree": d,
                             "head_z_degree": c,
                         }
                     )
-    return gated_report(name, G.radical, witnesses)
+    return witnesses
 
 
 _NONE_QUALIFIES = "no non-unit leading x-coefficient with the successor nonvanishing"
 
 
-def check_fiber_membership(G: GroebnerBasis) -> CheckReport:
+def check_fiber_membership(G: GroebnerBasis) -> list[dict] | str:
     """Where lc_x(g_i) is not a unit and alpha is one of its roots missed by
     lc_x(g_{i+1}): g_i vanishes at x = alpha and g_{i+1} lies in the ideal
     generated by x - alpha and lc_xy(g_{i+1}) at x = alpha.  Assumes a basis
@@ -268,14 +264,11 @@ def check_fiber_membership(G: GroebnerBasis) -> CheckReport:
     the roots of g_1 (see `_fiber_view`), and whether one of them is a root
     is read off the image there (see `_lc_x_vanishes`).  Heads x^a, y^b,
     z^c leave only whether g_1 has a root (see `_pure_power_heads`)."""
-    name = "fiber_membership"
     if _pure_power_heads(G):
-        if _has_root(_dense(G.elements[0]), G.field.p):
-            return gated_report(name, G.radical, [])
-        return CheckReport(name, SKIPPED, [], _NONE_QUALIFIES)
+        return [] if _has_root(_dense(G.elements[0]), G.field.p) else _NONE_QUALIFIES
     view = _fiber_view(G)
     if view.skipped:
-        return CheckReport(name, SKIPPED, [], view.skipped)
+        return view.skipped
     elems = G.elements
     witnesses = []
     qualified = False
@@ -304,9 +297,7 @@ def check_fiber_membership(G: GroebnerBasis) -> CheckReport:
                 linear = Polynomial(G.field, [(Monomial(1, 0, 0), 1), (MONOMIAL_ONE, -alpha)])
                 modulo = [linear.text(), fiber_gen.text()]
                 witnesses.append({"i": i + 2, "alpha": alpha, "normal_form": r.text(), "modulo": modulo})
-    if not qualified:
-        return CheckReport(name, SKIPPED, [], _NONE_QUALIFIES)
-    return gated_report(name, G.radical, witnesses)
+    return witnesses if qualified else _NONE_QUALIFIES
 
 
 def solve_system(G: GroebnerBasis) -> tuple[tuple[int, int, int], ...]:
@@ -332,11 +323,12 @@ def solve_system(G: GroebnerBasis) -> tuple[tuple[int, int, int], ...]:
         raise NonSplitError(G.elements[0], view.stuck)
 
     p = G.field.p
+    ell2 = structure_facts(G).ell2
     solutions = []
     for fiber in view.fibers:
         if fiber.stuck:
             raise NonSplitError(fiber.eliminant, fiber.stuck)
-        past = fiber.images[view.prefix :]
+        past = fiber.images[ell2:]
         for beta in fiber.betas:
             # the pure power of z heading g_n keeps a nonzero slice
             slices = [_slice(img, beta, p) for img in past]

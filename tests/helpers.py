@@ -22,9 +22,18 @@ from lexgb.field import PrimeField
 from lexgb.groebner import buchberger, elimination_basis, is_groebner_basis, normal_form, structure_facts
 from lexgb.instances import _checked_shape, _step_down
 from lexgb.poly import MONOMIAL_ONE, constant
-from lexgb.report import FAIL, PASS, SKIPPED, CheckReport, gated_report
 from lexgb.specialize import _fiber_view, _lc_x_vanishes
 from lexgb.univariate import _rem
+
+
+# the point set of the oldest FOUND line in CHANGES.md: its staircases at
+# x = 41 and x = 19 are {1, z, z^2} and {1, y}, so they are not nested, and
+# its vanishing basis refutes four of the radical-gated statements
+FOUND_SET = PointSet(
+    101,
+    ((19, 6, 8), (19, 83, 72), (41, 83, 11), (41, 83, 70), (41, 83, 80))
+    + ((50, 9, 7), (50, 83, 46), (50, 83, 64)),
+)
 
 
 def random_monomial(rng, max_deg=3):
@@ -356,23 +365,21 @@ def _reference_content(elems, part, first: int = 1) -> list:
     return witnesses
 
 
-def reference_lazard_2d(G2) -> CheckReport:
+def reference_lazard_2d(G2) -> list:
     elems = G2.elements
     content = [
         {**w, "reason": "leading x-coefficient does not divide the element"}
         for w in _reference_content(elems, lambda g: g, first=0)
     ]
-    witnesses = sorted(_reference_chain(elems, _every_pair) + content, key=lambda w: w["i"])
-    return CheckReport("lazard_2d", FAIL if witnesses else PASS, witnesses)
+    return sorted(_reference_chain(elems, _every_pair) + content, key=lambda w: w["i"])
 
 
-def reference_membership_lc_xy(G) -> CheckReport:
+def reference_membership_lc_xy(G):
     """Completes (lc_xy(g_i), g_1) and reduces g_i for every g_i past the
     elimination prefix."""
-    name = "membership_lc_xy"
     facts = structure_facts(G)
     if not facts.zero_dim:
-        return CheckReport(name, SKIPPED, [], f"not zero-dimensional: {facts.missing}")
+        return f"not zero-dimensional: {facts.missing}"
     elems = G.elements
     witnesses = []
     for i in range(facts.ell2, len(elems)):
@@ -381,16 +388,15 @@ def reference_membership_lc_xy(G) -> CheckReport:
             witnesses.append(
                 {"i": i + 1, "normal_form": r.text(), "modulo": [elems[i].lc_xy().text(), elems[0].text()]}
             )
-    return gated_report(name, G.radical, witnesses)
+    return witnesses
 
 
-def reference_specialization_image(G) -> CheckReport:
+def reference_specialization_image(G):
     """Builds the fiber view of every basis and runs the S-pair criterion on
     the images at each alpha that keep their heads."""
-    name = "specialization_image"
     view = _fiber_view(G)
     if view.skipped:
-        return CheckReport(name, SKIPPED, [], view.skipped)
+        return view.skipped
     witnesses = []
     for fiber in view.fibers:
         kept = []
@@ -404,20 +410,19 @@ def reference_specialization_image(G) -> CheckReport:
                 kept.append(img)
         if kept and not is_groebner_basis(kept):
             witnesses.append({"alpha": fiber.alpha, "reason": "specialized set fails the S-pair criterion"})
-    return gated_report(name, G.radical, witnesses)
+    return witnesses
 
 
-def reference_gianni_kalkbrener(G) -> CheckReport:
+def reference_gianni_kalkbrener(G):
     """Builds every (alpha, beta) slice and reads its z degree."""
-    name = "gianni_kalkbrener"
     view = _fiber_view(G)
     if view.skipped:
-        return CheckReport(name, SKIPPED, [], view.skipped)
-    past = G.elements[view.prefix :]
+        return view.skipped
+    ell2 = structure_facts(G).ell2
     witnesses = []
     for fiber in view.fibers:
         for beta in fiber.betas:
-            for idx, g in enumerate(past, start=view.prefix + 1):
+            for idx, g in enumerate(G.elements[ell2:], start=ell2 + 1):
                 img = reference_substitute(fiber.images[idx - 1], 1, beta)
                 if not img.is_zero() and img.lm().c != g.lm().c:
                     witnesses.append(
@@ -429,15 +434,14 @@ def reference_gianni_kalkbrener(G) -> CheckReport:
                             "head_z_degree": g.lm().c,
                         }
                     )
-    return gated_report(name, G.radical, witnesses)
+    return witnesses
 
 
-def reference_fiber_membership(G) -> CheckReport:
+def reference_fiber_membership(G):
     """Reduces every qualifying alpha-image of g_{i+1} by its top z block."""
-    name = "fiber_membership"
     view = _fiber_view(G)
     if view.skipped:
-        return CheckReport(name, SKIPPED, [], view.skipped)
+        return view.skipped
     elems = G.elements
     witnesses = []
     qualified = False
@@ -460,29 +464,18 @@ def reference_fiber_membership(G) -> CheckReport:
                     {"i": i + 2, "alpha": alpha, "normal_form": r.text(), "modulo": [linear.text(), fiber_gen.text()]}
                 )
     if not qualified:
-        return CheckReport(
-            name, SKIPPED, [], "no non-unit leading x-coefficient with the successor nonvanishing"
-        )
-    return gated_report(name, G.radical, witnesses)
+        return "no non-unit leading x-coefficient with the successor nonvanishing"
+    return witnesses
 
 
-def _reference_report(name, witnesses) -> CheckReport:
-    return CheckReport(name, FAIL if witnesses else PASS, witnesses)
-
-
-# check name -> reference run on a basis, as `checks._RUNNERS` runs the check
+# check name -> reference run on a basis, returning the witnesses or the
+# note of a skip as the runner of `checks._RUNNERS` does
 REFERENCE_CHECKS = {
     "lazard_2d": lambda G: reference_lazard_2d(elimination_basis(G)),
-    "lc_chain_same_zdeg": lambda G: _reference_report("lc_chain_same_zdeg", _reference_chain(G.elements, _same_z)),
-    "lc_chain_componentwise": lambda G: _reference_report(
-        "lc_chain_componentwise", _reference_chain(G.elements, _componentwise)
-    ),
-    "lc_x_divides_lc_xy": lambda G: _reference_report(
-        "lc_x_divides_lc_xy", _reference_content(G.elements, lambda g: g.lc_xy())
-    ),
-    "lc_x_divides_poly": lambda G: gated_report(
-        "lc_x_divides_poly", G.radical, _reference_content(G.elements, lambda g: g)
-    ),
+    "lc_chain_same_zdeg": lambda G: _reference_chain(G.elements, _same_z),
+    "lc_chain_componentwise": lambda G: _reference_chain(G.elements, _componentwise),
+    "lc_x_divides_lc_xy": lambda G: _reference_content(G.elements, lambda g: g.lc_xy()),
+    "lc_x_divides_poly": lambda G: _reference_content(G.elements, lambda g: g),
     "membership_lc_xy": reference_membership_lc_xy,
     "specialization_image": reference_specialization_image,
     "gianni_kalkbrener": reference_gianni_kalkbrener,

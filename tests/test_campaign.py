@@ -143,3 +143,15 @@ def test_campaign_check_filter():
     assert summary["config"]["checks"] == ["lazard_2d"]
     assert set(summary["radical"]["checks"]) == {"basis_integrity", "structure", "lazard_2d"}
     assert summary["all_pass"] is True
+
+
+def test_an_empty_check_selection_runs_only_the_gatekeepers():
+    # as verify_all(G, checks=[]) does; None, not an empty selection, means all
+    gatekeepers = ["basis_integrity", "structure"]
+    recipe = radical_recipes(CampaignConfig(radical_count=1, seed=42))[0].to_dict()
+    assert [c["name"] for c in verify_recipe(recipe, ())["checks"]] == gatekeepers
+    cfg = CampaignConfig(radical_count=2, nonradical_count=1, seed=8, checks=())
+    summary = run_campaign(cfg)
+    assert summary["config"]["checks"] == []
+    assert list(summary["radical"]["checks"]) == gatekeepers
+    assert list(summary["nonradical"]["checks"]) == gatekeepers

@@ -2,11 +2,16 @@
 
 Failure cases use hand-built element tuples wrapped in GroebnerBasis
 containers; the checks inspect heads and coefficients directly, so the
-containers need not hold genuine Groebner bases.
+containers need not hold genuine Groebner bases.  The checks past the
+gatekeepers return witnesses (or the note of a skip); `checks._report`
+gives their verdicts.
 """
 
+import dataclasses
 import random
+import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -14,8 +19,10 @@ from lexgb import checks, groebner, specialize
 from lexgb.campaign import CampaignConfig, nonradical_recipes, radical_recipes
 from lexgb.checks import (
     CHECK_ORDER,
+    _RUNNERS,
     _componentwise,
     _content_witnesses,
+    _report,
     _same_z,
     all_ok,
     check_basis_integrity,
@@ -23,8 +30,6 @@ from lexgb.checks import (
     check_lc_chain_componentwise,
     check_lc_chain_same_zdeg,
     check_lc_x_divides_lc_xy,
-    check_lc_x_divides_poly,
-    check_membership_lc_xy,
     check_structure,
     verify_all,
 )
@@ -32,9 +37,9 @@ from lexgb.field import PrimeField
 from lexgb.groebner import GroebnerBasis, buchberger
 from lexgb.instances import PointSet, build_instance, squared_vanishing_basis, vanishing_basis
 from lexgb.poly import Monomial, Polynomial, parse_polynomial
-from lexgb.report import FAIL, OBSERVED, PASS, SKIPPED, CheckReport, gated_report
+from lexgb.report import FAIL, OBSERVED, PASS, SKIPPED, CheckReport
 
-from helpers import random_monomial
+from helpers import FOUND_SET, random_monomial
 
 F101 = PrimeField(101)
 
@@ -59,13 +64,56 @@ def test_report_validation():
     assert CheckReport("anything", OBSERVED, [{"i": 1}]).ok
 
 
-def test_gated_report_modes():
-    assert gated_report("g", True, []).verdict == PASS
-    assert gated_report("g", True, [{"i": 1}]).verdict == FAIL
-    r = gated_report("g", False, [{"i": 1}])
-    assert r.verdict == OBSERVED
-    assert "not asserted" in r.notes
-    assert r.ok and r.witnesses
+def test_report_gives_each_verdict():
+    radical = GroebnerBasis((P("x^3"), P("x^2*z + x")), radical=True)
+    witness = [{"i": 2, "block": "1", "coefficient": "x"}]
+    r = _report("lc_x_divides_poly", worked_basis())
+    assert (r.verdict, r.witnesses, r.notes) == (PASS, [], "")
+    r = _report("lc_x_divides_poly", radical)
+    assert (r.verdict, r.witnesses, r.notes) == (FAIL, witness, "")
+    r = _report("lc_x_divides_poly", dataclasses.replace(radical, radical=False))
+    assert (r.verdict, r.witnesses) == (OBSERVED, witness)
+    assert r.notes == "radicality not guaranteed; outcome recorded, not asserted"
+    assert r.ok
+    # a note skips the check, whatever the radical flag
+    for flag in (True, False):
+        r = _report("membership_lc_xy", GroebnerBasis((P("x^2 + 1"), P("x*y + 1")), radical=flag))
+        assert (r.verdict, r.witnesses) == (SKIPPED, [])
+        assert r.notes == "not zero-dimensional: no leading monomial is a pure power of y"
+
+
+def _readme_gated() -> set:
+    """The checks the README's check table marks `*`."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `(\w+)`( \*)? \|", text, re.M)
+    assert {name for name, _ in rows} == set(CHECK_ORDER)
+    return {name for name, star in rows if star}
+
+
+def _witnessed(name):
+    """A basis on which the check `name` returns witnesses."""
+    chain = (P("x^2 + 100*x"), P("x*y + y"), P("y^2"), P("z"))
+    content = (P("x^2 + 100*x"), P("x*y + 1"), P("y^2"), P("z"))
+    degree_drop = (P("x^2 + 100"), P("y"), P("x*z^2 + z^2 + z"), P("z^3"))
+    elements = {
+        "lazard_2d": content,
+        "lc_chain_same_zdeg": chain,
+        "lc_chain_componentwise": chain,
+        "lc_x_divides_lc_xy": content,
+        "gianni_kalkbrener": degree_drop,
+    }.get(name)
+    return vanishing_basis(FOUND_SET) if elements is None else GroebnerBasis(elements)
+
+
+@pytest.mark.parametrize("name", list(_RUNNERS))
+def test_only_the_readme_starred_checks_read_the_radical_flag(name):
+    run, gated = _RUNNERS[name]
+    assert gated == (name in _readme_gated())
+    G = _witnessed(name)
+    witnesses = run(G)
+    assert isinstance(witnesses, list) and witnesses
+    verdicts = [_report(name, dataclasses.replace(G, radical=flag)).verdict for flag in (True, False)]
+    assert verdicts == ([FAIL, OBSERVED] if gated else [FAIL, FAIL])
 
 
 def test_report_to_dict():
@@ -149,47 +197,40 @@ def test_structure_band_violation():
 
 def test_lazard_2d_pass():
     G2 = GroebnerBasis((P("x^2 + 100*x"), P("y")))
-    assert check_lazard_2d(G2).verdict == PASS
+    assert check_lazard_2d(G2) == []
 
 
 def test_lazard_2d_broken_chain():
     # lc_x of the middle element is x + 1, which does not divide x^2 + 100*x
     G2 = GroebnerBasis((P("x^2 + 100*x"), P("x*y + y"), P("y^2")))
-    r = check_lazard_2d(G2)
-    assert r.verdict == FAIL
-    assert {"i": 2, "j": 1, "divisor": "x + 1", "dividend": "x^2 + 100*x"} in r.witnesses
+    assert {"i": 2, "j": 1, "divisor": "x + 1", "dividend": "x^2 + 100*x"} in check_lazard_2d(G2)
 
 
 def test_lazard_2d_content_failure():
     # lc_x = x but the trailing block of the same element is not divisible by x
     G2 = GroebnerBasis((P("x^2"), P("x*y + 1")))
-    r = check_lazard_2d(G2)
-    assert r.verdict == FAIL
-    assert any(w.get("reason", "").startswith("leading x-coefficient") for w in r.witnesses)
+    assert any(w.get("reason", "").startswith("leading x-coefficient") for w in check_lazard_2d(G2))
 
 
 def test_lc_chain_same_zdeg():
-    assert check_lc_chain_same_zdeg(worked_basis()).verdict == PASS
+    assert check_lc_chain_same_zdeg(worked_basis()) == []
     bad = GroebnerBasis((P("x^2 + 100*x"), P("x*y + y"), P("y^2")))
-    r = check_lc_chain_same_zdeg(bad)
-    assert r.verdict == FAIL
-    assert r.witnesses[0]["i"] == 2 and r.witnesses[0]["j"] == 1
+    witnesses = check_lc_chain_same_zdeg(bad)
+    assert witnesses[0]["i"] == 2 and witnesses[0]["j"] == 1
 
 
 def test_lc_chain_componentwise():
-    assert check_lc_chain_componentwise(worked_basis()).verdict == PASS
+    assert check_lc_chain_componentwise(worked_basis()) == []
     bad = GroebnerBasis((P("x^2 + 100*x"), P("x*y + y"), P("y^2")))
-    r = check_lc_chain_componentwise(bad)
-    assert r.verdict == FAIL
-    assert r.witnesses[0]["divisor"] == "x + 1"
+    assert check_lc_chain_componentwise(bad)[0]["divisor"] == "x + 1"
 
 
 def test_componentwise_check_subsumes_same_zdeg_pairs():
     # every pair compared by the same-z-degree check is also compared by
     # the componentwise check, so a same-z-degree witness implies one here
     bad = GroebnerBasis((P("x^2 + 100*x"), P("x*y + y"), P("y^2")))
-    same = check_lc_chain_same_zdeg(bad).witnesses
-    comp = check_lc_chain_componentwise(bad).witnesses
+    same = check_lc_chain_same_zdeg(bad)
+    comp = check_lc_chain_componentwise(bad)
     for w in same:
         assert w in comp
 
@@ -213,25 +254,23 @@ def test_same_zdeg_pairs_are_componentwise_pairs():
 
 
 def test_lc_x_divides_lc_xy():
-    assert check_lc_x_divides_lc_xy(worked_basis()).verdict == PASS
+    assert check_lc_x_divides_lc_xy(worked_basis()) == []
     bad = GroebnerBasis((P("x^3"), P("x^2*y*z + x*z")))
-    r = check_lc_x_divides_lc_xy(bad)
-    assert r.verdict == FAIL
-    assert r.witnesses == [{"i": 2, "block": "1", "coefficient": "x"}]
+    assert check_lc_x_divides_lc_xy(bad) == [{"i": 2, "block": "1", "coefficient": "x"}]
 
 
 def test_lc_x_divides_poly_gated():
     radical = GroebnerBasis((P("x^3"), P("x^2*z + x")), radical=True)
-    r = check_lc_x_divides_poly(radical)
+    r = _report("lc_x_divides_poly", radical)
     assert r.verdict == FAIL
     assert r.witnesses == [{"i": 2, "block": "1", "coefficient": "x"}]
 
     plain = GroebnerBasis((P("x^3"), P("x^2*z + x")), radical=False)
-    r = check_lc_x_divides_poly(plain)
+    r = _report("lc_x_divides_poly", plain)
     assert r.verdict == OBSERVED
     assert r.witnesses
 
-    assert check_lc_x_divides_poly(worked_basis()).verdict == PASS
+    assert _report("lc_x_divides_poly", worked_basis()).verdict == PASS
 
 
 def test_content_witnesses_name_the_highest_failing_block():
@@ -310,9 +349,9 @@ def test_content_witnesses_match_blockwise_reference(field, coeff):
 
 
 def test_membership_lc_xy():
-    assert check_membership_lc_xy(worked_basis()).verdict == PASS
+    assert _report("membership_lc_xy", worked_basis()).verdict == PASS
     bad = GroebnerBasis((P("x^2"), P("y"), P("x*z + 1"), P("z^2")), radical=True)
-    r = check_membership_lc_xy(bad)
+    r = _report("membership_lc_xy", bad)
     assert r.verdict == FAIL
     assert r.witnesses[0]["i"] == 3
     assert r.witnesses[0]["normal_form"] == "1"
@@ -322,7 +361,7 @@ def test_membership_lc_xy_skips_a_basis_that_is_not_zero_dimensional():
     # no head is a pure power of y, so there is no elimination prefix to pass
     F7 = PrimeField(7)
     G = GroebnerBasis(tuple(parse_polynomial(F7, t) for t in ("x^2 + 1", "x*y + 1")), radical=True)
-    r = check_membership_lc_xy(G)
+    r = _report("membership_lc_xy", G)
     assert r.verdict == SKIPPED and not r.witnesses
     assert r.notes == "not zero-dimensional: no leading monomial is a pure power of y"
 

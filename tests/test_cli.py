@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from lexgb.checks import CHECK_ORDER
 from lexgb.cli import main
 from lexgb.field import PrimeField
 from lexgb.poly import parse_polynomial
@@ -402,3 +403,9 @@ def test_undispatchable_input(tmp_path, capsys):
     src = write_json(tmp_path / "odd.json", {"hello": 1})
     assert main(["gb", src]) == 2
     assert "must contain" in capsys.readouterr().err
+
+
+def test_an_empty_checks_option_runs_every_check(tmp_path, capsys):
+    src = write_json(tmp_path / "pts.json", WORKED_POINTS)
+    assert main(["verify", src, "--checks", ""]) == 0
+    assert [c["name"] for c in read_json(capsys)["checks"]] == list(CHECK_ORDER)

@@ -25,7 +25,7 @@ from lexgb.poly import Polynomial
 from lexgb.specialize import solve_system
 from lexgb.univariate import _from_roots, _horner, _Nodes
 
-from helpers import box_points, fibered_points, lex_game_staircase, random_pattern
+from helpers import FOUND_SET, box_points, fibered_points, lex_game_staircase, random_pattern
 
 PRIMES = (2, 3, 5, 7, 11, 101, 1009, 2**31 - 1)
 
@@ -65,15 +65,6 @@ def nested(points: PointSet) -> bool:
     """Whether the fiber staircases form a chain under inclusion."""
     stairs = list(fiber_staircases(points).values())
     return all(s <= t or t <= s for s in stairs for t in stairs)
-
-
-# the point set of the oldest FOUND line in CHANGES.md: its staircases at
-# x = 41 and x = 19 are {1, z, z^2} and {1, y}, so they are not nested
-FOUND_SET = PointSet(
-    101,
-    ((19, 6, 8), (19, 83, 72), (41, 83, 11), (41, 83, 70), (41, 83, 80))
-    + ((50, 9, 7), (50, 83, 46), (50, 83, 64)),
-)
 
 
 def _differential_sets() -> list:

@@ -98,3 +98,14 @@ def test_no_function_of_a_basis_keeps_a_module_level_cache():
                 if (target.attr if isinstance(target, ast.Attribute) else target.id) in ("lru_cache", "cache"):
                     cached.append(f"{name}.{node.name}")
     assert not cached
+
+
+def test_only_the_checks_module_builds_reports():
+    # the verdict rule lives in `checks`: every other module hands it
+    # witnesses or a note, never a report of its own
+    builders = []
+    for name, tree in _modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and "CheckReport" in _loads(node.func):
+                builders.append(name)
+    assert set(builders) == {"checks"}

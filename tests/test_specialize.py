@@ -10,8 +10,8 @@ import pytest
 from lexgb import specialize, univariate
 from lexgb.campaign import CampaignConfig, nonradical_recipes, radical_recipes
 from lexgb.field import PrimeField
-from lexgb.checks import verify_all
-from lexgb.groebner import GroebnerBasis, buchberger, normal_form
+from lexgb.checks import _report, verify_all
+from lexgb.groebner import GroebnerBasis, buchberger, normal_form, structure_facts
 from lexgb.instances import (
     PointSet,
     build_instance,
@@ -24,9 +24,6 @@ from lexgb.report import FAIL, OBSERVED, PASS, SKIPPED
 from lexgb.specialize import (
     NonSplitError,
     _fiber_view,
-    check_fiber_membership,
-    check_gianni_kalkbrener,
-    check_specialization_image,
     roots_univariate,
     solve_system,
     split_roots,
@@ -318,7 +315,7 @@ def test_split_roots_other_axes():
 
 
 def test_specialization_image_pass():
-    r = check_specialization_image(worked_basis())
+    r = _report("specialization_image", worked_basis())
     assert r.verdict == PASS
     assert not r.witnesses
 
@@ -327,7 +324,7 @@ def test_specialization_image_detects_vanishing_lc():
     # at x = 0 the image of x*y + 1 is the constant 1 while its leading
     # x-coefficient vanishes there
     G = GroebnerBasis((P("x^2 + 100*x"), P("x*y + 1"), P("y^2"), P("z")), radical=True)
-    r = check_specialization_image(G)
+    r = _report("specialization_image", G)
     assert r.verdict == FAIL
     assert any(
         w.get("alpha") == 0 and w.get("i") == 2 and "vanishes" in w.get("reason", "")
@@ -336,18 +333,18 @@ def test_specialization_image_detects_vanishing_lc():
 
 
 def test_specialization_image_skips():
-    assert check_specialization_image(GroebnerBasis((P("x"),))).verdict == SKIPPED
+    assert _report("specialization_image", GroebnerBasis((P("x"),))).verdict == SKIPPED
 
 
 def test_specialization_image_observed_mode():
     G = squared_vanishing_basis(PointSet(101, ((0, 0, 0),)))
-    r = check_specialization_image(G)
+    r = _report("specialization_image", G)
     assert r.verdict == OBSERVED
     assert not r.witnesses
 
 
 def test_gianni_kalkbrener_pass():
-    r = check_gianni_kalkbrener(worked_basis())
+    r = _report("gianni_kalkbrener", worked_basis())
     assert r.verdict == PASS
     assert not r.witnesses
 
@@ -357,7 +354,7 @@ def test_gianni_kalkbrener_detects_degree_drop():
     G = GroebnerBasis(
         (P("x^2 + 100"), P("y"), P("x*z^2 + z^2 + z"), P("z^3")), radical=True
     )
-    r = check_gianni_kalkbrener(G)
+    r = _report("gianni_kalkbrener", G)
     assert r.verdict == FAIL
     assert r.witnesses == [
         {"alpha": 100, "beta": 0, "i": 3, "image_z_degree": 1, "head_z_degree": 2}
@@ -372,12 +369,12 @@ def test_gianni_kalkbrener_betas_solve_the_whole_prefix():
         (P("x^2 + 100*x"), P("x*y + 99*x"), P("y^2 + 100*y"), P("y*z^2 + 99*z^2 + z"), P("z^3")),
         radical=True,
     )
-    r = check_gianni_kalkbrener(G)
+    r = _report("gianni_kalkbrener", G)
     assert r.verdict == PASS
 
 
 def test_fiber_membership_pass():
-    r = check_fiber_membership(worked_basis())
+    r = _report("fiber_membership", worked_basis())
     assert r.verdict == PASS
     assert not r.witnesses
 
@@ -388,7 +385,7 @@ def test_fiber_membership_detects_outsider():
     G = GroebnerBasis(
         (P("x^2 + 100*x"), P("y^2"), P("x*z"), P("y*z + 1"), P("z^2")), radical=True
     )
-    r = check_fiber_membership(G)
+    r = _report("fiber_membership", G)
     assert r.verdict == FAIL
     assert r.witnesses == [
         {"i": 4, "alpha": 0, "normal_form": "1", "modulo": ["x", "y"]}
@@ -406,7 +403,7 @@ def test_fiber_membership_detects_outsider():
         ),
         radical=True,
     )
-    r = check_fiber_membership(G)
+    r = _report("fiber_membership", G)
     assert r.verdict == FAIL
     assert r.witnesses == [
         {"i": 4, "alpha": 0, "normal_form": "26*y + 32", "modulo": ["x", "2*y^2 + 3*y + 5"]}
@@ -432,7 +429,7 @@ def test_fiber_membership_skips_when_hypothesis_empty():
     # x^2 + 2 has no roots (-2 is not a square mod 101) and every other
     # leading x-coefficient is constant, so no fiber qualifies
     G = dataclasses.replace(buchberger([P("x^2 + 2"), P("y"), P("z")]), radical=True)
-    r = check_fiber_membership(G)
+    r = _report("fiber_membership", G)
     assert r.verdict == SKIPPED
     assert "no non-unit leading x-coefficient" in r.notes
 
@@ -498,7 +495,7 @@ def test_solve_requires_zero_dimensional_prime_field():
     G = GroebnerBasis((P("x"), P("z + 100*y"), P("y"), P("z^2 + 100")))
     with pytest.raises(ValueError, match="outside their bands"):
         solve_system(G)
-    assert check_gianni_kalkbrener(G).verdict == SKIPPED
+    assert _report("gianni_kalkbrener", G).verdict == SKIPPED
 
 
 def test_solve_and_verify_at_a_large_prime():
@@ -517,7 +514,7 @@ def test_fibered_points():
     )
     G = vanishing_basis(PointSet(101, pts))
     assert solve_system(G) == tuple(sorted(pts))
-    assert check_gianni_kalkbrener(G).verdict == PASS
+    assert _report("gianni_kalkbrener", G).verdict == PASS
 
 
 def test_lc_x_roots_are_the_alphas_of_g1_they_vanish_at():
@@ -602,12 +599,11 @@ def test_fiber_view_slices_are_the_substituted_elements():
     for G in bases:
         if G.unit_ideal:
             continue
-        view = _fiber_view(G)
+        ell2 = structure_facts(G).ell2
         p = G.field.p
-        past = G.elements[view.prefix :]
-        for fiber in view.fibers:
+        for fiber in _fiber_view(G).fibers:
             for beta in fiber.betas:
-                for g, img in zip(past, fiber.images[view.prefix :]):
+                for g, img in zip(G.elements[ell2:], fiber.images[ell2:]):
                     expected = reference_substitute(reference_substitute(g, 0, fiber.alpha), 1, beta)
                     assert specialize._slice(img, beta, p) == z_list(expected)
                 slices += 1
@@ -734,23 +730,23 @@ def test_fiber_checks_walk_the_containers_their_heads_do_not_settle():
     # the head test reads the structure facts, so these containers raise,
     # or skip, as the fiber view does
     x, y, z, zero = P("x + 1"), P("y"), P("z^2"), Polynomial(F101)
-    checks = (check_specialization_image, check_gianni_kalkbrener, check_fiber_membership)
-    for check in checks:
+    names = ("specialization_image", "gianni_kalkbrener", "fiber_membership")
+    for name in names:
         for elems in ((x, y, zero), (zero, y, z), (x, zero, z)):
             with pytest.raises(ZeroPolynomialError):
-                check(GroebnerBasis(elems))
+                _report(name, GroebnerBasis(elems))
         with pytest.raises(ValueError, match="unit ideal"):
-            check(GroebnerBasis((x, y, z), unit_ideal=True))
+            _report(name, GroebnerBasis((x, y, z), unit_ideal=True))
         for elems in ((y, zero, z), (x, P("x*y"), P("y*z"))):
-            assert check(GroebnerBasis(elems)).verdict == SKIPPED
+            assert _report(name, GroebnerBasis(elems)).verdict == SKIPPED
     # a constant g_1 has no root and so no fiber: the heads settle the
     # checks as the view would
     G = GroebnerBasis((P("1"), P("y + 1"), P("z + 2")))
     assert specialize._pure_power_heads(G)
-    reports = [check(G) for check in checks]
+    reports = [_report(name, G) for name in names]
     assert [(r.verdict, r.witnesses) for r in reports] == [(OBSERVED, []), (OBSERVED, []), (SKIPPED, [])]
     assert reports[2].notes == specialize._NONE_QUALIFIES
     # a fourth element is read: the images z^2 and z^3 + 1 fail the S-pair
     # criterion, since together they generate the unit ideal
     G = GroebnerBasis((x, y, z, P("z^3 + 1")), radical=True)
-    assert check_specialization_image(G).verdict == FAIL
+    assert _report("specialization_image", G).verdict == FAIL
