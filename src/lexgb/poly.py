@@ -5,10 +5,13 @@ stored as its exponent tuple (c, b, a), so native tuple order is the term
 order.  Polynomials are stored as strictly descending, duplicate-free term
 tuples with no zero coefficients, so equal polynomials have identical
 representations.  Coefficients are canonical ints in [0, p): the kernel
-reduces with `% field.p` and inverts with `field.inv`.  `_images` is the
-one substitution kernel: it sets x or y to many values at once, and
-`substitute_x` and `substitute_y` are its one-value calls.  The fiber walk
-sets only x in it, so `substitute_y` is its one caller along y.
+reduces with `% field.p` and inverts with `field.inv`.  `_columns` is the
+one substitution kernel: one packed pass sets x or y to many values at
+once and returns each poly's blocks as columns of values, and `_images`
+assembles images from them; `substitute_x` and `substitute_y` are its
+one-value calls.  The fiber walk sets only x in the kernel, reads the
+columns in place and assembles an image only where a check reads one, so
+`substitute_y` is the one caller along y.
 """
 
 from __future__ import annotations
@@ -377,26 +380,25 @@ def _reduce(work: dict, prepared, p: int, quots=None) -> list:
     return rem
 
 
-def _images(polys, axis: int, values) -> tuple:
-    """For each value in [0, p), the tuple of the images of the polys, a
-    sequence, with the variable of the axis (0=x, 1=y) set to it, in one
-    packed pass over their terms (see `packed`).
+def _columns(polys, axis: int, values) -> list:
+    """Per poly of a sequence, its blocks as descending (Monomial, values)
+    columns: the terms that agree off the axis variable (0=x, 1=y) form a
+    block, its Monomial sets that variable's exponent to 0, and its values
+    are the block's coefficient with the variable set to each value in
+    [0, p), all from one packed pass over the terms (see `packed`).
 
     Row e of the power table packs v^e mod p for every value v; it is built
     once per call, so pass every poly that takes the same values at once.
-    The terms that agree off the axis form a block, and a block becomes the
-    packed sum of k * row[e] over its terms k * (axis variable)^e: one
-    big-int multiply-add a term, however many values there are.  A slot of
-    that sum adds at most t products k * v^e with k and v^e below p, t the
-    largest term count among the polys, so t(p-1)^2 bounds every slot (and,
-    as t >= 1, every entry of the table).  Each block is unpacked once, and
-    the blocks come in descending order of their monomial, so every image
-    is built directly on canonical terms.
+    A block becomes the packed sum of k * row[e] over its terms
+    k * (axis variable)^e: one big-int multiply-add a term, however many
+    values there are.  A slot of that sum adds at most t products k * v^e
+    with k and v^e below p, t the largest term count among the polys, so
+    t(p-1)^2 bounds every slot (and, as t >= 1, every entry of the table).
+    Each block is unpacked once.
     """
     if not polys:
-        return ((),) * len(values)
-    field = polys[0].field
-    p = field.p
+        return []
+    p = polys[0].field.p
     n = len(values)
     k = 2 - axis  # a Monomial stores its exponents as (c, b, a)
     nb = slot_bytes(max([1] + [len(f.terms) for f in polys]) * (p - 1) ** 2)
@@ -411,14 +413,22 @@ def _images(polys, axis: int, values) -> tuple:
         for m, c in f.terms:
             key = m[:k] + (0,) + m[k + 1 :]
             blocks[key] = blocks.get(key, 0) + c * rows[m[k]]
-        terms = [[] for _ in values]
-        for key in sorted(blocks, reverse=True):
-            mono = _mono(key)
-            for image, c in zip(terms, unpack(blocks[key], nb, n, p)):
-                if c:
-                    image.append((mono, c))
-        out.append([Polynomial._make(field, tuple(image)) for image in terms])
-    return tuple(zip(*out))
+        out.append([(_mono(key), unpack(blocks[key], nb, n, p)) for key in sorted(blocks, reverse=True)])
+    return out
+
+
+def _image(field, columns, i: int) -> Polynomial:
+    """The image at the i-th value of the poly with these columns (see
+    `_columns`): its nonzero entries there, already canonical terms."""
+    return Polynomial._make(field, tuple([(m, vals[i]) for m, vals in columns if vals[i]]))
+
+
+def _images(polys, axis: int, values) -> tuple:
+    """For each value in [0, p), the tuple of the images of the polys, a
+    sequence, with the variable of the axis (0=x, 1=y) set to it: one
+    packed pass (`_columns`), then each image assembled from the columns."""
+    columns = _columns(polys, axis, values)
+    return tuple(tuple(_image(f.field, cols, i) for f, cols in zip(polys, columns)) for i in range(len(values)))
 
 
 def poly_from_dict(field, data: dict) -> Polynomial:

@@ -1,7 +1,9 @@
 """Specialization of x (and y): image bases, degree preservation, solving.
 
 The roots of univariate eliminants come from `univariate`, which finds
-them without a pass over every residue of F_p.
+them without a pass over every residue of F_p.  The fibers are read off
+one packed evaluation of the basis at the roots of g_1 (`poly._columns`):
+prefix lists and slices in place, images only where a check reads them.
 """
 
 from __future__ import annotations
@@ -9,7 +11,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .groebner import GroebnerBasis, is_groebner_basis, normal_form, structure_facts
-from .poly import MONOMIAL_ONE, Monomial, Polynomial, _images
+from .poly import MONOMIAL_ONE, Monomial, Polynomial, _columns, _image
 from .univariate import _dense_length, _has_root, _horner, _quo, _roots, _trim
 
 
@@ -52,6 +54,9 @@ def split_roots(f: Polynomial):
     degree of its root-free part, 0 exactly when f is a product of linear
     factors over F_p."""
     roots = roots_univariate(f)
+    if len(roots) == sum(f.lm()):
+        # deg f distinct roots (see `_cofactor_degree`): nothing to deflate
+        return roots, 0
     return roots, _cofactor_degree(_dense(f), roots, f.field.p)
 
 
@@ -72,31 +77,81 @@ def _common_roots(polys: list, p: int):
     """The common roots in F_p of dense univariate polys (see `univariate`):
     the roots of the eliminant, the first shortest nonzero poly, at which
     every other poly vanishes; a nonzero constant has none.  Returns (roots,
-    index of the eliminant, cofactor degree of the eliminant)."""
+    index of the eliminant, cofactor degree of the eliminant).  A linear
+    eliminant, the usual one, is solved in place: one root, no cofactor."""
     eliminant = min(filter(None, polys), key=len)
+    j = polys.index(eliminant)
+    if len(eliminant) == 2:
+        r = -eliminant[0] * pow(eliminant[1], p - 2, p) % p
+        for f in polys:
+            if f and f is not eliminant and _horner(f, r, p):
+                return (), j, 0
+        return (r,), j, 0
     roots = _roots(eliminant, p)
     others = [f for f in polys if f and f is not eliminant]
     common = tuple(r for r in roots if not any(_horner(f, r, p) for f in others))
-    return common, polys.index(eliminant), _cofactor_degree(eliminant, roots, p)
+    return common, j, _cofactor_degree(eliminant, roots, p)
 
 
-def _slice(image: Polynomial, beta: int, p: int) -> list:
-    """image(beta, z) as a dense z-list (see `univariate`), for an image in
-    k[y, z]: slot c sums k * beta^b over its terms k * y^b * z^c."""
-    if not image.terms:
-        return []
-    out = [0] * _dense_length(image.terms[0][0][0])
-    for (c, b, _), k in image.terms:
-        out[c] += k * pow(beta, b, p)
-    return _trim([c % p for c in out])
+def _y_list(columns, at: int) -> list:
+    """The image at value `at` of an element of the prefix, which lies in
+    k[x, y], read off its x-columns (see `poly._columns`) as a dense y-list
+    (see `univariate`)."""
+    out = []
+    for (_, b, _), vals in columns:
+        if vals[at]:
+            out = out or [0] * _dense_length(b)
+            out[b] = vals[at]
+    return out
 
 
-class _Fiber(NamedTuple):
-    alpha: int
-    images: tuple  # g(alpha, y, z) for every element g, in basis order
-    betas: tuple  # the common roots of the prefix images, ascending
-    eliminant: Polynomial  # the prefix image whose roots the betas are
-    stuck: int  # cofactor degree of the eliminant
+def _slices(fiber: "_Fiber", ell2: int, beta: int) -> list:
+    """The (alpha, beta) slices g(alpha, beta, z) of the elements g past the
+    prefix, as dense z-lists (see `univariate`), read off the x-columns at
+    the fiber's alpha: slot c sums v * beta^b over the columns y^b * z^c
+    whose value there is v.  Each power of beta is taken once for all of
+    them, and only the powers the columns name."""
+    p, at, powers, out = fiber.field.p, fiber.at, {}, []
+    for columns in fiber.columns[ell2:]:
+        z = None
+        for (c, b, _), vals in columns:
+            v = vals[at]
+            if v:
+                z = z or [0] * _dense_length(c)
+                w = powers.get(b)
+                if w is None:
+                    w = powers[b] = pow(beta, b, p)
+                z[c] += v * w
+        out.append(_trim([c % p for c in z]) if z else [])
+    return out
+
+
+class _Fiber:
+    """The fiber at the root alpha of g_1 that is value `at` of the basis's
+    x-columns (`columns`, one list per element, g_1's empty): `betas`, the
+    common roots of the prefix images there, ascending, are the roots of
+    prefix image `j`, whose cofactor degree is `stuck`.  The images
+    g(alpha, y, z) of the elements, in basis order, are built from the
+    columns on first read and kept."""
+
+    __slots__ = ("field", "columns", "at", "alpha", "betas", "j", "stuck", "_images")
+
+    def __init__(self, field, columns, at, alpha, betas, j, stuck):
+        self.field, self.columns, self.at, self.alpha = field, columns, at, alpha
+        self.betas, self.j, self.stuck, self._images = betas, j, stuck, None
+
+    @property
+    def images(self) -> tuple:
+        if self._images is None:
+            # g_1 vanishes at each of its roots, so its image is zero
+            zero = Polynomial._make(self.field, ())
+            self._images = (zero,) + tuple(_image(self.field, cols, self.at) for cols in self.columns[1:])
+        return self._images
+
+    @property
+    def eliminant(self) -> Polynomial:
+        """The prefix image whose roots the betas are."""
+        return _image(self.field, self.columns[self.j], self.at)
 
 
 class _FiberView(NamedTuple):
@@ -111,13 +166,15 @@ def _fiber_view(G: GroebnerBasis) -> _FiberView:
     beta at each common root of the images of the elimination prefix
     g_1..g_ell2, whose last has a pure power of y as head and so a nonzero
     image.  `solve_system` reads this view, and so do the fiber checks on
-    every basis whose heads do not settle them (see `_pure_power_heads`),
-    with one `_images` pass over every element.  The view holds no
-    (alpha, beta) slice: `solve_system` and `gianni_kalkbrener` read them
-    off the alpha-images (`_slice`).  It needs a zero-dimensional basis over F_p
-    with every element in its band (see `structure_facts`), so that the
-    prefix images lie in k[y] and the slices in k[z]; on any other basis,
-    `skipped` says why.
+    every basis whose heads do not settle them (see `_pure_power_heads`).
+    One packed pass (`poly._columns`) sets x to every alpha in every
+    element; the walk reads the prefix lists straight off those columns,
+    and each fiber keeps them and builds its images only when read.  The
+    view holds no (alpha, beta) slice: `solve_system` and
+    `gianni_kalkbrener` read them off the columns (`_slices`).  It needs a
+    zero-dimensional basis over F_p with every element in its band (see
+    `structure_facts`), so that the prefix images lie in k[y] and the
+    slices in k[z]; on any other basis, `skipped` says why.
 
     The roots of any lc_x(g_i) are the alphas at which it vanishes, because
     on a minimal lex Groebner basis every irreducible factor of
@@ -139,14 +196,14 @@ def _walk_fibers(G: GroebnerBasis) -> _FiberView:
     if facts.band_violations:
         return _FiberView(f"elements outside their bands: {list(facts.band_violations)}", 0, ())
     roots, stuck = split_roots(G.elements[0])
-    zero = Polynomial(G.field)
+    field = G.field
+    # g_1 vanishes at each of its roots, so it takes no columns
+    columns = [[]] + _columns(G.elements[1:], 0, roots)
+    prefix = columns[: facts.ell2]
     fibers = []
-    for alpha, rest in zip(roots, _images(G.elements[1:], 0, roots)):
-        # g_1 vanishes at each of its roots, so its image is zero unsubstituted
-        images = (zero,) + rest
-        prefix = [_dense(img) if img else [] for img in images[: facts.ell2]]
-        betas, j, beta_stuck = _common_roots(prefix, G.field.p)
-        fibers.append(_Fiber(alpha, images, betas, images[j], beta_stuck))
+    for at, alpha in enumerate(roots):
+        betas, j, beta_stuck = _common_roots([_y_list(cols, at) for cols in prefix], field.p)
+        fibers.append(_Fiber(field, columns, at, alpha, betas, j, beta_stuck))
     return _FiberView(None, stuck, tuple(fibers))
 
 
@@ -223,23 +280,21 @@ def check_gianni_kalkbrener(G: GroebnerBasis) -> list[dict] | str:
     """At every solution (alpha, beta) of the elimination prefix, each element
     past the prefix keeps its z degree after specialization (or vanishes).
     Assumes a basis that passes basis_integrity.  Each degree is read off
-    the slice at beta of the element's alpha-image (`_slice`); a zero slice
-    has no degree to lose.  Heads x^a, y^b, z^c settle it with no image
+    the element's slice at (alpha, beta) (`_slices`); a zero slice has no
+    degree to lose.  Heads x^a, y^b, z^c settle it with no image
     (see `_pure_power_heads`)."""
     if _pure_power_heads(G):
         return []
     view = _fiber_view(G)
     if view.skipped:
         return view.skipped
-    p = G.field.p
     ell2 = structure_facts(G).ell2
     degrees = [g.lm().c for g in G.elements[ell2:]]
     witnesses = []
     for fiber in view.fibers:
-        images = fiber.images[ell2:]
         for beta in fiber.betas:
-            for j, (img, c) in enumerate(zip(images, degrees)):
-                d = len(_slice(img, beta, p)) - 1
+            for j, (z, c) in enumerate(zip(_slices(fiber, ell2, beta), degrees)):
+                d = len(z) - 1
                 if d >= 0 and d != c:
                     witnesses.append(
                         {
@@ -305,9 +360,9 @@ def solve_system(G: GroebnerBasis) -> tuple[tuple[int, int, int], ...]:
 
     Roots of g_1 give the x values.  At each, the betas come from the
     elimination prefix; each (alpha, beta) slice, dense z-lists read off
-    the alpha-images, is solved for z, and a solution must satisfy every
-    element of the slice.  Raises NonSplitError
-    when an eliminant has an irreducible factor of degree > 1 (solutions
+    the fiber's columns (`_slices`), is solved for z, and a solution must
+    satisfy every element of the slice.  Raises NonSplitError when an
+    eliminant has an irreducible factor of degree > 1 (solutions
     would then live in an extension field), and ValueError when the
     unit_ideal flag disagrees with the elements.
     """
@@ -328,10 +383,9 @@ def solve_system(G: GroebnerBasis) -> tuple[tuple[int, int, int], ...]:
     for fiber in view.fibers:
         if fiber.stuck:
             raise NonSplitError(fiber.eliminant, fiber.stuck)
-        past = fiber.images[ell2:]
         for beta in fiber.betas:
             # the pure power of z heading g_n keeps a nonzero slice
-            slices = [_slice(img, beta, p) for img in past]
+            slices = _slices(fiber, ell2, beta)
             gammas, j, stuck = _common_roots(slices, p)
             if stuck:
                 eliminant = [(Monomial(0, 0, c), k) for c, k in enumerate(slices[j])]

@@ -7,7 +7,7 @@ import weakref
 
 import pytest
 
-from lexgb import specialize, univariate
+from lexgb import poly, specialize, univariate
 from lexgb.campaign import CampaignConfig, nonradical_recipes, radical_recipes
 from lexgb.field import PrimeField
 from lexgb.checks import _report, verify_all
@@ -276,14 +276,23 @@ def test_roots_univariate_errors():
         roots_univariate(P("x*y"))
 
 
+def slices_at(polys, alpha, beta):
+    """The slices of the polys at (alpha, beta), through the slice reader of
+    a fiber whose every element lies past the prefix."""
+    field = polys[0].field
+    columns = [[]] + specialize._columns(polys, 0, [alpha])
+    fiber = specialize._Fiber(field, columns, 0, alpha, (beta,), 0, 0)
+    return specialize._slices(fiber, 1, beta)
+
+
 def test_dense_lists_and_power_tables_stop_at_the_cap():
     cap = univariate.DENSE_CAP
     assert len(specialize._dense(P(f"x^{cap - 1} + 1"))) == cap
-    assert specialize._slice(P(f"y*z^{cap - 1}"), 2, 101)[-1] == 2
+    assert slices_at([P(f"y*z^{cap - 1}")], 5, 2)[0][-1] == 2
     too_large = f"exponent {cap} is too large to make dense"
     for run in (
         lambda: specialize._dense(P(f"z^{cap}")),
-        lambda: specialize._slice(P(f"z^{cap} + y"), 2, 101),
+        lambda: slices_at([P(f"z^{cap} + y")], 5, 2),
         lambda: P(f"x^{cap}*y + 1").substitute_x(3),
     ):
         with pytest.raises(ValueError, match=too_large):
@@ -476,6 +485,67 @@ def test_solve_raises_on_nonsplit_eliminant():
     assert solve_system(G) == ()
 
 
+def scan_common_roots(polys, p):
+    """Reference for `_common_roots`: the residues at which every nonzero
+    list vanishes, the index of the first shortest nonzero list, and that
+    list's degree once each of its roots is divided out as often as it
+    goes, all by synthetic division."""
+    eliminant = min((f for f in polys if f), key=len)
+    common = tuple(v for v in range(p) if all(synthetic_division(f, v, p)[1] == 0 for f in polys if f))
+    cofactor = eliminant
+    for v in range(p):
+        while len(cofactor) > 1:
+            q, rem = synthetic_division(cofactor, v, p)
+            if rem:
+                break
+            cofactor = q
+    return common, polys.index(eliminant), len(cofactor) - 1
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 101])
+def test_common_roots_match_a_residue_scan(p):
+    # zero, constant and linear lists, ties for the shortest, and lists
+    # that do or do not vanish at the eliminant's roots
+    rng = random.Random(300 + p)
+
+    def dense(roots, extra=0):
+        f = [rng.randrange(1, p)]
+        for r in roots:  # times z - r
+            f = [(a - r * b) % p for a, b in zip([0] + f, f + [0])]
+        for _ in range(extra):  # times a random monic z + s
+            s = rng.randrange(p)
+            f = [(a + s * b) % p for a, b in zip([0] + f, f + [0])]
+        return f
+
+    kinds = (
+        lambda: [],
+        lambda: dense([]),
+        lambda: dense([rng.randrange(p)]),
+        lambda: dense(rng.choices(range(p), k=rng.randrange(1, 4))),
+        lambda: dense(rng.choices(range(p), k=rng.randrange(0, 3)), rng.randrange(1, 3)),
+    )
+    seen = set()
+    for _ in range(400):
+        polys = [rng.choice(kinds)() for _ in range(rng.randrange(1, 5))]
+        if not any(polys):
+            polys.append(dense([rng.randrange(p)]))
+        if rng.random() < 0.3:  # a tie for the shortest: a copy, or another list as long
+            f = min((f for f in polys if f), key=len)
+            tie = list(f) if rng.random() < 0.5 else dense(rng.choices(range(p), k=len(f) - 1))
+            polys.insert(rng.randrange(len(polys) + 1), tie)
+        if rng.random() < 0.4:  # another that vanishes at every root of the shortest
+            shortest = min((f for f in polys if f), key=len)
+            roots = [v for v in range(p) if synthetic_division(shortest, v, p)[1] == 0]
+            polys.append(dense(roots, rng.randrange(0, 2)))
+        expected = scan_common_roots(polys, p)
+        assert specialize._common_roots(polys, p) == expected, polys
+        eliminant = polys[expected[1]]
+        seen.add(("constant", "linear", "higher")[min(len(eliminant), 3) - 1])
+        seen.add("common" if expected[0] else "none")
+        seen.update(["zero"] * ([] in polys) + ["tie"] * ([len(f) for f in polys].count(len(eliminant)) > 1))
+    assert seen == {"constant", "linear", "higher", "common", "none", "zero", "tie"}
+
+
 def test_common_roots_keep_the_first_shortest_eliminant():
     # (z - 1)(z - 2) and (z - 1)(z - 3) tie: the first gives the roots, and
     # the zero list is skipped, not chosen
@@ -552,13 +622,13 @@ def test_images_are_the_substituted_polys(p):
     values = [0, 1, p - 1] + [rng.randrange(p) for _ in range(5)]
     for vals in ([], [0], values, values + values[::-1]):  # empty, zero, repeats
         for axis, substitute in ((0, Polynomial.substitute_x), (1, Polynomial.substitute_y)):
-            images = specialize._images(polys, axis, vals)
+            images = poly._images(polys, axis, vals)
             assert len(images) == len(vals)
             for v, row in zip(vals, images):
                 assert row == tuple(reference_substitute(f, axis, v) for f in polys), (v, axis)
                 assert row == tuple(substitute(f, v) for f in polys)
                 assert all(img.field == field for img in row)
-    assert specialize._images([], 0, values) == ((),) * len(values)
+    assert poly._images([], 0, values) == ((),) * len(values)
 
 
 def test_images_reach_the_slot_bound():
@@ -571,7 +641,7 @@ def test_images_reach_the_slot_bound():
     for axis, mono in ((0, lambda e: Monomial(e, 0, 3)), (1, lambda e: Monomial(0, e, 3))):
         f = Polynomial(field, [(mono(2 * i + 1), p - 1) for i in range(t)])
         g = Polynomial(field, [(mono(i), p - 1) for i in range(t)] + [(Monomial(0, 0, 0), 1)])
-        images = specialize._images([f, g], axis, [p - 1, p - 1, 0])
+        images = poly._images([f, g], axis, [p - 1, p - 1, 0])
         assert images[0][0] == Polynomial(field, [(Monomial(0, 0, 3), t)])
         for v, row in zip((p - 1, p - 1, 0), images):
             assert row == (reference_substitute(f, axis, v), reference_substitute(g, axis, v))
@@ -588,8 +658,8 @@ def z_list(f):
 
 
 def test_fiber_view_slices_are_the_substituted_elements():
-    # the slices solve_system builds, one `_slice` per element past the
-    # prefix at each (alpha, beta) of the view
+    # the slices solve_system reads off the fiber's columns (`_slices`), one
+    # per element past the prefix at each (alpha, beta) of the view
     config = CampaignConfig(seed=7)
     bases = [build_instance(r).basis for r in radical_recipes(config) + nonradical_recipes(config)]
     rng = random.Random(29)
@@ -600,12 +670,13 @@ def test_fiber_view_slices_are_the_substituted_elements():
         if G.unit_ideal:
             continue
         ell2 = structure_facts(G).ell2
-        p = G.field.p
         for fiber in _fiber_view(G).fibers:
             for beta in fiber.betas:
-                for g, img in zip(G.elements[ell2:], fiber.images[ell2:]):
+                read = specialize._slices(fiber, ell2, beta)
+                assert len(read) == len(G.elements) - ell2
+                for g, z in zip(G.elements[ell2:], read):
                     expected = reference_substitute(reference_substitute(g, 0, fiber.alpha), 1, beta)
-                    assert specialize._slice(img, beta, p) == z_list(expected)
+                    assert z == z_list(expected)
                 slices += 1
     assert slices >= 500
 
@@ -627,87 +698,96 @@ def test_verify_all_finds_the_roots_of_g1_once(monkeypatch):
     assert calls == [G.elements[0]]
 
 
-def test_fiber_slices_are_built_only_when_read(monkeypatch):
-    # counts the images the packed kernel builds, per axis: one per
-    # (poly, value) pair, the pairs `substitute_x`/`substitute_y` once took
-    calls = []
-    images = specialize._images
+def count_substitutions(monkeypatch):
+    """Lists that fill as specialize substitutes: per packed pass of the
+    kernel (`poly._columns`), its axis and its (poly, value) pairs; and the
+    images the fiber view builds off its columns."""
+    passes, built = [], []
+    columns, image = specialize._columns, specialize._image
 
-    def counting(polys, axis, values):
+    def counting_pass(polys, axis, values):
         polys, values = tuple(polys), tuple(values)
-        calls.append((axis, len(polys) * len(values)))
-        return images(polys, axis, values)
+        passes.append((axis, len(polys) * len(values)))
+        return columns(polys, axis, values)
+
+    def counting_image(*args):
+        built.append(image(*args))
+        return built[-1]
+
+    monkeypatch.setattr(specialize, "_columns", counting_pass)
+    monkeypatch.setattr(specialize, "_image", counting_image)
+    return passes, built
+
+
+def test_fiber_slices_are_built_only_when_read(monkeypatch):
+    passes, built = count_substitutions(monkeypatch)
+    raised = []
 
     def solve(G):
         try:
             solve_system(G)
-        except NonSplitError:
-            pass
+        except NonSplitError as exc:
+            raised.append(exc.poly)
 
-    monkeypatch.setattr(specialize, "_images", counting)
     config = CampaignConfig(seed=7)
     recipes = radical_recipes(config) + nonradical_recipes(config)
     assert len(recipes) == 250
     counts = {}
     runs = {
         "specialization_image": lambda G: verify_all(G, checks=["specialization_image"]),
+        "gianni_kalkbrener": lambda G: verify_all(G, checks=["gianni_kalkbrener"]),
         "verify_all": verify_all,
         "solve_system": solve,
     }
     for name, run in runs.items():
         # fresh bases, since each basis keeps the fiber view it was given
         bases = [build_instance(r).basis for r in recipes]
-        calls.clear()
+        passes.clear(), built.clear()
         for G in bases:
             run(G)
-        counts[name] = {axis: sum(n for a, n in calls if a == axis) for axis in (0, 1)}
-    # every run takes the alpha-images of g_2.. (g_1's image is zero
-    # unsubstituted), but the checks only on the 54 bases not headed x^a,
-    # y^b, z^c.  gianni_kalkbrener reads the slices' degrees off the
-    # images, and solve_system reads its (alpha, beta) slices off them one
-    # scalar pass at a time (`_slice`): no run substitutes y in the kernel
+        pairs = {axis: sum(n for a, n in passes if a == axis) for axis in (0, 1)}
+        counts[name] = (pairs, len(built))
+    # every run sets x to the roots of g_1 in g_2.. (g_1 vanishes there), but
+    # the checks only on the 54 bases not headed x^a, y^b, z^c; no run sets
+    # y in the kernel.  An image is built only where a check reads one:
+    # gianni_kalkbrener and solve_system read the prefix lists and the
+    # (alpha, beta) slices off the columns (`_slices`), and solve_system
+    # builds just the prefix eliminants it names in a NonSplitError
     assert counts == {
-        "specialization_image": {0: 728, 1: 0},
-        "verify_all": {0: 728, 1: 0},
-        "solve_system": {0: 2188, 1: 0},
+        "specialization_image": ({0: 728, 1: 0}, 728),
+        "verify_all": ({0: 728, 1: 0}, 728),
+        "gianni_kalkbrener": ({0: 728, 1: 0}, 0),
+        "solve_system": ({0: 2188, 1: 0}, 7),
     }
+    assert len(raised) > len(built)
+    assert all(any(img is named for named in raised) for img in built)
 
 
 def test_verify_all_takes_no_images_of_a_basis_headed_by_pure_powers(monkeypatch):
     # heads x^a, y^b, z^c settle the fiber checks (`_pure_power_heads`), so
-    # verify_all builds no fiber view; solving still needs one
-    calls = []
-    images = specialize._images
-
-    def counting(polys, axis, values):
-        calls.append(axis)
-        return images(polys, axis, values)
-
-    monkeypatch.setattr(specialize, "_images", counting)
+    # verify_all builds no fiber view; solving still needs one, and reads
+    # its one slice off the columns
+    passes, built = count_substitutions(monkeypatch)
     G = vanishing_basis(PointSet(101, ((1, 2, 3),)))  # x - 1, y - 2, z - 3
     assert [g.lm() for g in G] == [Monomial(1, 0, 0), Monomial(0, 1, 0), Monomial(0, 0, 1)]
     assert all(r.verdict == PASS for r in verify_all(G))
-    assert calls == []
+    assert (passes, built) == ([], [])
     assert solve_system(G) == ((1, 2, 3),)
-    assert calls == [0]
+    assert (passes, built) == ([(0, 2)], [])
 
 
 def test_each_basis_keeps_its_own_fiber_view(monkeypatch):
     # checking a second basis in between does not make the first walk its
-    # fibers again when it is solved
-    calls = []
-    images = specialize._images
-
-    def counting(polys, axis, values):
-        calls.append(axis)
-        return images(polys, axis, values)
-
-    monkeypatch.setattr(specialize, "_images", counting)
+    # fibers again, nor build its images again, when it is solved
+    passes, built = count_substitutions(monkeypatch)
     G1, G2 = worked_basis(), vanishing_basis(PointSet(101, ((2, 0, 0), (2, 1, 0), (3, 0, 5))))
     assert not any(specialize._pure_power_heads(G) for G in (G1, G2))
     assert all(r.verdict == PASS for r in verify_all(G1) + verify_all(G2))
+    assert [axis for axis, _ in passes] == [0, 0]
+    images = len(built)
+    assert images == sum(n for _, n in passes)
     assert solve_system(G1) == ((0, 0, 0), (1, 0, 0), (1, 0, 1))
-    assert calls == [0, 0]
+    assert ([axis for axis, _ in passes], len(built)) == ([0, 0], images)
 
 
 def test_a_fiber_view_lives_as_long_as_its_basis(monkeypatch):
