@@ -54,9 +54,6 @@ def split_roots(f: Polynomial):
     degree of its root-free part, 0 exactly when f is a product of linear
     factors over F_p."""
     roots = roots_univariate(f)
-    if len(roots) == sum(f.lm()):
-        # deg f distinct roots (see `_cofactor_degree`): nothing to deflate
-        return roots, 0
     return roots, _cofactor_degree(_dense(f), roots, f.field.p)
 
 
@@ -77,20 +74,19 @@ def _common_roots(polys: list, p: int):
     """The common roots in F_p of dense univariate polys (see `univariate`):
     the roots of the eliminant, the first shortest nonzero poly, at which
     every other poly vanishes; a nonzero constant has none.  Returns (roots,
-    index of the eliminant, cofactor degree of the eliminant).  A linear
-    eliminant, the usual one, is solved in place: one root, no cofactor."""
+    index of the eliminant, cofactor degree of the eliminant).  Plain loops,
+    not generators: a fiber's eliminant is mostly linear, with one root to
+    test, and setting up a generator would cost more than the test."""
     eliminant = min(filter(None, polys), key=len)
-    j = polys.index(eliminant)
-    if len(eliminant) == 2:
-        r = -eliminant[0] * pow(eliminant[1], p - 2, p) % p
+    roots = _roots(eliminant, p)
+    common = []
+    for r in roots:
         for f in polys:
             if f and f is not eliminant and _horner(f, r, p):
-                return (), j, 0
-        return (r,), j, 0
-    roots = _roots(eliminant, p)
-    others = [f for f in polys if f and f is not eliminant]
-    common = tuple(r for r in roots if not any(_horner(f, r, p) for f in others))
-    return common, j, _cofactor_degree(eliminant, roots, p)
+                break
+        else:
+            common.append(r)
+    return tuple(common), polys.index(eliminant), _cofactor_degree(eliminant, roots, p)
 
 
 def _y_list(columns, at: int) -> list:
