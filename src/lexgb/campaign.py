@@ -10,8 +10,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .checks import CHECK_ORDER, verify_all
-from .field import PrimeField
+from .checks import select_checks, verify_all
+from .field import DEFAULT_PRIME, PrimeField
 from .instances import (
     RANDOM_TRIANGULAR,
     SQUARED_VANISHING,
@@ -37,7 +37,7 @@ _TRIANGULAR_DEGREES = (
 
 @dataclass(frozen=True)
 class CampaignConfig:
-    prime: int = 101
+    prime: int = DEFAULT_PRIME
     radical_count: int = 200
     nonradical_count: int = 50
     points_min: int = 1
@@ -57,10 +57,8 @@ class CampaignConfig:
             raise ValueError(f"point-count range [{self.points_min}, {self.points_max}] exceeds {bound}")
         if self.jobs < 1:
             raise ValueError("jobs must be positive")
-        if self.checks is not None:
-            unknown = set(self.checks) - set(CHECK_ORDER)
-            if unknown:
-                raise ValueError(f"unknown checks: {sorted(unknown)}")
+        # frozen: a list or an iterator of names is kept as a hashable tuple
+        object.__setattr__(self, "checks", select_checks(self.checks))
 
 
 def radical_recipes(config: CampaignConfig) -> list[InstanceRecipe]:

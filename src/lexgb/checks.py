@@ -5,11 +5,10 @@ basis; indices in witnesses are 1-based, in the ascending basis order.
 Most checks state one of two things over different index sets: that
 lc_x(g_i) divides lc_x(g_j) over some pairs j < i (`_chain_witnesses`),
 or that lc_x(g_i) divides every k[x] block of some part of g_i
-(`_content_witnesses`).  The gatekeepers `basis_integrity` and `structure`
-return their reports.  Every other check returns its witnesses, or a note
-where its statement does not apply; the runner table `_RUNNERS` gives its
-report order and its radical gate, and `_report` alone turns the two into
-a verdict.
+(`_content_witnesses`).  Every check returns its witnesses, or a note
+where its statement does not apply, or its witnesses with a note; the
+runner table `_RUNNERS` gives its report order and its gate, and `_report`
+alone turns the two into a verdict.
 """
 
 from __future__ import annotations
@@ -30,23 +29,18 @@ from .univariate import _dense_length, _rem
 from . import specialize
 
 
-def check_basis_integrity(G: GroebnerBasis) -> CheckReport:
+def check_basis_integrity(G: GroebnerBasis) -> list[dict]:
     """Sorted, minimal, monic, tail-reduced, and closed under S-pair reduction."""
-    name = "basis_integrity"
-    witnesses = []
     if G.unit_ideal:
         only = G.elements[0] if len(G.elements) == 1 else None
         if only is None or only.is_zero() or not only.is_constant():
-            witnesses.append({"reason": "unit flag on a non-unit basis"})
-        elif only.lc() != 1:
-            # a nonzero constant generates the unit ideal, but (1) is its reduced basis
-            witnesses.append({"reason": "unit ideal basis is not the reduced basis (1)"})
-        return CheckReport(name, FAIL if witnesses else PASS, witnesses)
+            return [{"reason": "unit flag on a non-unit basis"}]
+        # a nonzero constant generates the unit ideal, but (1) is its reduced basis
+        return [] if only.lc() == 1 else [{"reason": "unit ideal basis is not the reduced basis (1)"}]
     elems = G.elements
-    for g in elems:
-        if g.is_zero():
-            witnesses.append({"reason": "zero element"})
-            return CheckReport(name, FAIL, witnesses)
+    if any(g.is_zero() for g in elems):
+        return [{"reason": "zero element"}]
+    witnesses = []
     heads = [g.lm() for g in elems]
     for i in range(1, len(elems)):
         if not heads[i - 1] < heads[i]:
@@ -63,21 +57,19 @@ def check_basis_integrity(G: GroebnerBasis) -> CheckReport:
                 break
     if not witnesses and not is_groebner_basis(elems):
         witnesses.append({"reason": "an S-polynomial does not reduce to zero"})
-    return CheckReport(name, FAIL if witnesses else PASS, witnesses)
+    return witnesses
 
 
-def check_structure(G: GroebnerBasis) -> CheckReport:
+def check_structure(G: GroebnerBasis) -> list[dict] | str | tuple[list[dict], str]:
     """Zero-dimensionality shape: pure powers of x, y, z head the staircase
     and the elements between and after them sit in the expected bands."""
-    name = "structure"
+    if G.unit_ideal:
+        return "unit ideal"
     facts = structure_facts(G)
     if not facts.zero_dim:
-        return CheckReport(name, FAIL, [{"reason": facts.missing}])
-    witnesses = [
-        {"i": i, "reason": "element outside its band"} for i in facts.band_violations
-    ]
-    notes = f"ell2={facts.ell2}, pure_z_degree={facts.pure_z_degree}"
-    return CheckReport(name, FAIL if witnesses else PASS, witnesses, notes)
+        return [{"reason": facts.missing}]
+    witnesses = [{"i": i, "reason": "element outside its band"} for i in facts.band_violations]
+    return witnesses, f"ell2={facts.ell2}, pure_z_degree={facts.pure_z_degree}"
 
 
 def _every_pair(hi, hj) -> bool:
@@ -208,64 +200,66 @@ def check_membership_lc_xy(G: GroebnerBasis) -> list[dict] | str:
     return witnesses
 
 
-# name -> (runner, radical gate) in report order; a gated statement needs a
-# radical ideal.  Each runner looks its check up when it is called, so a
-# wrapper set on the module attribute (as bench/tracer.py does) sees it.
+# name -> (runner, gate) in report order; the gate is None, _RADICAL (the
+# statement needs a radical ideal) or _GATEKEEPER (a report that is not a pass
+# skips every later check).  Each runner looks its check up when it is called,
+# so a wrapper set on the module attribute (as bench/tracer.py does) sees it.
+_RADICAL, _GATEKEEPER = "radical", "gatekeeper"
 _RUNNERS = {
-    "lazard_2d": (lambda G: check_lazard_2d(elimination_basis(G)), False),
-    "lc_chain_same_zdeg": (lambda G: check_lc_chain_same_zdeg(G), False),
-    "lc_chain_componentwise": (lambda G: check_lc_chain_componentwise(G), False),
-    "lc_x_divides_lc_xy": (lambda G: check_lc_x_divides_lc_xy(G), False),
-    "lc_x_divides_poly": (lambda G: check_lc_x_divides_poly(G), True),
-    "membership_lc_xy": (lambda G: check_membership_lc_xy(G), True),
-    "specialization_image": (lambda G: specialize.check_specialization_image(G), True),
-    "gianni_kalkbrener": (lambda G: specialize.check_gianni_kalkbrener(G), True),
-    "fiber_membership": (lambda G: specialize.check_fiber_membership(G), True),
+    "basis_integrity": (lambda G: check_basis_integrity(G), _GATEKEEPER),
+    "structure": (lambda G: check_structure(G), _GATEKEEPER),
+    "lazard_2d": (lambda G: check_lazard_2d(elimination_basis(G)), None),
+    "lc_chain_same_zdeg": (lambda G: check_lc_chain_same_zdeg(G), None),
+    "lc_chain_componentwise": (lambda G: check_lc_chain_componentwise(G), None),
+    "lc_x_divides_lc_xy": (lambda G: check_lc_x_divides_lc_xy(G), None),
+    "lc_x_divides_poly": (lambda G: check_lc_x_divides_poly(G), _RADICAL),
+    "membership_lc_xy": (lambda G: check_membership_lc_xy(G), _RADICAL),
+    "specialization_image": (lambda G: specialize.check_specialization_image(G), _RADICAL),
+    "gianni_kalkbrener": (lambda G: specialize.check_gianni_kalkbrener(G), _RADICAL),
+    "fiber_membership": (lambda G: specialize.check_fiber_membership(G), _RADICAL),
 }
 
-CHECK_ORDER = ("basis_integrity", "structure", *_RUNNERS)
+CHECK_ORDER = tuple(_RUNNERS)
+
+
+def select_checks(checks) -> tuple[str, ...] | None:
+    """A selection of checks, any iterable of their names, as a tuple; None
+    selects every check, and an unknown name raises."""
+    checks = None if checks is None else tuple(checks)
+    unknown = set(checks or ()) - set(CHECK_ORDER)
+    if unknown:
+        raise ValueError(f"unknown checks: {sorted(unknown)}")
+    return checks
 
 
 def _report(name: str, G: GroebnerBasis) -> CheckReport:
-    """The verdict rule: a note skips the check, a gated check is observed on
-    a basis not flagged radical, and otherwise witnesses fail it."""
-    run, gated = _RUNNERS[name]
+    """The verdict rule: a note skips the check, a radical-gated check is
+    observed on a basis not flagged radical, and otherwise witnesses fail
+    it.  A check returns its witnesses, a note, or its witnesses and a note."""
+    run, gate = _RUNNERS[name]
     out = run(G)
     if isinstance(out, str):
         return CheckReport(name, SKIPPED, [], out)
-    if gated and not G.radical:
-        return CheckReport(name, OBSERVED, out, "radicality not guaranteed; outcome recorded, not asserted")
-    return CheckReport(name, FAIL if out else PASS, out)
+    witnesses, notes = out if isinstance(out, tuple) else (out, "")
+    if gate == _RADICAL and not G.radical:
+        return CheckReport(name, OBSERVED, witnesses, "radicality not guaranteed; outcome recorded, not asserted")
+    return CheckReport(name, FAIL if witnesses else PASS, witnesses, notes)
 
 
 def verify_all(G: GroebnerBasis, checks=None) -> list[CheckReport]:
-    """Run every check in fixed order and return their reports.
-
-    basis_integrity and structure act as gatekeepers: when either fails
-    the remaining checks are reported as skipped.  `checks` optionally
-    restricts which non-gatekeeper checks run.
-    """
-    if checks is not None:
-        unknown = set(checks) - set(CHECK_ORDER)
-        if unknown:
-            raise ValueError(f"unknown checks: {sorted(unknown)}")
-
-    reports = [check_basis_integrity(G)]
-    gate_open = reports[0].verdict == PASS
-    if not gate_open:
-        reports.append(CheckReport("structure", SKIPPED, [], "gatekeeper check failed"))
-    elif G.unit_ideal:
-        reports.append(CheckReport("structure", SKIPPED, [], "unit ideal"))
-        gate_open = False
-    else:
-        structure = check_structure(G)
-        reports.append(structure)
-        gate_open = structure.verdict == PASS
-
-    for name in _RUNNERS:
-        if checks is not None and name not in checks:
+    """The reports of the checks in `_RUNNERS` order: the gatekeepers and
+    those `checks` selects (see `select_checks`).  Once a gatekeeper does not
+    pass, every later check is reported as skipped."""
+    checks = select_checks(checks)
+    reports = []
+    gate_open = True
+    for name, (_, gate) in _RUNNERS.items():
+        if gate != _GATEKEEPER and checks is not None and name not in checks:
             continue
-        reports.append(_report(name, G) if gate_open else CheckReport(name, SKIPPED, [], "gatekeeper check failed"))
+        report = _report(name, G) if gate_open else CheckReport(name, SKIPPED, [], "gatekeeper check failed")
+        reports.append(report)
+        if gate == _GATEKEEPER and report.verdict != PASS:
+            gate_open = False
     return reports
 
 

@@ -13,7 +13,7 @@ import sys
 
 from .campaign import CampaignConfig, run_campaign
 from .checks import CHECK_ORDER, verify_all
-from .field import PrimeField
+from .field import DEFAULT_PRIME, PrimeField
 from .groebner import GroebnerBasis, basis_from_dict, buchberger
 from .instances import (
     InstanceRecipe,
@@ -84,13 +84,13 @@ def _basis_from_input(data: dict) -> GroebnerBasis:
     if "generators" in data:
         if not isinstance(data["generators"], list):
             raise ValueError("'generators' must be a list")
-        field = PrimeField(data.get("p", 101))
+        field = PrimeField(data.get("p", DEFAULT_PRIME))
         gens = [poly_from_dict(field, d) for d in data["generators"]]
         return buchberger(gens)
     if "kind" in data:
         return build_instance(recipe_from_dict(data)).basis
     if "basis" in data:
-        field = PrimeField(data.get("p", 101))
+        field = PrimeField(data.get("p", DEFAULT_PRIME))
         return basis_from_dict(field, data)
     raise ValueError("input must contain 'points', 'generators', 'kind' or 'basis'")
 
@@ -105,8 +105,7 @@ def cmd_gb(args) -> int:
 def cmd_verify(args) -> int:
     data = _load(args.input)
     basis = _basis_from_input(data)
-    checks = args.checks.split(",") if args.checks else None
-    reports = verify_all(basis, checks=checks)
+    reports = verify_all(basis, checks=args.checks)
     failed = any(r.verdict == FAIL for r in reports)
     out = {
         "instance": data if "kind" in data else None,
@@ -141,12 +140,17 @@ def cmd_campaign(args) -> int:
         points_min=args.points_min,
         points_max=args.points_max,
         seed=args.seed,
-        checks=tuple(args.checks.split(",")) if args.checks else None,
+        checks=args.checks,
         jobs=args.jobs,
     )
     summary = run_campaign(config)
     _emit(summary, args.output)
     return 0 if summary["all_pass"] else 1
+
+
+def _check_list(text: str) -> list[str] | None:
+    """A --checks value: check names separated by commas; "" selects every check."""
+    return text.split(",") if text else None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -159,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, generates=True):
         if generates:
-            p.add_argument("--prime", type=int, default=101, help="field modulus (default 101)")
+            p.add_argument("--prime", type=int, default=DEFAULT_PRIME, help=f"field modulus (default {DEFAULT_PRIME})")
             p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
         p.add_argument("-o", "--output", default=None, help="output file (default stdout)")
 
@@ -183,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the structural checks on a basis")
     p.add_argument("input", help="basis, point-set, generator-list or recipe file")
-    p.add_argument("--checks", default=None, help=f"comma list from: {','.join(CHECK_ORDER)}")
+    p.add_argument("--checks", type=_check_list, help=f"comma list from: {','.join(CHECK_ORDER)}")
     p.add_argument("--text", action="store_true", help="add human-readable renderings")
     common(p, generates=False)
     p.set_defaults(func=cmd_verify)
@@ -198,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nonradical", type=int, default=50, help="probe instances")
     p.add_argument("--points-min", type=int, default=1)
     p.add_argument("--points-max", type=int, default=8)
-    p.add_argument("--checks", default=None, help="restrict which checks run")
+    p.add_argument("--checks", type=_check_list, help="restrict which checks run")
     p.add_argument("--jobs", type=int, default=1, help="worker processes")
     common(p)
     p.set_defaults(func=cmd_campaign)

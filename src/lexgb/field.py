@@ -10,6 +10,8 @@ from functools import lru_cache
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_LIMIT = 318665857834031151167461
 
+DEFAULT_PRIME = 101
+
 
 @lru_cache(maxsize=64)
 def is_prime(n: int) -> bool:
@@ -50,7 +52,7 @@ class PrimeField:
 
     __slots__ = ("p",)
 
-    def __init__(self, p: int = 101):
+    def __init__(self, p: int = DEFAULT_PRIME):
         if not isinstance(p, int) or not is_prime(p):
             raise ValueError(f"modulus must be prime, got {p!r}")
         self.p = p

@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass
 from itertools import product
 
-from .field import PrimeField
+from .field import DEFAULT_PRIME, PrimeField
 from .groebner import GroebnerBasis
 from .lazard import lazard_basis
 from .packed import lowest_slot, pack, residuer, unpack
@@ -67,7 +67,7 @@ def pointset_from_dict(data: dict) -> PointSet:
     return PointSet(data["p"], data["points"], data.get("seed"))
 
 
-def random_points(n: int, seed: int, prime: int = 101) -> PointSet:
+def random_points(n: int, seed: int, prime: int = DEFAULT_PRIME) -> PointSet:
     """n distinct uniform points of F_p^3, reproducible from the seed."""
     PrimeField(prime)  # validates the modulus
     if not 1 <= n <= prime**3:
@@ -309,7 +309,7 @@ class InstanceRecipe:
 def recipe_from_dict(data: dict) -> InstanceRecipe:
     if "kind" not in data:
         raise ValueError("recipe object must have a 'kind'")
-    prime, seed = data.get("p", 101), data.get("seed", 0)
+    prime, seed = data.get("p", DEFAULT_PRIME), data.get("seed", 0)
     n_points, degrees = data.get("n_points"), data.get("degrees")
     for key, value in (("p", prime), ("seed", seed)):
         if type(value) is not int:
@@ -336,7 +336,7 @@ class Instance:
     points: PointSet | None
 
 
-def random_triangular_basis(degrees, seed: int, prime: int = 101) -> GroebnerBasis:
+def random_triangular_basis(degrees, seed: int, prime: int = DEFAULT_PRIME) -> GroebnerBasis:
     """Reduced basis of a random triangular system, as drawn.
 
     The elements are f1 = x^d1 + (terms x^i), f2 = y^d2 + (terms x^i y^j)

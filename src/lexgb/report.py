@@ -1,8 +1,8 @@
 """Verdict records for verification checks.
 
 A record says what each verdict means.  Which verdict a check earns is
-decided in `checks.py` alone: by `_report` for every check of the runner
-table, and by the two gatekeepers for themselves.
+decided in `checks.py` alone, by `_report` for every check of the runner
+table; `verify_all` skips the checks past a gatekeeper that did not pass.
 """
 
 from __future__ import annotations

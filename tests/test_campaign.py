@@ -31,8 +31,21 @@ def test_config_validation():
     assert CampaignConfig(prime=2, points_max=8).points_max == 8
     with pytest.raises(ValueError):
         CampaignConfig(jobs=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"unknown checks: \['no_such_check'\]"):
         CampaignConfig(checks=("no_such_check",))
+
+
+def test_config_keeps_a_selection_as_a_tuple():
+    # a frozen config must hash, and an iterator must not be used up by the
+    # validation before the campaign reads it
+    for selection in (["lazard_2d", "structure"], iter(["lazard_2d", "structure"])):
+        cfg = CampaignConfig(radical_count=1, nonradical_count=0, seed=8, checks=selection)
+        assert cfg.checks == ("lazard_2d", "structure")
+        assert hash(cfg) == hash(replace(cfg))
+        summary = run_campaign(cfg)
+        assert summary["config"]["checks"] == ["lazard_2d", "structure"]
+        assert list(summary["radical"]["checks"]) == ["basis_integrity", "structure", "lazard_2d"]
+    assert CampaignConfig(checks=None).checks is None
 
 
 def test_radical_recipes_cycle_point_counts():

@@ -2,8 +2,8 @@
 
 Failure cases use hand-built element tuples wrapped in GroebnerBasis
 containers; the checks inspect heads and coefficients directly, so the
-containers need not hold genuine Groebner bases.  The checks past the
-gatekeepers return witnesses (or the note of a skip); `checks._report`
+containers need not hold genuine Groebner bases.  Every check returns
+witnesses, the note of a skip, or witnesses and a note; `checks._report`
 gives their verdicts.
 """
 
@@ -25,12 +25,10 @@ from lexgb.checks import (
     _report,
     _same_z,
     all_ok,
-    check_basis_integrity,
     check_lazard_2d,
     check_lc_chain_componentwise,
     check_lc_chain_same_zdeg,
     check_lc_x_divides_lc_xy,
-    check_structure,
     verify_all,
 )
 from lexgb.field import PrimeField
@@ -96,6 +94,8 @@ def _witnessed(name):
     content = (P("x^2 + 100*x"), P("x*y + 1"), P("y^2"), P("z"))
     degree_drop = (P("x^2 + 100"), P("y"), P("x*z^2 + z^2 + z"), P("z^3"))
     elements = {
+        "basis_integrity": (P("2*x"),),
+        "structure": (P("x^2"), P("x^3"), P("y"), P("z")),
         "lazard_2d": content,
         "lc_chain_same_zdeg": chain,
         "lc_chain_componentwise": chain,
@@ -107,10 +107,13 @@ def _witnessed(name):
 
 @pytest.mark.parametrize("name", list(_RUNNERS))
 def test_only_the_readme_starred_checks_read_the_radical_flag(name):
-    run, gated = _RUNNERS[name]
+    run, gate = _RUNNERS[name]
+    assert gate in (None, checks._RADICAL, checks._GATEKEEPER)
+    gated = gate == checks._RADICAL
     assert gated == (name in _readme_gated())
     G = _witnessed(name)
-    witnesses = run(G)
+    out = run(G)
+    witnesses = out[0] if isinstance(out, tuple) else out
     assert isinstance(witnesses, list) and witnesses
     verdicts = [_report(name, dataclasses.replace(G, radical=flag)).verdict for flag in (True, False)]
     assert verdicts == ([FAIL, OBSERVED] if gated else [FAIL, FAIL])
@@ -122,35 +125,35 @@ def test_report_to_dict():
 
 
 def test_integrity_passes_on_worked_basis():
-    assert check_basis_integrity(worked_basis()).verdict == PASS
+    assert _report("basis_integrity", worked_basis()).verdict == PASS
 
 
 def test_integrity_rejects_disorder():
-    r = check_basis_integrity(GroebnerBasis((P("y"), P("x^2"))))
+    r = _report("basis_integrity", GroebnerBasis((P("y"), P("x^2"))))
     assert r.verdict == FAIL
     assert any("ascending" in w["reason"] for w in r.witnesses)
 
 
 def test_integrity_rejects_non_monic():
-    r = check_basis_integrity(GroebnerBasis((P("2*x"),)))
+    r = _report("basis_integrity", GroebnerBasis((P("2*x"),)))
     assert r.verdict == FAIL
     assert r.witnesses[0]["reason"] == "not monic"
 
 
 def test_integrity_rejects_redundant_head():
-    r = check_basis_integrity(GroebnerBasis((P("x"), P("x^2"))))
+    r = _report("basis_integrity", GroebnerBasis((P("x"), P("x^2"))))
     assert r.verdict == FAIL
     assert any(w["reason"] == "head divisible by another head" for w in r.witnesses)
 
 
 def test_integrity_rejects_reducible_tail():
-    r = check_basis_integrity(GroebnerBasis((P("x^2"), P("y + x^2"))))
+    r = _report("basis_integrity", GroebnerBasis((P("x^2"), P("y + x^2"))))
     assert r.verdict == FAIL
     assert any(w["reason"] == "tail monomial reducible" for w in r.witnesses)
 
 
 def test_integrity_rejects_zero_element():
-    r = check_basis_integrity(GroebnerBasis((Polynomial(F101),)))
+    r = _report("basis_integrity", GroebnerBasis((Polynomial(F101),)))
     assert r.verdict == FAIL
     assert r.witnesses[0]["reason"] == "zero element"
 
@@ -159,40 +162,52 @@ def test_integrity_detects_unreduced_s_pair():
     # tamper with one coefficient of a true basis: the shape survives
     # but S(x*z + 5*z, z^2 + 100*z) no longer reduces to zero
     tampered = GroebnerBasis((P("x^2 + 100*x"), P("y"), P("x*z + 5*z"), P("z^2 + 100*z")))
-    r = check_basis_integrity(tampered)
+    r = _report("basis_integrity", tampered)
     assert r.verdict == FAIL
     assert r.witnesses == [{"reason": "an S-polynomial does not reduce to zero"}]
 
 
 def test_integrity_unit_flag():
-    assert check_basis_integrity(GroebnerBasis((P("1"),), unit_ideal=True)).verdict == PASS
+    assert _report("basis_integrity", GroebnerBasis((P("1"),), unit_ideal=True)).verdict == PASS
     # the zero polynomial counts as constant but generates the zero ideal
     for elements in ((P("x"),), (Polynomial(F101),), (P("1"), P("x"))):
-        r = check_basis_integrity(GroebnerBasis(elements, unit_ideal=True))
+        r = _report("basis_integrity", GroebnerBasis(elements, unit_ideal=True))
         assert r.verdict == FAIL
         assert r.witnesses == [{"reason": "unit flag on a non-unit basis"}]
     # 5 generates the unit ideal but is not its reduced basis
-    r = check_basis_integrity(GroebnerBasis((P("5"),), unit_ideal=True))
+    r = _report("basis_integrity", GroebnerBasis((P("5"),), unit_ideal=True))
     assert r.verdict == FAIL
     assert r.witnesses == [{"reason": "unit ideal basis is not the reduced basis (1)"}]
 
 
 def test_structure_worked_basis():
-    r = check_structure(worked_basis())
+    r = _report("structure", worked_basis())
     assert r.verdict == PASS
     assert r.notes == "ell2=2, pure_z_degree=2"
 
 
 def test_structure_missing_pure_power():
-    r = check_structure(GroebnerBasis((P("x"),)))
+    r = _report("structure", GroebnerBasis((P("x"),)))
     assert r.verdict == FAIL
     assert r.witnesses == [{"reason": "no leading monomial is a pure power of y"}]
 
 
 def test_structure_band_violation():
-    r = check_structure(GroebnerBasis((P("x^2"), P("x^3"), P("y"), P("z"))))
+    r = _report("structure", GroebnerBasis((P("x^2"), P("x^3"), P("y"), P("z"))))
     assert r.verdict == FAIL
     assert r.witnesses == [{"i": 2, "reason": "element outside its band"}]
+
+
+def test_gatekeepers_return_witnesses_or_a_note():
+    # the gatekeepers build no report: `_report` gives their verdicts too
+    assert checks.check_basis_integrity(worked_basis()) == []
+    assert checks.check_basis_integrity(GroebnerBasis((P("2*x"),))) == [{"i": 1, "reason": "not monic"}]
+    assert checks.check_structure(worked_basis()) == ([], "ell2=2, pure_z_degree=2")
+    assert checks.check_structure(buchberger([P("1")])) == "unit ideal"
+    missing = [{"reason": "no leading monomial is a pure power of y"}]
+    assert checks.check_structure(GroebnerBasis((P("x"),))) == missing
+    band = [{"i": 2, "reason": "element outside its band"}]
+    assert checks.check_structure(GroebnerBasis((P("x^2"), P("x^3"), P("y"), P("z")))) == (band, "ell2=3, pure_z_degree=1")
 
 
 def test_lazard_2d_pass():
@@ -456,5 +471,97 @@ def test_verify_all_unit_ideal():
 def test_verify_all_check_filter():
     reports = verify_all(worked_basis(), checks=["lazard_2d"])
     assert [r.name for r in reports] == ["basis_integrity", "structure", "lazard_2d"]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("unknown checks: ['lazard_3d']")):
         verify_all(worked_basis(), checks=["lazard_3d"])
+
+
+def test_a_selection_may_be_any_iterable_of_names():
+    # an iterator is read once, so it must not be used up by the validation
+    expected = ["basis_integrity", "structure", "lazard_2d", "fiber_membership"]
+    for selection in (
+        iter(["lazard_2d", "fiber_membership"]),
+        (name for name in ("fiber_membership", "lazard_2d")),
+        {"lazard_2d": 1, "fiber_membership": 2}.keys(),
+    ):
+        assert [r.name for r in verify_all(worked_basis(), checks=selection)] == expected
+    assert checks.select_checks(iter(["lazard_2d"])) == ("lazard_2d",)
+    assert checks.select_checks(None) is None
+    with pytest.raises(ValueError, match=re.escape("unknown checks: ['a', 'b']")):
+        checks.select_checks(iter(["b", "lazard_2d", "a"]))
+
+
+_GATE_SKIP = "gatekeeper check failed"
+_PAST_THE_GATEKEEPERS = [
+    "lazard_2d",
+    "lc_chain_same_zdeg",
+    "lc_chain_componentwise",
+    "lc_x_divides_lc_xy",
+    "lc_x_divides_poly",
+    "membership_lc_xy",
+    "specialization_image",
+    "gianni_kalkbrener",
+    "fiber_membership",
+]
+
+
+@pytest.mark.parametrize(
+    "basis, gatekeepers, rest",
+    [
+        (
+            GroebnerBasis((P("x^2 + 100*x"), P("y"), P("x*z + 5*z"), P("z^2 + 100*z"))),
+            [("basis_integrity", FAIL, ""), ("structure", SKIPPED, _GATE_SKIP)],
+            (SKIPPED, _GATE_SKIP),
+        ),
+        (
+            buchberger([P("1")]),
+            [("basis_integrity", PASS, ""), ("structure", SKIPPED, "unit ideal")],
+            (SKIPPED, _GATE_SKIP),
+        ),
+        (
+            GroebnerBasis((P("x"), P("y"))),
+            [("basis_integrity", PASS, ""), ("structure", FAIL, "")],
+            (SKIPPED, _GATE_SKIP),
+        ),
+        (
+            worked_basis(),
+            [("basis_integrity", PASS, ""), ("structure", PASS, "ell2=2, pure_z_degree=2")],
+            (PASS, ""),
+        ),
+    ],
+    ids=["integrity-fails", "unit-ideal", "not-zero-dimensional", "passes"],
+)
+@pytest.mark.parametrize(
+    "selection, past",
+    [
+        (None, _PAST_THE_GATEKEEPERS),
+        ([], []),
+        (["structure"], []),
+        (["lazard_2d"], ["lazard_2d"]),
+    ],
+    ids=["all", "none", "structure", "lazard_2d"],
+)
+def test_the_gate_over_every_selection(basis, gatekeepers, rest, selection, past):
+    reports = verify_all(basis, checks=selection)
+    got = [(r.name, r.verdict, r.notes) for r in reports]
+    assert got == gatekeepers + [(name, *rest) for name in past]
+    assert all(r.witnesses for r in reports if r.verdict == FAIL)
+    assert all(not r.witnesses for r in reports if r.verdict == SKIPPED)
+
+
+def test_a_selection_that_names_a_gatekeeper_runs_it_once(monkeypatch):
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(G):
+            calls[name] += 1
+            return fn(G)
+
+        return wrapper
+
+    for name in ("basis_integrity", "structure", "lazard_2d"):
+        monkeypatch.setattr(checks, f"check_{name}", counting(name, getattr(checks, f"check_{name}")))
+    selection = ["structure", "lazard_2d", "basis_integrity", "structure"]
+    reports = verify_all(worked_basis(), checks=selection)
+    assert [r.name for r in reports] == ["basis_integrity", "structure", "lazard_2d"]
+    assert all(r.verdict == PASS for r in reports)
+    assert calls == {"basis_integrity": 1, "structure": 1, "lazard_2d": 1}

@@ -159,6 +159,26 @@ def test_verify_check_filter(tmp_path, capsys):
     assert data["basis"][0] == "x^2 + 100*x"
 
 
+def test_an_empty_check_list_selects_every_check(tmp_path, capsys):
+    src = write_json(tmp_path / "pts.json", WORKED_POINTS)
+    assert main(["verify", src, "--checks", ""]) == 0
+    assert [c["name"] for c in read_json(capsys)["checks"]] == list(CHECK_ORDER)
+    argv = ["campaign", "--radical", "2", "--nonradical", "1", "--seed", "8"]
+    assert main([*argv, "--checks", ""]) == 0
+    summary = read_json(capsys)
+    assert summary["config"]["checks"] is None
+    assert list(summary["radical"]["checks"]) == list(CHECK_ORDER)
+    assert main([*argv, "--checks", "lazard_2d,structure"]) == 0
+    summary = read_json(capsys)
+    assert summary["config"]["checks"] == ["lazard_2d", "structure"]
+    assert list(summary["radical"]["checks"]) == ["basis_integrity", "structure", "lazard_2d"]
+
+
+def test_campaign_unknown_check(capsys):
+    assert main(["campaign", "--radical", "1", "--nonradical", "0", "--checks", "lazard_2d,lazard_3d"]) == 2
+    assert capsys.readouterr().err == "error: unknown checks: ['lazard_3d']\n"
+
+
 def test_verify_unknown_check(tmp_path, capsys):
     src = write_json(tmp_path / "pts.json", WORKED_POINTS)
     assert main(["verify", src, "--checks", "lazard_3d"]) == 2
