@@ -8,7 +8,9 @@ or that lc_x(g_i) divides every k[x] block of some part of g_i
 (`_content_witnesses`).  Every check returns its witnesses, or a note
 where its statement does not apply, or its witnesses with a note; the
 runner table `_RUNNERS` gives its report order and its gate, and `_report`
-alone turns the two into a verdict.
+alone turns the two into a verdict.  The checks past `structure` read the
+staircase and trust that gate: on a basis without the shape they raise
+ValueError (`groebner.zero_dim_facts`).
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .groebner import (
     is_groebner_basis,
     normal_form,
     structure_facts,
+    zero_dim_facts,
 )
 from .poly import Monomial, Polynomial
 from .report import FAIL, OBSERVED, PASS, SKIPPED, CheckReport
@@ -177,15 +180,12 @@ def check_lc_x_divides_poly(G: GroebnerBasis) -> list[dict]:
     return _content_witnesses(G.elements, lambda g: g)
 
 
-def check_membership_lc_xy(G: GroebnerBasis) -> list[dict] | str:
+def check_membership_lc_xy(G: GroebnerBasis) -> list[dict]:
     """Radical instances: past the elimination prefix, each g_i lies in the
     ideal generated by its k[x, y] leading coefficient together with g_1."""
-    facts = structure_facts(G)
-    if not facts.zero_dim:
-        return f"not zero-dimensional: {facts.missing}"
     elems = G.elements
     witnesses = []
-    for i in range(facts.ell2, len(elems)):
+    for i in range(zero_dim_facts(G).ell2, len(elems)):
         head = elems[i].lm()
         if not (head.a or head.b):
             # a pure z-power head makes lc_xy(g_i) a nonzero constant, so the
@@ -223,8 +223,10 @@ CHECK_ORDER = tuple(_RUNNERS)
 
 
 def select_checks(checks) -> tuple[str, ...] | None:
-    """A selection of checks, any iterable of their names, as a tuple; None
-    selects every check, and an unknown name raises."""
+    """A selection of checks, any iterable of their names but a string, as
+    a tuple; None selects every check, and an unknown name raises."""
+    if isinstance(checks, str):
+        raise ValueError(f"checks must be a collection of names, not the string {checks!r}")
     checks = None if checks is None else tuple(checks)
     unknown = set(checks or ()) - set(CHECK_ORDER)
     if unknown:

@@ -244,6 +244,16 @@ def structure_facts(G: GroebnerBasis) -> StructureFacts:
     return G._memoized(_structure_facts)
 
 
+def zero_dim_facts(G: GroebnerBasis) -> StructureFacts:
+    """The structure facts of G, which every reader of the staircase needs
+    zero-dimensional: inside `verify_all` the `structure` gate makes sure
+    of it, and on any other path a basis without the shape raises here."""
+    facts = structure_facts(G)
+    if not facts.zero_dim:
+        raise ValueError(f"not zero-dimensional: {facts.missing}")
+    return facts
+
+
 def _structure_facts(G: GroebnerBasis) -> StructureFacts:
     elems = G.elements
     missing = None
@@ -284,17 +294,12 @@ def elimination_basis(G: GroebnerBasis) -> GroebnerBasis:
     test of its own.  It is taken on trust that G is a Groebner basis:
     `verify_all` reaches `lazard_2d` only after `basis_integrity` has
     checked that."""
-    facts = structure_facts(G)
-    if not facts.zero_dim:
-        raise ValueError(f"not zero-dimensional: {facts.missing}")
-    return GroebnerBasis(G.elements[: facts.ell2], radical=G.radical)
+    return GroebnerBasis(G.elements[: zero_dim_facts(G).ell2], radical=G.radical)
 
 
 def standard_monomials(G: GroebnerBasis) -> list[Monomial]:
     """Monomials outside the leading-term ideal, ascending; finite iff zero-dim."""
-    facts = structure_facts(G)
-    if not facts.zero_dim:
-        raise ValueError(f"not zero-dimensional: {facts.missing}")
+    facts = zero_dim_facts(G)
     heads = [g.lm() for g in G.elements]
     dx = G.elements[0].lm().a
     dy = G.elements[facts.ell2 - 1].lm().b

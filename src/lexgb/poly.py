@@ -235,8 +235,8 @@ class Polynomial:
     # -- evaluation and substitution ------------------------------------------
 
     def evaluate(self, point):
-        """Value at (x, y, z); coordinates may be ints or field elements.  The
-        value is a plain coefficient, an int in [0, p)."""
+        """Value at (x, y, z), three ints taken mod p.  The value is a plain
+        coefficient, an int in [0, p)."""
         p = self.field.p
         px, py, pz = map(self.field.coerce, point)
         total = 0
@@ -278,27 +278,12 @@ class Polynomial:
         return {"terms": [{"c": c, "e": [m.a, m.b, m.c]} for m, c in self.terms]}
 
     def text(self) -> str:
-        if not self.terms:
-            return "0"
+        # coefficients are canonical, in [0, p), so no term carries a sign
         parts = []
         for m, c in self.terms:
-            cs = str(c)
             ms = m.text()
-            if ms == "1":
-                parts.append(cs)
-            elif cs == "1":
-                parts.append(ms)
-            elif cs == "-1":
-                parts.append("-" + ms)
-            else:
-                parts.append(f"{cs}*{ms}")
-        out = parts[0]
-        for part in parts[1:]:
-            if part.startswith("-"):
-                out += " - " + part[1:]
-            else:
-                out += " + " + part
-        return out
+            parts.append(str(c) if ms == "1" else ms if c == 1 else f"{c}*{ms}")
+        return " + ".join(parts) or "0"
 
     __str__ = text
 

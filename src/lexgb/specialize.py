@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .groebner import GroebnerBasis, is_groebner_basis, normal_form, structure_facts
+from .groebner import GroebnerBasis, is_groebner_basis, normal_form, structure_facts, zero_dim_facts
 from .poly import MONOMIAL_ONE, Monomial, Polynomial, _columns, _image
 from .univariate import _dense_length, _has_root, _horner, _quo, _roots, _trim
 
@@ -151,7 +151,6 @@ class _Fiber:
 
 
 class _FiberView(NamedTuple):
-    skipped: str | None  # why the fibers cannot be walked, else None
     stuck: int  # cofactor degree of g_1
     fibers: tuple[_Fiber, ...]  # one per root alpha of g_1, ascending
 
@@ -170,7 +169,7 @@ def _fiber_view(G: GroebnerBasis) -> _FiberView:
     `gianni_kalkbrener` read them off the columns (`_slices`).  It needs a
     zero-dimensional basis over F_p with every element in its band (see
     `structure_facts`), so that the prefix images lie in k[y] and the
-    slices in k[z]; on any other basis, `skipped` says why.
+    slices in k[z]; on any other basis the walk raises ValueError.
 
     The roots of any lc_x(g_i) are the alphas at which it vanishes, because
     on a minimal lex Groebner basis every irreducible factor of
@@ -186,11 +185,9 @@ def _fiber_view(G: GroebnerBasis) -> _FiberView:
 
 
 def _walk_fibers(G: GroebnerBasis) -> _FiberView:
-    facts = structure_facts(G)
-    if not facts.zero_dim:
-        return _FiberView(f"not zero-dimensional: {facts.missing}", 0, ())
+    facts = zero_dim_facts(G)
     if facts.band_violations:
-        return _FiberView(f"elements outside their bands: {list(facts.band_violations)}", 0, ())
+        raise ValueError(f"elements outside their bands: {list(facts.band_violations)}")
     roots, stuck = split_roots(G.elements[0])
     field = G.field
     # g_1 vanishes at each of its roots, so it takes no columns
@@ -200,7 +197,7 @@ def _walk_fibers(G: GroebnerBasis) -> _FiberView:
     for at, alpha in enumerate(roots):
         betas, j, beta_stuck = _common_roots([_y_list(cols, at) for cols in prefix], field.p)
         fibers.append(_Fiber(field, columns, at, alpha, betas, j, beta_stuck))
-    return _FiberView(None, stuck, tuple(fibers))
+    return _FiberView(stuck, tuple(fibers))
 
 
 def _pure_power_heads(G: GroebnerBasis) -> bool:
@@ -242,18 +239,17 @@ def _lc_x_vanishes(g: Polynomial, image: Polynomial) -> bool:
     return image.is_zero() or image.lm() != g.lm_yz()
 
 
-def check_specialization_image(G: GroebnerBasis) -> list[dict] | str:
+def check_specialization_image(G: GroebnerBasis) -> list[dict]:
     """At every root alpha of g_1, each remaining element either vanishes or
     keeps a nonvanishing leading x-coefficient, read off its image (see
     `_lc_x_vanishes`), and the nonzero images satisfy the S-pair criterion
     in k[y, z].  Like the other fiber checks, it assumes a basis that passes
-    basis_integrity, as `verify_all` guarantees, and reads no image when the
-    heads are x^a, y^b, z^c (see `_pure_power_heads`)."""
+    basis_integrity and structure, as `verify_all` guarantees (the view
+    raises ValueError on one without the shape), and reads no image when
+    the heads are x^a, y^b, z^c (see `_pure_power_heads`)."""
     if _pure_power_heads(G):
         return []
     view = _fiber_view(G)
-    if view.skipped:
-        return view.skipped
     witnesses = []
     for fiber in view.fibers:
         alpha, images = fiber.alpha, []
@@ -272,7 +268,7 @@ def check_specialization_image(G: GroebnerBasis) -> list[dict] | str:
     return witnesses
 
 
-def check_gianni_kalkbrener(G: GroebnerBasis) -> list[dict] | str:
+def check_gianni_kalkbrener(G: GroebnerBasis) -> list[dict]:
     """At every solution (alpha, beta) of the elimination prefix, each element
     past the prefix keeps its z degree after specialization (or vanishes).
     Assumes a basis that passes basis_integrity.  Each degree is read off
@@ -282,8 +278,6 @@ def check_gianni_kalkbrener(G: GroebnerBasis) -> list[dict] | str:
     if _pure_power_heads(G):
         return []
     view = _fiber_view(G)
-    if view.skipped:
-        return view.skipped
     ell2 = structure_facts(G).ell2
     degrees = [g.lm().c for g in G.elements[ell2:]]
     witnesses = []
@@ -318,8 +312,6 @@ def check_fiber_membership(G: GroebnerBasis) -> list[dict] | str:
     if _pure_power_heads(G):
         return [] if _has_root(_dense(G.elements[0]), G.field.p) else _NONE_QUALIFIES
     view = _fiber_view(G)
-    if view.skipped:
-        return view.skipped
     elems = G.elements
     witnesses = []
     qualified = False
@@ -360,7 +352,8 @@ def solve_system(G: GroebnerBasis) -> tuple[tuple[int, int, int], ...]:
     satisfy every element of the slice.  Raises NonSplitError when an
     eliminant has an irreducible factor of degree > 1 (solutions
     would then live in an extension field), and ValueError when the
-    unit_ideal flag disagrees with the elements.
+    unit_ideal flag disagrees with the elements or the basis lacks the
+    shape the fiber view needs (see `_fiber_view`).
     """
     unit = any(g.is_constant() and not g.is_zero() for g in G.elements)
     if unit != G.unit_ideal:
@@ -368,8 +361,6 @@ def solve_system(G: GroebnerBasis) -> tuple[tuple[int, int, int], ...]:
     if unit:
         return ()
     view = _fiber_view(G)
-    if view.skipped:
-        raise ValueError(view.skipped)
     if view.stuck:
         raise NonSplitError(G.elements[0], view.stuck)
 

@@ -19,7 +19,14 @@ from heapq import heapify, heappop, heappush
 from lexgb import GroebnerBasis, Monomial, PointSet, Polynomial
 from lexgb.checks import _componentwise, _every_pair, _same_z
 from lexgb.field import PrimeField
-from lexgb.groebner import buchberger, elimination_basis, is_groebner_basis, normal_form, structure_facts
+from lexgb.groebner import (
+    buchberger,
+    elimination_basis,
+    is_groebner_basis,
+    normal_form,
+    structure_facts,
+    zero_dim_facts,
+)
 from lexgb.instances import _checked_shape, _step_down
 from lexgb.poly import MONOMIAL_ONE, constant
 from lexgb.specialize import _fiber_view, _lc_x_vanishes
@@ -377,12 +384,9 @@ def reference_lazard_2d(G2) -> list:
 def reference_membership_lc_xy(G):
     """Completes (lc_xy(g_i), g_1) and reduces g_i for every g_i past the
     elimination prefix."""
-    facts = structure_facts(G)
-    if not facts.zero_dim:
-        return f"not zero-dimensional: {facts.missing}"
     elems = G.elements
     witnesses = []
-    for i in range(facts.ell2, len(elems)):
+    for i in range(zero_dim_facts(G).ell2, len(elems)):
         r = normal_form(elems[i], buchberger([elems[i].lc_xy(), elems[0]]))
         if not r.is_zero():
             witnesses.append(
@@ -395,8 +399,6 @@ def reference_specialization_image(G):
     """Builds the fiber view of every basis and runs the S-pair criterion on
     the images at each alpha that keep their heads."""
     view = _fiber_view(G)
-    if view.skipped:
-        return view.skipped
     witnesses = []
     for fiber in view.fibers:
         kept = []
@@ -416,8 +418,6 @@ def reference_specialization_image(G):
 def reference_gianni_kalkbrener(G):
     """Builds every (alpha, beta) slice and reads its z degree."""
     view = _fiber_view(G)
-    if view.skipped:
-        return view.skipped
     ell2 = structure_facts(G).ell2
     witnesses = []
     for fiber in view.fibers:
@@ -440,8 +440,6 @@ def reference_gianni_kalkbrener(G):
 def reference_fiber_membership(G):
     """Reduces every qualifying alpha-image of g_{i+1} by its top z block."""
     view = _fiber_view(G)
-    if view.skipped:
-        return view.skipped
     elems = G.elements
     witnesses = []
     qualified = False

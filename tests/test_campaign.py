@@ -33,6 +33,8 @@ def test_config_validation():
         CampaignConfig(jobs=0)
     with pytest.raises(ValueError, match=r"unknown checks: \['no_such_check'\]"):
         CampaignConfig(checks=("no_such_check",))
+    with pytest.raises(ValueError, match="not the string 'lazard_2d'"):
+        CampaignConfig(checks="lazard_2d")
 
 
 def test_config_keeps_a_selection_as_a_tuple():

@@ -73,11 +73,12 @@ def test_report_gives_each_verdict():
     assert (r.verdict, r.witnesses) == (OBSERVED, witness)
     assert r.notes == "radicality not guaranteed; outcome recorded, not asserted"
     assert r.ok
-    # a note skips the check, whatever the radical flag
+    # a note skips the check, whatever the radical flag: x^2 + 2 has no root
+    # mod 101, so no index qualifies for fiber_membership
     for flag in (True, False):
-        r = _report("membership_lc_xy", GroebnerBasis((P("x^2 + 1"), P("x*y + 1")), radical=flag))
+        r = _report("fiber_membership", GroebnerBasis((P("x^2 + 2"), P("y"), P("z")), radical=flag))
         assert (r.verdict, r.witnesses) == (SKIPPED, [])
-        assert r.notes == "not zero-dimensional: no leading monomial is a pure power of y"
+        assert r.notes == specialize._NONE_QUALIFIES
 
 
 def _readme_gated() -> set:
@@ -372,13 +373,55 @@ def test_membership_lc_xy():
     assert r.witnesses[0]["normal_form"] == "1"
 
 
-def test_membership_lc_xy_skips_a_basis_that_is_not_zero_dimensional():
+def test_membership_lc_xy_raises_on_a_basis_that_is_not_zero_dimensional():
     # no head is a pure power of y, so there is no elimination prefix to pass
     F7 = PrimeField(7)
     G = GroebnerBasis(tuple(parse_polynomial(F7, t) for t in ("x^2 + 1", "x*y + 1")), radical=True)
-    r = _report("membership_lc_xy", G)
-    assert r.verdict == SKIPPED and not r.witnesses
-    assert r.notes == "not zero-dimensional: no leading monomial is a pure power of y"
+    message = "not zero-dimensional: no leading monomial is a pure power of y"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        _report("membership_lc_xy", G)
+
+
+# no head is a pure power of y; and z + 100*y sits in the elimination
+# prefix, outside its band in k[x, y]
+_NO_Y_POWER = ("x^2 + 1", "x*y + 1")
+_OUT_OF_BAND = ("x", "z + 100*y", "y", "z^2 + 100")
+_FIBER_CHECKS = ("specialization_image", "gianni_kalkbrener", "fiber_membership")
+
+
+def _raised(read, G) -> str:
+    with pytest.raises(ValueError) as caught:
+        read(G)
+    return str(caught.value)
+
+
+def test_every_reader_of_the_staircase_raises_one_error_without_the_shape():
+    # outside verify_all, whose structure gate keeps such bases from them,
+    # the readers of the staircase raise, each with the same message
+    readers = [groebner.elimination_basis, groebner.standard_monomials, specialize.solve_system]
+    readers += [_RUNNERS[name][0] for name in ("lazard_2d", "membership_lc_xy") + _FIBER_CHECKS]
+    for flag in (True, False):
+        G = GroebnerBasis(tuple(map(P, _NO_Y_POWER)), radical=flag)
+        assert {_raised(read, G) for read in readers} == {
+            "not zero-dimensional: no leading monomial is a pure power of y"
+        }
+        # the fiber view also needs every element in its band
+        G = GroebnerBasis(tuple(map(P, _OUT_OF_BAND)), radical=flag)
+        readers_of_bands = [specialize.solve_system] + [_RUNNERS[name][0] for name in _FIBER_CHECKS]
+        assert {_raised(read, G) for read in readers_of_bands} == {"elements outside their bands: [2]"}
+
+
+@pytest.mark.parametrize("elements", [_NO_Y_POWER, _OUT_OF_BAND])
+def test_verify_all_reports_a_basis_without_the_shape(elements):
+    # neither basis is a Groebner basis, so basis_integrity fails and closes
+    # the gate before any reader of the staircase runs
+    for flag in (True, False):
+        reports = verify_all(GroebnerBasis(tuple(map(P, elements)), radical=flag))
+        assert [r.name for r in reports] == list(CHECK_ORDER)
+        assert reports[0].verdict == FAIL
+        assert [(r.verdict, r.witnesses, r.notes) for r in reports[1:]] == [
+            (SKIPPED, [], "gatekeeper check failed")
+        ] * (len(CHECK_ORDER) - 1)
 
 
 def test_verify_all_worked_basis():
@@ -488,6 +531,16 @@ def test_a_selection_may_be_any_iterable_of_names():
     assert checks.select_checks(None) is None
     with pytest.raises(ValueError, match=re.escape("unknown checks: ['a', 'b']")):
         checks.select_checks(iter(["b", "lazard_2d", "a"]))
+
+
+def test_a_bare_string_is_not_a_selection():
+    # a string is an iterable of its characters, which would read as
+    # unknown checks named '2', '_', 'a', ...
+    message = "checks must be a collection of names, not the string 'lazard_2d'"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        verify_all(worked_basis(), checks="lazard_2d")
+    with pytest.raises(ValueError, match="not the string ''"):
+        checks.select_checks("")
 
 
 _GATE_SKIP = "gatekeeper check failed"

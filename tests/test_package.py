@@ -113,3 +113,14 @@ def test_only_the_checks_module_builds_reports():
                 if isinstance(node, ast.Call) and "CheckReport" in _loads(node.func):
                     builders.add((name, owner))
     assert builders == {("checks", "_report"), ("checks", "verify_all")}
+
+
+def test_one_string_states_the_zero_dimensional_precondition():
+    # a basis without the staircase shape raises one ValueError, built in
+    # one place (`groebner.zero_dim_facts`), wherever the staircase is read
+    holders = []
+    for name, tree in _modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and "not zero-dimensional" in node.value:
+                holders.append(name)
+    assert holders == ["groebner"]
