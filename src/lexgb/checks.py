@@ -34,12 +34,6 @@ from . import specialize
 
 def check_basis_integrity(G: GroebnerBasis) -> list[dict]:
     """Sorted, minimal, monic, tail-reduced, and closed under S-pair reduction."""
-    if G.unit_ideal:
-        only = G.elements[0] if len(G.elements) == 1 else None
-        if only is None or only.is_zero() or not only.is_constant():
-            return [{"reason": "unit flag on a non-unit basis"}]
-        # a nonzero constant generates the unit ideal, but (1) is its reduced basis
-        return [] if only.lc() == 1 else [{"reason": "unit ideal basis is not the reduced basis (1)"}]
     elems = G.elements
     if any(g.is_zero() for g in elems):
         return [{"reason": "zero element"}]

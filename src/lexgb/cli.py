@@ -198,12 +198,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("campaign", help="generate and verify a batch of instances")
-    p.add_argument("--radical", type=int, default=200, help="vanishing-ideal instances")
-    p.add_argument("--nonradical", type=int, default=50, help="probe instances")
-    p.add_argument("--points-min", type=int, default=1)
-    p.add_argument("--points-max", type=int, default=8)
+    p.add_argument("--radical", type=int, default=CampaignConfig.radical_count, help="vanishing-ideal instances")
+    p.add_argument("--nonradical", type=int, default=CampaignConfig.nonradical_count, help="probe instances")
+    p.add_argument("--points-min", type=int, default=CampaignConfig.points_min)
+    p.add_argument("--points-max", type=int, default=CampaignConfig.points_max)
     p.add_argument("--checks", type=_check_list, help="restrict which checks run")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p.add_argument("--jobs", type=int, default=CampaignConfig.jobs, help="worker processes")
     common(p)
     p.set_defaults(func=cmd_campaign)
 

@@ -13,21 +13,25 @@ class GroebnerBasis:
     """Reduced, monic basis sorted ascending by leading monomial.
 
     `radical` is provenance: true only when the ideal is radical by
-    construction (vanishing ideal of a point set).  The unit ideal is
-    flagged rather than given staircase structure.  What is worked out
-    from a basis once (its structure facts, its fiber view) is kept on it
-    by `_memoized`, in a memo outside `==`, `hash` and `repr` that
-    `dataclasses.replace` starts afresh.
+    construction (vanishing ideal of a point set).  `unit_ideal` is read
+    off the elements; the unit ideal has no staircase structure.  What is
+    worked out from a basis once (its structure facts, its fiber view) is
+    kept on it by `_memoized`, in a memo outside `==`, `hash` and `repr`
+    that `dataclasses.replace` starts afresh.
     """
 
     elements: tuple[Polynomial, ...]
     radical: bool = False
-    unit_ideal: bool = False
     _memo: dict = dataclass_field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def field(self):
         return self.elements[0].field
+
+    @property
+    def unit_ideal(self) -> bool:
+        """Whether some element is a nonzero constant: its head is the monomial 1."""
+        return any(g.terms and g.terms[0][0] == MONOMIAL_ONE for g in self.elements)
 
     def __len__(self):
         return len(self.elements)
@@ -45,9 +49,7 @@ class GroebnerBasis:
         return self._memo[compute]
 
     def to_dict(self, text: bool = False) -> dict:
-        facts = None
-        if not self.unit_ideal:
-            facts = structure_facts(self)
+        facts = None if self.unit_ideal else structure_facts(self)
         polys = [dict(g.to_dict(), text=g.text()) if text else g.to_dict() for g in self.elements]
         return {
             "p": self.field.p,
@@ -60,7 +62,8 @@ class GroebnerBasis:
 
 
 def basis_from_dict(field, data: dict) -> GroebnerBasis:
-    """Load a basis file; element order is kept exactly as stored."""
+    """Load a basis file; element order is kept exactly as stored.  A stored
+    'unit_ideal' is optional, and must agree with the elements."""
     if not isinstance(data.get("basis"), list) or not data["basis"]:
         raise ValueError("basis object must have a nonempty 'basis' list")
     elems = tuple(poly_from_dict(field, d) for d in data["basis"])
@@ -68,7 +71,11 @@ def basis_from_dict(field, data: dict) -> GroebnerBasis:
     for key, value in flags.items():
         if not isinstance(value, bool):
             raise ValueError(f"'{key}' must be true or false, got {value!r}")
-    return GroebnerBasis(elems, **flags)
+    G = GroebnerBasis(elems, flags["radical"])
+    if data.get("unit_ideal", G.unit_ideal) != G.unit_ideal:
+        some = "one" if G.unit_ideal else "none"
+        raise ValueError(f"'unit_ideal' must agree with the elements, {some} of which is a nonzero constant")
+    return G
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -154,7 +161,7 @@ def buchberger(generators) -> GroebnerBasis:
     if not gens:
         raise ValueError("no nonzero generators")
     field = gens[0].field
-    unit = GroebnerBasis((constant(field, 1),), unit_ideal=True)
+    unit = GroebnerBasis((constant(field, 1),))
 
     basis: list[Polynomial] = []
     prepared: list = []  # basis[i] as a divisor (see `poly._prepare`)
@@ -238,9 +245,7 @@ class StructureFacts:
 
 
 def structure_facts(G: GroebnerBasis) -> StructureFacts:
-    """The staircase shape of G, worked out once per basis and kept on it."""
-    if G.unit_ideal:
-        raise ValueError("unit ideal has no staircase structure")
+    """The staircase shape of G, worked out once and kept on it; the unit ideal has none."""
     return G._memoized(_structure_facts)
 
 
@@ -255,6 +260,8 @@ def zero_dim_facts(G: GroebnerBasis) -> StructureFacts:
 
 
 def _structure_facts(G: GroebnerBasis) -> StructureFacts:
+    if G.unit_ideal:
+        raise ValueError("unit ideal has no staircase structure")
     elems = G.elements
     missing = None
     if not elems[0].in_kx():
@@ -316,6 +323,4 @@ def standard_monomials(G: GroebnerBasis) -> list[Monomial]:
 
 def quotient_dimension(G: GroebnerBasis) -> int:
     """Dimension of k[x, y, z]/I as a vector space (the number of standard monomials)."""
-    if G.unit_ideal:
-        return 0
-    return len(standard_monomials(G))
+    return 0 if G.unit_ideal else len(standard_monomials(G))

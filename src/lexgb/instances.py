@@ -290,8 +290,11 @@ class InstanceRecipe:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown instance kind {self.kind!r}")
-        if self.kind in (VANISHING_POINTS, SQUARED_VANISHING) and not self.n_points:
-            raise ValueError(f"{self.kind} needs a point count")
+        if self.kind in (VANISHING_POINTS, SQUARED_VANISHING):
+            if self.n_points is None:
+                raise ValueError(f"{self.kind} needs a point count")
+            if self.n_points < 1:
+                raise ValueError(f"{self.kind} needs a positive point count, got {self.n_points}")
         if self.kind == RANDOM_TRIANGULAR:
             if self.degrees is None or len(self.degrees) != 3 or min(self.degrees) < 1:
                 raise ValueError("random-triangular needs three positive degrees")

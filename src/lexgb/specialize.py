@@ -206,14 +206,13 @@ def _pure_power_heads(G: GroebnerBasis) -> bool:
     with b, c >= 1, and the prefix is g_1, g_2.  The three fiber checks
     then need no fiber view: their statements hold with no content.
 
-    Proof.  If a = 0, g_1 is a nonzero constant with no root, so there is
-    no fiber, and the view gives what the checks return here.  Let a >= 1.
-    The order compares (y, z) parts before x, so no term of g_2 or g_3 is
-    the (y, z) part of its head times a power of x: lc_x(g_2) and
-    lc_x(g_3) are nonzero constants.  At every root alpha of g_1 the images
-    of g_2 and g_3 therefore keep the heads y^b and z^c (see
-    `_lc_x_vanishes`), so `specialization_image` finds no image that loses
-    its head, and the heads y^b and z^c are coprime, so
+    Proof.  `structure_facts` raises on the unit ideal, so g_1 is not a
+    constant and a >= 1.  The order compares (y, z) parts before x, so no
+    term of g_2 or g_3 is the (y, z) part of its head times a power of x:
+    lc_x(g_2) and lc_x(g_3) are nonzero constants.  At every root alpha
+    of g_1 the images of g_2 and g_3 therefore keep the heads y^b and z^c
+    (see `_lc_x_vanishes`), so `specialization_image` finds no image that
+    loses its head, and the heads y^b and z^c are coprime, so
     `is_groebner_basis` skips the only pair of the images.  At every
     (alpha, beta) the image of g_3 keeps z^c, with a nonzero constant
     coefficient, so `gianni_kalkbrener` finds no degree drop.  In
@@ -351,14 +350,11 @@ def solve_system(G: GroebnerBasis) -> tuple[tuple[int, int, int], ...]:
     the fiber's columns (`_slices`), is solved for z, and a solution must
     satisfy every element of the slice.  Raises NonSplitError when an
     eliminant has an irreducible factor of degree > 1 (solutions
-    would then live in an extension field), and ValueError when the
-    unit_ideal flag disagrees with the elements or the basis lacks the
-    shape the fiber view needs (see `_fiber_view`).
+    would then live in an extension field), and ValueError when the basis
+    lacks the shape the fiber view needs (see `_fiber_view`).  The unit
+    ideal has no solutions.
     """
-    unit = any(g.is_constant() and not g.is_zero() for g in G.elements)
-    if unit != G.unit_ideal:
-        raise ValueError("the unit_ideal flag disagrees with the elements")
-    if unit:
+    if G.unit_ideal:
         return ()
     view = _fiber_view(G)
     if view.stuck:

@@ -20,7 +20,6 @@ from lexgb import GroebnerBasis, Monomial, PointSet, Polynomial
 from lexgb.checks import _componentwise, _every_pair, _same_z
 from lexgb.field import PrimeField
 from lexgb.groebner import (
-    buchberger,
     elimination_basis,
     is_groebner_basis,
     normal_form,
@@ -141,7 +140,7 @@ def reference_buchberger(generators) -> GroebnerBasis:
     if not gens:
         raise ValueError("no nonzero generators")
     field = gens[0].field
-    unit = GroebnerBasis((constant(field, 1),), unit_ideal=True)
+    unit = GroebnerBasis((constant(field, 1),))
 
     basis = []
     pairs = []  # heap of (lcm of the heads, i, j)
@@ -382,12 +381,12 @@ def reference_lazard_2d(G2) -> list:
 
 
 def reference_membership_lc_xy(G):
-    """Completes (lc_xy(g_i), g_1) and reduces g_i for every g_i past the
-    elimination prefix."""
+    """Completes (lc_xy(g_i), g_1) by `reference_buchberger` and reduces g_i
+    by `reference_remainder` for every g_i past the elimination prefix."""
     elems = G.elements
     witnesses = []
     for i in range(zero_dim_facts(G).ell2, len(elems)):
-        r = normal_form(elems[i], buchberger([elems[i].lc_xy(), elems[0]]))
+        r = reference_remainder(elems[i], reference_buchberger([elems[i].lc_xy(), elems[0]]).elements)
         if not r.is_zero():
             witnesses.append(
                 {"i": i + 1, "normal_form": r.text(), "modulo": [elems[i].lc_xy().text(), elems[0].text()]}

@@ -169,16 +169,14 @@ def test_integrity_detects_unreduced_s_pair():
 
 
 def test_integrity_unit_flag():
-    assert _report("basis_integrity", GroebnerBasis((P("1"),), unit_ideal=True)).verdict == PASS
-    # the zero polynomial counts as constant but generates the zero ideal
-    for elements in ((P("x"),), (Polynomial(F101),), (P("1"), P("x"))):
-        r = _report("basis_integrity", GroebnerBasis(elements, unit_ideal=True))
-        assert r.verdict == FAIL
-        assert r.witnesses == [{"reason": "unit flag on a non-unit basis"}]
+    # the unit ideal has no case of its own: (1) is a reduced basis like any other
+    assert _report("basis_integrity", GroebnerBasis((P("1"),))).witnesses == []
     # 5 generates the unit ideal but is not its reduced basis
-    r = _report("basis_integrity", GroebnerBasis((P("5"),), unit_ideal=True))
-    assert r.verdict == FAIL
-    assert r.witnesses == [{"reason": "unit ideal basis is not the reduced basis (1)"}]
+    assert _report("basis_integrity", GroebnerBasis((P("5"),))).witnesses == [{"i": 1, "reason": "not monic"}]
+    r = _report("basis_integrity", GroebnerBasis((P("1"), P("x"))))
+    assert r.witnesses == [{"i": 2, "j": 1, "reason": "head divisible by another head"}]
+    # the zero polynomial counts as constant but generates the zero ideal
+    assert _report("basis_integrity", GroebnerBasis((Polynomial(F101),))).witnesses == [{"reason": "zero element"}]
 
 
 def test_structure_worked_basis():

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from lexgb import cli
+from lexgb.campaign import CampaignConfig
 from lexgb.checks import CHECK_ORDER
 from lexgb.cli import main
 from lexgb.field import PrimeField
@@ -72,6 +74,10 @@ def test_gen_ideal_usage_errors(capsys):
     assert capsys.readouterr().err == "error: --degrees wants three comma-separated integers\n"
     assert main(["gen-ideal", "--kind", "random-triangular", "--degrees", "2,a,2"]) == 2
     assert capsys.readouterr().err == "error: invalid literal for int() with base 10: 'a'\n"
+    for n in ("-3", "0"):
+        assert main(["gen-ideal", "--kind", "squared-vanishing", "--n", n]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: squared-vanishing needs a positive point count, got {n}\n")
 
 
 def test_gb_from_points(tmp_path, capsys):
@@ -254,23 +260,28 @@ def test_input_commands_take_no_prime_flag(tmp_path, capsys):
         assert "unrecognized arguments: --prime" in capsys.readouterr().err
 
 
-def test_solve_rejects_a_unit_flag_the_elements_contradict(tmp_path, capsys):
-    # (0, 0, 0) solves x^2, x*y, y^2, z, so the unit flag is wrong; verify
-    # fails basis_integrity on the same file and solve must not print no points
+def test_a_stored_unit_ideal_must_agree_with_the_elements(tmp_path, capsys):
+    # (0, 0, 0) solves x^2, x*y, y^2, z, so it is not the unit ideal; and 3
+    # is a nonzero constant, so it is: every command refuses both files alike
     F7 = PrimeField(7)
     elems = [parse_polynomial(F7, t).to_dict() for t in ("x^2", "x*y", "y^2", "z")]
-    src = write_json(tmp_path / "flagged.json", {"p": 7, "unit_ideal": True, "basis": elems})
-    assert main(["solve", src]) == 2
-    assert "unit_ideal flag disagrees" in capsys.readouterr().err
-    assert main(["verify", src]) == 1
-    assert "unit flag on a non-unit basis" in json.dumps(read_json(capsys))
+    flagged = write_json(tmp_path / "flagged.json", {"p": 7, "unit_ideal": True, "basis": elems})
+    three = [parse_polynomial(F7, "3").to_dict()]
+    unflagged = write_json(tmp_path / "unflagged.json", {"p": 7, "unit_ideal": False, "basis": three})
+    for src, some in ((flagged, "none"), (unflagged, "one")):
+        for command in ("gb", "verify", "solve"):
+            assert main([command, src]) == 2
+            captured = capsys.readouterr()
+            message = f"'unit_ideal' must agree with the elements, {some} of which is a nonzero constant"
+            assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
-    unflagged = {"p": 7, "unit_ideal": False, "basis": [parse_polynomial(F7, "3").to_dict()]}
-    assert main(["solve", write_json(tmp_path / "unflagged.json", unflagged)]) == 2
-    assert "unit_ideal flag disagrees" in capsys.readouterr().err
+    # a flag that agrees, or none at all, is read as before
     unit = {"p": 7, "unit_ideal": True, "basis": [parse_polynomial(F7, "1").to_dict()]}
     assert main(["solve", write_json(tmp_path / "unit.json", unit)]) == 0
     assert read_json(capsys)["points"] == []
+    assert main(["gb", write_json(tmp_path / "bare.json", {"p": 7, "basis": elems})]) == 0
+    data = read_json(capsys)
+    assert (data["ell2"], data["zero_dim"], data["unit_ideal"]) == (3, True, False)
 
 
 def test_campaign_small(tmp_path):
@@ -312,6 +323,14 @@ def test_campaign_empty(capsys):
     assert data["all_pass"] is True
     assert data["radical"]["count"] == 0
     assert data["nonradical"]["count"] == 0
+
+
+def test_a_bare_campaign_runs_the_default_config(monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "run_campaign", lambda config: seen.append(config) or {"all_pass": True})
+    monkeypatch.setattr(cli, "_emit", lambda data, path: None)
+    assert main(["campaign"]) == 0
+    assert seen == [CampaignConfig()]
 
 
 def test_campaign_rejects_bad_config(capsys):

@@ -1,6 +1,7 @@
 """The package's public surface."""
 
 import ast
+import dataclasses
 import os
 import subprocess
 import sys
@@ -124,3 +125,16 @@ def test_one_string_states_the_zero_dimensional_precondition():
             if isinstance(node, ast.Constant) and isinstance(node.value, str) and "not zero-dimensional" in node.value:
                 holders.append(name)
     assert holders == ["groebner"]
+
+
+def test_the_unit_ideal_is_not_a_setting():
+    # `unit_ideal` is read off the elements, so no flag can disagree with them
+    init = [f.name for f in dataclasses.fields(lexgb.GroebnerBasis) if f.init]
+    assert init == ["elements", "radical"]
+    strings = [
+        (name, node.value)
+        for name, tree in _modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    ]
+    assert not [(name, text) for name, text in strings if "unit flag" in text or "flag disagrees" in text]

@@ -1,19 +1,19 @@
 """Property tests for the kernel: ring axioms, the division contract, normal
 forms against `divide` and under scaled divisors, and Buchberger
-idempotence and independence of generator order, over F_p, and the
-packed-slot codec's round trip."""
+idempotence and independence of generator order, over F_p, the unit
+ideal read off the elements, and the packed-slot codec's round trip."""
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from lexgb.field import PrimeField  # noqa: E402
-from lexgb.groebner import buchberger, normal_form  # noqa: E402
+from lexgb.groebner import GroebnerBasis, buchberger, normal_form  # noqa: E402
 from lexgb.instances import PointSet, vanishing_basis  # noqa: E402
 from lexgb.packed import pack, unpack  # noqa: E402
-from lexgb.poly import Monomial, Polynomial  # noqa: E402
+from lexgb.poly import Monomial, Polynomial, constant, parse_polynomial  # noqa: E402
 from lexgb.specialize import solve_system  # noqa: E402
 
 FIELDS = (PrimeField(2), PrimeField(7), PrimeField(101))
@@ -129,6 +129,32 @@ def test_buchberger_ignores_generator_order(gens, rng):
     rng.shuffle(shuffled)
     G, H = buchberger(gens), buchberger(shuffled)
     assert H.elements == G.elements and H.unit_ideal == G.unit_ideal
+
+
+def _units(field):
+    return st.integers(0, field.p - 1).map(lambda c: constant(field, c))
+
+
+def _parsed(*texts):
+    return [parse_polynomial(FIELDS[2], t) for t in texts]
+
+
+@FEW
+@given(st.sampled_from(FIELDS).flatmap(lambda f: st.lists(polys(f, 0, 3) | _units(f), min_size=1, max_size=4)))
+@example(_parsed("0"))
+@example(_parsed("5"))
+@example(_parsed("1", "x"))
+@example(_parsed("x", "y", "3"))
+@example(_parsed("y", "0", "x + 1"))
+def test_the_unit_ideal_is_read_off_the_elements(elems):
+    # any container, unsorted and with zero elements, is the unit ideal
+    # exactly when an element is a nonzero constant; its reduced basis is (1)
+    unit = any(g.is_constant() and not g.is_zero() for g in elems)
+    assert GroebnerBasis(tuple(elems)).unit_ideal == unit
+    if any(elems):
+        G = buchberger(elems)
+        assert G.unit_ideal == (G.elements == (constant(G.field, 1),))
+        assert not unit or G.unit_ideal
 
 
 points = st.lists(st.tuples(*(st.integers(0, 6),) * 3), min_size=1, max_size=8, unique=True)
